@@ -13,6 +13,13 @@
  *
  *     ./build/pimba run scenarios/<file>.json [--smoke] \
  *         > tests/golden/<name>.txt 2>/dev/null
+ *
+ * The fleet-layer fixtures (disaggregation, priority tiers, autoscaler,
+ * streamed replay, and the test-only control_deadlines.json timer
+ * workload next to the fixtures) were captured before the fleet's
+ * event drivers were merged into one calendar pump; they pin that
+ * every event kind (arrival, hand-off, warm-up, deadline, scale tick)
+ * dispatches exactly as before.
  */
 
 #include <gtest/gtest.h>
@@ -39,11 +46,16 @@ readFixture(const std::string &name)
 }
 
 std::string
+runFile(const std::string &path, bool smoke)
+{
+    Scenario sc = loadScenarioFile(path, smoke);
+    return runScenario(sc, /*quiet=*/true).renderText();
+}
+
+std::string
 runPreset(const std::string &file, bool smoke)
 {
-    Scenario sc = loadScenarioFile(
-        std::string(PIMBA_SCENARIO_DIR) + "/" + file, smoke);
-    return runScenario(sc, /*quiet=*/true).renderText();
+    return runFile(std::string(PIMBA_SCENARIO_DIR) + "/" + file, smoke);
 }
 
 TEST(GoldenOutput, Fig12SmokeMatchesPreOptimizationCapture)
@@ -80,6 +92,43 @@ TEST(GoldenOutput, Fig16SmokeMatchesPreOptimizationCapture)
 {
     EXPECT_EQ(runPreset("fig16_h100.json", true),
               readFixture("fig16_smoke.txt"));
+}
+
+TEST(GoldenOutput, DisaggregationFullMatchesCapture)
+{
+    // The only preset with prefill -> link -> decode hand-offs.
+    EXPECT_EQ(runPreset("cluster_disaggregation.json", false),
+              readFixture("disaggregation_full.txt"));
+}
+
+TEST(GoldenOutput, PriorityTiersSmokeMatchesCapture)
+{
+    EXPECT_EQ(runPreset("priority_tiers.json", true),
+              readFixture("priority_tiers_smoke.txt"));
+}
+
+TEST(GoldenOutput, AutoscaleDiurnalSmokeMatchesCapture)
+{
+    // Streamed control-plane runs: scale ticks and warm-up timers.
+    EXPECT_EQ(runPreset("autoscale_diurnal.json", true),
+              readFixture("autoscale_diurnal_smoke.txt"));
+}
+
+TEST(GoldenOutput, FleetReplaySmokeMatchesCapture)
+{
+    // Streamed colocated replay (bounded-memory shape).
+    EXPECT_EQ(runPreset("fleet_replay.json", true),
+              readFixture("fleet_replay_smoke.txt"));
+}
+
+TEST(GoldenOutput, ControlDeadlinesMatchesCapture)
+{
+    // No preset cancels anything; this fixture fires warm-ups, drains,
+    // TTFT and total-deadline cancels on one calendar.
+    EXPECT_EQ(runFile(std::string(PIMBA_GOLDEN_DIR) +
+                          "/control_deadlines.json",
+                      false),
+              readFixture("control_deadlines.txt"));
 }
 
 } // namespace
