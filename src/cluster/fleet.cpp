@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <unordered_map> // pimba-lint: allow(node-container) per-run handoff bookkeeping
 
@@ -13,11 +14,6 @@ namespace pimba {
 namespace {
 
 constexpr Seconds kInf{std::numeric_limits<double>::infinity()};
-
-/// Calendar event classes: at equal times an arrival dispatches before
-/// a hand-off, reproducing the lockstep loop's `ta <= th` preference.
-constexpr uint32_t kArrivalClass = 0;
-constexpr uint32_t kHandoffClass = 1;
 
 /** Load snapshots of the replicas in @p pool, in pool order, into the
  *  caller's reused buffer (one routing decision per request makes this
@@ -141,40 +137,30 @@ struct HandoffLater
     }
 };
 
-/** Calendar payload of the disaggregated pump: an arrival or a
- *  readied hand-off. */
-struct FleetEvent
+/// Fleet calendar event kinds. The enumerator value is the calendar
+/// class, so at one instant: a warm-up completion makes its replica
+/// routable before a same-time arrival routes; an arrival dispatches
+/// before a hand-off (the lockstep loop's `arrival <= handoff` rule)
+/// and before any deadline timer (a request admitted at its exact
+/// deadline instant still gets its chance); autoscaler ticks observe
+/// the settled state last.
+enum class EventKind : uint32_t
 {
-    bool isArrival = true;
-    Request req;     ///< arrival payload
-    Handoff handoff; ///< hand-off payload
+    Warmup,   ///< a scaled-up replica's warm-up timer fired
+    Arrival,  ///< one trace arrival
+    Handoff,  ///< a prefill's KV/state blocks landed (disaggregated)
+    Deadline, ///< a request's TTFT or total deadline
+    ScaleTick ///< autoscaler signal-sampling tick
 };
 
-/// Controlled-pump event classes. At one instant: a warm-up completion
-/// makes its replica routable before a same-time arrival routes; the
-/// arrival dispatches before any deadline timer (a request admitted at
-/// its exact deadline instant still gets its chance); autoscaler ticks
-/// observe the settled state last.
-constexpr uint32_t kCpWarmupClass = 0;
-constexpr uint32_t kCpArrivalClass = 1;
-constexpr uint32_t kCpDeadlineClass = 2;
-constexpr uint32_t kCpScaleClass = 3;
-
-/** Calendar payload of the controlled pump. */
-struct CpEvent
+/** Calendar payload of the fleet pump. */
+struct FleetEvent
 {
-    enum class Kind
-    {
-        Warmup,   ///< replica's warm-up timer fired
-        Arrival,  ///< one trace arrival
-        Deadline, ///< a request's TTFT or total deadline
-        ScaleTick ///< autoscaler signal-sampling tick
-    };
-    Kind kind = Kind::Arrival;
-    Request req;            ///< Arrival payload
-    uint64_t requestId = 0; ///< Deadline: the request to cancel
-    bool ttftOnly = false;  ///< Deadline: TTFT (vs total) semantics
-    size_t replica = 0;     ///< Warmup / Deadline: the target replica
+    EventKind kind = EventKind::Arrival;
+    Request req;           ///< Arrival: the request; Deadline: its id
+    size_t replica = 0;    ///< Warmup / Deadline: the target replica
+    bool ttftOnly = false; ///< Deadline: TTFT (vs total) semantics
+    Handoff handoff;       ///< Handoff payload
 };
 
 /**
@@ -194,6 +180,187 @@ finalizeReport(FleetReport &report, const SloConfig &slo)
         computeMetrics(report.completed, report.makespan, slo);
     report.load = computeLoadStats(report.replicas);
 }
+
+/**
+ * Prefill -> decode hand-off bookkeeping of one disaggregated run,
+ * shared by the calendar pump and the lockstep reference so both cost
+ * transfers and synthesize records the same way. The first
+ * @c prefillReplicas replicas form the prefill pool, the rest the
+ * decode pool; constructed with 0 (a colocated fleet) the prefill pool
+ * is empty and every prefill-side call is a no-op.
+ */
+class Disaggregation
+{
+  public:
+    Disaggregation(std::vector<ServingEngine> &engines_, AdvanceGate &gate_,
+                   const ModelConfig &model_, const FleetConfig &cfg,
+                   const FleetObservers &obs_, size_t prefillReplicas)
+        : engines(engines_), gate(gate_), model(model_), obs(obs_),
+          // Decouple the two stages' sampling streams but keep both
+          // seeded.
+          decodeRouter(makeRouter(cfg.router, cfg.routerSeed ^ 0x9E3779B9u)),
+          link(cfg.link), polled(engines_.size(), 0)
+    {
+        for (size_t i = 0; i < engines.size(); ++i)
+            (i < prefillReplicas ? prefills : decodes).push_back(i);
+    }
+
+    const std::vector<size_t> &prefillPool() const { return prefills; }
+
+    bool
+    prefillBusy() const
+    {
+        for (size_t i : prefills)
+            if (engines[i].queueDepth() > 0)
+                return true;
+        return false;
+    }
+
+    /** Submit arrival @p r's prefill stage to replica @p pick (it emits
+     *  the first token only); @p assignment is its routing-order slot. */
+    void
+    admit(const Request &r, size_t pick, size_t assignment)
+    {
+        PIMBA_ASSERT(originals.emplace(r.id, r).second,
+                     "duplicate request id ", r.id, " in trace");
+        assignmentIdx.emplace(r.id, assignment);
+        Request pr = r;
+        pr.outputLen = 1;
+        engines[pick].submit(pr);
+    }
+
+    /**
+     * Advance the prefill pool to @p t (+inf runs it out) and turn its
+     * fresh completions into hand-offs, each passed to @p schedule. The
+     * shipped bytes are the request's cached state + KV at prompt + 1
+     * tokens, in the *prefill* replica's storage formats.
+     */
+    template <typename Schedule>
+    void
+    poll(Seconds t, TransferStats &transfer, Schedule &&schedule)
+    {
+        gate.advancePool(prefills, t);
+        for (size_t i : prefills) {
+            const auto &done = engines[i].completedSoFar();
+            for (size_t k = polled[i]; k < done.size(); ++k) {
+                const CompletedRequest &c = done[k];
+                const Request &orig = originals.at(c.req.id);
+                if (orig.outputLen == 1) {
+                    // Fully served by the prefill stage; never ships.
+                    prefillOnly.push_back(c);
+                    continue;
+                }
+                MemoryUsage mem = engines[i].simulator().memoryUsage(
+                    model, 1, orig.inputLen + 1);
+                Bytes bytes = mem.state + mem.kvCache;
+                LinkCost cost = link.transfer(bytes);
+                Handoff h;
+                h.prefillFinish = finishTime(c);
+                h.ready = h.prefillFinish + cost.seconds;
+                h.req = orig;
+                h.linkSeconds = cost.seconds;
+                h.prefillQueueing = c.queueing;
+                h.prefillPreemptions = c.preemptions;
+                schedule(h);
+                if (obs.tracer)
+                    // Slice on the interconnect process, one lane per
+                    // source replica: blocks leave when the prefill
+                    // finishes and land cost.seconds later.
+                    obs.tracer->complete(
+                        obs.interconnectPid, static_cast<int64_t>(i) + 1,
+                        h.prefillFinish, cost.seconds,
+                        "ship req " + std::to_string(orig.id),
+                        "interconnect",
+                        {{"bytes", bytes.value()},
+                         {"seconds", cost.seconds.value()}});
+                // A request with no cached state or KV bytes (possible
+                // only for degenerate models) ships nothing: it is a
+                // hand-off, not a transfer, and must not count into the
+                // transfer-overhead breakdown.
+                if (bytes > Bytes(0.0)) {
+                    ++transfer.transfers;
+                    transfer.totalBytes += bytes;
+                    transfer.totalSeconds += cost.seconds;
+                    transfer.totalEnergyJ += cost.energyJ;
+                }
+            }
+            polled[i] = done.size();
+        }
+    }
+
+    /** @p h's blocks landed: route it onto the decode pool, whose clock
+     *  for the request starts at the landing instant. */
+    void
+    land(const Handoff &h, std::vector<Assignment> &assignments)
+    {
+        gate.advancePool(decodes, h.ready);
+        snapshotPool(engines, decodes, snap);
+        size_t pick = decodes[decodeRouter->route(snap, h.req)];
+        Request dr = h.req;
+        dr.arrival = h.ready;
+        engines[pick].submitPrefilled(dr);
+        gate.refresh(pick);
+        assignments[assignmentIdx.at(h.req.id)].decodeReplica =
+            static_cast<int>(pick);
+        handoffMeta.emplace(h.req.id, h);
+    }
+
+    /**
+     * Synthesize the fleet-level records from the finished replica
+     * reports: TTFT is prefill + transfer (the first token is not
+     * servable until its blocks land on the decode replica),
+     * decode-stage queueing and compute land in TPOT.
+     */
+    void
+    synthesize(FleetReport &report, const SloConfig &slo) const
+    {
+        double shareSum = 0.0;
+        std::vector<double> transferSeconds;
+        transferSeconds.reserve(handoffMeta.size());
+        for (size_t i : decodes) {
+            for (const CompletedRequest &c :
+                 report.replicas[i].completed) {
+                const Handoff &h = handoffMeta.at(c.req.id);
+                const Request &orig = originals.at(c.req.id);
+                CompletedRequest out;
+                out.req = orig;
+                out.ttft = h.prefillFinish + h.linkSeconds - orig.arrival;
+                out.latency = finishTime(c) - orig.arrival;
+                out.tpot = (out.latency - out.ttft) /
+                           static_cast<double>(orig.outputLen - 1);
+                out.queueing = h.prefillQueueing;
+                out.preemptions = h.prefillPreemptions + c.preemptions;
+                report.completed.push_back(out);
+                shareSum += h.linkSeconds / out.ttft;
+                transferSeconds.push_back(h.linkSeconds.value());
+            }
+        }
+        report.completed.insert(report.completed.end(),
+                                prefillOnly.begin(), prefillOnly.end());
+        finalizeReport(report, slo);
+        report.transfer.perTransfer = summarizeLatency(transferSeconds);
+        report.transfer.meanTtftShare =
+            transferSeconds.empty()
+                ? 0.0
+                : shareSum / static_cast<double>(transferSeconds.size());
+    }
+
+  private:
+    std::vector<ServingEngine> &engines;
+    AdvanceGate &gate;
+    const ModelConfig &model;
+    const FleetObservers &obs;
+    std::unique_ptr<Router> decodeRouter;
+    const LinkModel link;
+    std::vector<size_t> prefills, decodes;
+    std::vector<ReplicaSnapshot> snap;
+    // pimba-lint: allow(node-container) touched once per request, not per step
+    std::unordered_map<uint64_t, Request> originals;
+    std::unordered_map<uint64_t, size_t> assignmentIdx; // pimba-lint: allow(node-container) ditto
+    std::unordered_map<uint64_t, Handoff> handoffMeta; // pimba-lint: allow(node-container) ditto
+    std::vector<CompletedRequest> prefillOnly; // single-token requests
+    std::vector<size_t> polled; ///< per replica: completions consumed
+};
 
 } // namespace
 
@@ -313,29 +480,6 @@ Fleet::attachObservers(const FleetObservers &o)
     }
 }
 
-std::vector<size_t>
-Fleet::prefillPool() const
-{
-    std::vector<size_t> pool;
-    size_t count = cfg.mode == FleetMode::Disaggregated
-                       ? cfg.prefillReplicas
-                       : engines.size();
-    for (size_t i = 0; i < count; ++i)
-        pool.push_back(i);
-    return pool;
-}
-
-std::vector<size_t>
-Fleet::decodePool() const
-{
-    std::vector<size_t> pool;
-    size_t first = cfg.mode == FleetMode::Disaggregated
-                       ? cfg.prefillReplicas
-                       : 0;
-    for (size_t i = first; i < engines.size(); ++i)
-        pool.push_back(i);
-    return pool;
-}
 
 FleetReport
 Fleet::run(const std::vector<Request> &trace)
@@ -352,33 +496,49 @@ Fleet::run(const std::vector<Request> &trace)
 FleetReport
 Fleet::run(ArrivalSource &arrivals)
 {
-    if (cfg.controlPlane.anyEnabled())
-        return runControlled(arrivals, nullptr);
-    return cfg.mode == FleetMode::Colocated
-               ? runColocated(arrivals, nullptr)
-               : runDisaggregated(arrivals);
+    return pump(arrivals, nullptr);
 }
 
 FleetReport
 Fleet::runStreamed(ArrivalSource &arrivals, StreamingMetrics &stream)
 {
     PIMBA_ASSERT(cfg.mode == FleetMode::Colocated,
-                 "runStreamed() needs a colocated fleet: the "
-                 "disaggregated driver polls per-request completion "
-                 "records to build transfer hand-offs, which the "
-                 "record-free streaming mode drops");
-    if (cfg.controlPlane.anyEnabled())
-        return runControlled(arrivals, &stream);
-    return runColocated(arrivals, &stream);
+                 "runStreamed() needs a colocated fleet: hand-offs are "
+                 "found by polling the prefill replicas' per-request "
+                 "completion records, which the record-free streaming "
+                 "mode drops");
+    return pump(arrivals, &stream);
 }
 
 /**
- * Colocated event pump. The calendar holds exactly one pending arrival
- * (the source is pulled lazily, one ahead), and every dispatch runs
- * the same engine-call sequence the lockstep loop ran — advance the
- * pool to the arrival instant (gated by cached next-event times),
- * snapshot, route, submit — so reports are byte-identical to
- * runLockstep() on the same trace.
+ * The fleet's event pump: one calendar of FleetEvent entries, pulled
+ * one arrival ahead from the source. Every arrival runs the engine-call
+ * sequence the lockstep loop ran — advance the routing pool to the
+ * arrival instant (gated by cached next-event times), snapshot, route,
+ * submit — so reports are byte-identical to runLockstep() on the same
+ * trace. Three things depend on the fleet's shape:
+ *
+ *  - the routing pool: the control plane's routable replicas (every
+ *    replica when it is off), or the prefill pool when disaggregated;
+ *  - before each pop the prefill pool is advanced to the event horizon
+ *    and polled — a prefill completion inside (now, t] may ready a
+ *    hand-off earlier than anything queued, so the poll schedules it
+ *    and the pop dispatches the true minimum; an empty calendar with
+ *    prefill work in flight runs that work out (a colocated fleet has
+ *    no prefill pool, so this loops over nothing);
+ *  - the fleet-level records: a disaggregated run synthesizes them from
+ *    its hand-offs.
+ *
+ * The control plane (docs/control-plane.md) adds its timers to the same
+ * calendar: autoscaler ticks sampling queue depth / head-of-line wait,
+ * warm-up completions opening scaled-up replicas, and per-request
+ * TTFT/total deadline timers. Warming and draining replicas receive no
+ * routes; draining ones serve their backlog on their own engine clocks
+ * (advanced lazily at ticks and at drain, which cannot change their
+ * simulated completion times). Deadline timers carry the replica the
+ * request was routed to, so firing one advances and probes a single
+ * engine — no per-request lookup table, keeping the streamed-replay
+ * memory bound intact.
  *
  * With @p stream set, the run is the bounded-memory replay shape:
  * engines fold completions into the collector instead of retaining
@@ -386,7 +546,7 @@ Fleet::runStreamed(ArrivalSource &arrivals, StreamingMetrics &stream)
  * completion lists.
  */
 FleetReport
-Fleet::runColocated(ArrivalSource &arrivals, StreamingMetrics *stream)
+Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
 {
     FleetReport report;
     report.mode = cfg.mode;
@@ -409,117 +569,35 @@ Fleet::runColocated(ArrivalSource &arrivals, StreamingMetrics *stream)
     for (ServingEngine &e : engines)
         e.begin();
 
+    const bool disaggregated = cfg.mode == FleetMode::Disaggregated;
+    const ControlPlaneConfig &cpCfg = cfg.controlPlane;
+    ControlPlane cp(cpCfg, engines.size());
     auto router = makeRouter(cfg.router, cfg.routerSeed);
-    const std::vector<size_t> pool = prefillPool(); // all replicas
     AdvanceGate gate(engines);
+    Disaggregation disagg(engines, gate, model, cfg, obs,
+                          disaggregated ? cfg.prefillReplicas : 0);
+    const std::vector<size_t> &prefills = disagg.prefillPool();
     std::vector<ReplicaSnapshot> snap;
 
-    EventQueue<Request> calendar;
-    auto pullArrival = [&]() {
-        Request r;
-        if (arrivals.next(r))
-            calendar.push(r.arrival, kArrivalClass, r.id, r);
+    EventQueue<FleetEvent> calendar;
+    auto schedule = [&](EventKind kind, Seconds t, uint64_t tie,
+                        FleetEvent ev) {
+        ev.kind = kind;
+        calendar.push(t, static_cast<uint32_t>(kind), tie, std::move(ev));
     };
-    pullArrival();
-    while (!calendar.empty()) {
-        Request r = calendar.pop().payload;
-        gate.advancePool(pool, r.arrival);
-        snapshotPool(engines, pool, snap);
-        size_t pick = pool[router->route(snap, r)];
-        engines[pick].submit(r);
-        gate.refresh(pick);
-        // decodeReplica stays -1: the field marks a disaggregated
-        // hand-off, and a colocated replica decodes its own work.
-        if (!stream)
-            report.assignments.push_back(Assignment{r.id, pick, -1});
-        pullArrival();
-    }
-    for (ServingEngine &e : engines)
-        e.drain();
-    for (ServingEngine &e : engines)
-        report.replicas.push_back(e.finish());
-
-    if (stream) {
-        // The collector saw every completion; its last-finish instant
-        // is exactly the makespan the sorted completion list yields.
-        report.makespan = stream->lastFinishTime();
-        report.metrics = stream->finalize(report.makespan);
-        report.load = computeLoadStats(report.replicas);
-        for (size_t i = 0; i < engines.size(); ++i)
-            engines[i].attachObservers(saved[i]);
-        return report;
-    }
-
-    // The fleet records are the merged replica records, computed
-    // on directly (aggregateMetrics would merge the same vectors a
-    // second time; it remains the API for callers holding only
-    // per-replica reports).
-    for (const ServingReport &rep : report.replicas)
-        report.completed.insert(report.completed.end(),
-                                rep.completed.begin(),
-                                rep.completed.end());
-    finalizeReport(report, cfg.slo);
-    return report;
-}
-
-/**
- * Control-plane event pump (docs/control-plane.md): colocated routing
- * plus three timer families on one calendar — autoscaler ticks sampling
- * queue depth / head-of-line wait every interval, warm-up completions
- * opening scaled-up replicas, and per-request TTFT/total deadline
- * timers cancelling work that missed its SLO. Routing only ever sees
- * the control plane's routable pool, so warming and draining replicas
- * receive no new work; draining replicas keep serving their backlog on
- * their own engine clocks (advanced lazily at ticks and at drain, which
- * cannot change their simulated completion times). Deadline timers
- * carry the replica the request was routed to, so firing one advances
- * and probes a single engine — no per-request lookup table, keeping the
- * streamed-replay memory bound intact.
- */
-FleetReport
-Fleet::runControlled(ArrivalSource &arrivals, StreamingMetrics *stream)
-{
-    PIMBA_ASSERT(cfg.mode == FleetMode::Colocated,
-                 "runControlled() drives colocated fleets only "
-                 "(validateFleetConfig enforces this)");
-    FleetReport report;
-    report.mode = cfg.mode;
-    report.router = cfg.router;
-
-    // Same collector graft as runColocated: streamed runs fold
-    // completions into the stream instead of retaining records.
-    std::vector<EngineObservers> saved;
-    if (stream) {
-        for (ServingEngine &e : engines) {
-            saved.push_back(e.observers());
-            EngineObservers eo = e.observers();
-            eo.stream = stream;
-            eo.streamOnly = true;
-            e.attachObservers(eo);
-        }
-    }
-
-    for (ServingEngine &e : engines)
-        e.begin();
-
-    const ControlPlaneConfig &cp_cfg = cfg.controlPlane;
-    ControlPlane cp(cp_cfg, engines.size());
-    auto router = makeRouter(cfg.router, cfg.routerSeed);
-    AdvanceGate gate(engines);
-    std::vector<ReplicaSnapshot> snap;
-
-    EventQueue<CpEvent> calendar;
+    auto scheduleHandoff = [&](const Handoff &h) {
+        FleetEvent ev;
+        ev.handoff = h;
+        schedule(EventKind::Handoff, h.ready, h.req.id, std::move(ev));
+    };
     bool arrivalsExhausted = false;
     auto pullArrival = [&]() {
-        Request r;
-        if (arrivals.next(r)) {
-            CpEvent ev;
-            ev.kind = CpEvent::Kind::Arrival;
-            ev.req = r;
-            calendar.push(r.arrival, kCpArrivalClass, r.id, ev);
-        } else {
+        FleetEvent ev;
+        if (arrivals.next(ev.req))
+            schedule(EventKind::Arrival, ev.req.arrival, ev.req.id,
+                     std::move(ev));
+        else
             arrivalsExhausted = true;
-        }
     };
     auto anyBusy = [&]() {
         for (const ServingEngine &e : engines)
@@ -528,63 +606,71 @@ Fleet::runControlled(ArrivalSource &arrivals, StreamingMetrics *stream)
         return false;
     };
 
-    const AutoscalerConfig &as = cp_cfg.autoscaler;
-    if (as.enabled) {
-        CpEvent tick;
-        tick.kind = CpEvent::Kind::ScaleTick;
-        calendar.push(as.interval, kCpScaleClass, 0, tick);
-    }
+    const AutoscalerConfig &as = cpCfg.autoscaler;
+    if (as.enabled)
+        schedule(EventKind::ScaleTick, as.interval, 0, FleetEvent{});
     pullArrival();
 
-    while (!calendar.empty()) {
-        CalendarEntry<CpEvent> e = calendar.pop();
+    while (!calendar.empty() || disagg.prefillBusy()) {
+        disagg.poll(calendar.nextTime(), report.transfer, scheduleHandoff);
+        if (calendar.empty())
+            continue;
+        CalendarEntry<FleetEvent> e = calendar.pop();
         const Seconds t = e.time;
-        CpEvent &ev = e.payload;
+        FleetEvent &ev = e.payload;
         switch (ev.kind) {
-        case CpEvent::Kind::Warmup:
+        case EventKind::Warmup:
             cp.warmupDone(ev.replica, t);
             break;
-        case CpEvent::Kind::Arrival: {
+        case EventKind::Arrival: {
             Request r = ev.req;
-            r.prefixLen = cp_cfg.prefixTokensOf(r.classId);
-            const std::vector<size_t> &pool = cp.pool();
+            if (cpCfg.anyEnabled())
+                r.prefixLen = cpCfg.prefixTokensOf(r.classId);
+            const std::vector<size_t> &pool =
+                disaggregated ? prefills : cp.pool();
             gate.advancePool(pool, t);
             snapshotPool(engines, pool, snap, &r);
             size_t pick = pool[router->route(snap, r)];
-            engines[pick].submit(r);
+            if (disaggregated)
+                disagg.admit(r, pick, report.assignments.size());
+            else
+                engines[pick].submit(r);
             gate.refresh(pick);
+            // decodeReplica is set when the hand-off lands; a colocated
+            // replica decodes its own work and leaves it -1.
             if (!stream)
-                report.assignments.push_back(
-                    Assignment{r.id, pick, -1});
-            if (const ClassDeadline *d = cp_cfg.deadlineOf(r.classId)) {
-                CpEvent dl;
-                dl.kind = CpEvent::Kind::Deadline;
-                dl.requestId = r.id;
+                report.assignments.push_back(Assignment{r.id, pick, -1});
+            if (const ClassDeadline *d = cpCfg.deadlineOf(r.classId)) {
+                FleetEvent dl;
+                dl.req.id = r.id;
                 dl.replica = pick;
                 if (d->ttft < kInf) {
                     dl.ttftOnly = true;
-                    calendar.push(r.arrival + d->ttft,
-                                  kCpDeadlineClass, r.id, dl);
+                    schedule(EventKind::Deadline, r.arrival + d->ttft,
+                             r.id, dl);
                 }
                 if (d->total < kInf) {
                     dl.ttftOnly = false;
-                    calendar.push(r.arrival + d->total,
-                                  kCpDeadlineClass, r.id, dl);
+                    schedule(EventKind::Deadline, r.arrival + d->total,
+                             r.id, dl);
                 }
             }
             pullArrival();
             break;
         }
-        case CpEvent::Kind::Deadline:
+        case EventKind::Handoff:
+            disagg.land(ev.handoff, report.assignments);
+            break;
+        case EventKind::Deadline:
             // Bring the one engine the request lives on up to the
             // deadline instant, then cancel. Completed / already
             // cancelled / kept-its-first-token requests return false —
             // a stale timer, nothing to unwind.
             gate.advanceOne(ev.replica, t);
-            engines[ev.replica].cancel(ev.requestId, t, ev.ttftOnly);
+            engines[ev.replica].cancel(ev.req.id, t, ev.ttftOnly);
             gate.refresh(ev.replica);
             break;
-        case CpEvent::Kind::ScaleTick: {
+        case EventKind::ScaleTick: {
             // Sample the signals on settled state: routable replicas
             // advanced to the tick, draining replicas too (their
             // backlog drains on their own clocks either way; advancing
@@ -610,11 +696,9 @@ Fleet::runControlled(ArrivalSource &arrivals, StreamingMetrics *stream)
                 cp.canScaleUp()) {
                 ControlPlane::ScaleUp su = cp.scaleUp(t, engines);
                 if (!su.instant) {
-                    CpEvent w;
-                    w.kind = CpEvent::Kind::Warmup;
+                    FleetEvent w;
                     w.replica = su.replica;
-                    calendar.push(su.ready, kCpWarmupClass,
-                                  su.replica, w);
+                    schedule(EventKind::Warmup, su.ready, su.replica, w);
                 }
             } else if (as.scaleDownQueueDepth > 0.0 &&
                        meanDepth <= as.scaleDownQueueDepth &&
@@ -624,11 +708,9 @@ Fleet::runControlled(ArrivalSource &arrivals, StreamingMetrics *stream)
             // Keep ticking while load can still change the signals;
             // once the trace is exhausted and every engine is idle the
             // autoscaler has nothing left to react to.
-            if (!arrivalsExhausted || anyBusy()) {
-                CpEvent tick;
-                tick.kind = CpEvent::Kind::ScaleTick;
-                calendar.push(t + as.interval, kCpScaleClass, 0, tick);
-            }
+            if (!arrivalsExhausted || anyBusy())
+                schedule(EventKind::ScaleTick, t + as.interval, 0,
+                         FleetEvent{});
             break;
         }
         }
@@ -640,12 +722,20 @@ Fleet::runControlled(ArrivalSource &arrivals, StreamingMetrics *stream)
         report.replicas.push_back(e.finish());
 
     if (stream) {
+        // The collector saw every completion; its last-finish instant
+        // is exactly the makespan the sorted completion list yields.
         report.makespan = stream->lastFinishTime();
         report.metrics = stream->finalize(report.makespan);
         report.load = computeLoadStats(report.replicas);
         for (size_t i = 0; i < engines.size(); ++i)
             engines[i].attachObservers(saved[i]);
+    } else if (disaggregated) {
+        disagg.synthesize(report, cfg.slo);
     } else {
+        // The fleet records are the merged replica records, computed
+        // on directly (aggregateMetrics would merge the same vectors a
+        // second time; it remains the API for callers holding only
+        // per-replica reports).
         for (const ServingReport &rep : report.replicas)
             report.completed.insert(report.completed.end(),
                                     rep.completed.begin(),
@@ -653,6 +743,8 @@ Fleet::runControlled(ArrivalSource &arrivals, StreamingMetrics *stream)
         finalizeReport(report, cfg.slo);
     }
 
+    if (!cpCfg.anyEnabled())
+        return report;
     cp.finalize(report.makespan, engines);
     report.controlPlane = cp.report();
     for (const ServingReport &rep : report.replicas) {
@@ -668,209 +760,15 @@ Fleet::runControlled(ArrivalSource &arrivals, StreamingMetrics *stream)
     return report;
 }
 
-/**
- * Disaggregated event pump: arrivals (class 0) and prefill-to-decode
- * hand-offs (class 1, readied by the link transfer) share one
- * calendar. Before committing to the earliest event the prefill pool
- * is advanced to its time and polled — a prefill completion inside the
- * gap may ready a hand-off earlier than anything queued, exactly the
- * re-check the lockstep loop did per iteration. An empty calendar with
- * prefill work still in flight drains the prefill pool to discover the
- * remaining hand-offs.
- */
-FleetReport
-Fleet::runDisaggregated(ArrivalSource &arrivals)
-{
-    FleetReport report;
-    report.mode = cfg.mode;
-    report.router = cfg.router;
-
-    for (ServingEngine &e : engines)
-        e.begin();
-
-    const std::vector<size_t> prefills = prefillPool();
-    const std::vector<size_t> decodes = decodePool();
-    auto prefillRouter = makeRouter(cfg.router, cfg.routerSeed);
-    // Decouple the two stages' sampling streams but keep both seeded.
-    auto decodeRouter = makeRouter(cfg.router, cfg.routerSeed ^ 0x9E3779B9u);
-    const LinkModel link(cfg.link);
-
-    // pimba-lint: allow(node-container) touched once per request, not per step
-    std::unordered_map<uint64_t, Request> originals;
-    std::unordered_map<uint64_t, size_t> assignmentIdx; // pimba-lint: allow(node-container) ditto
-    std::unordered_map<uint64_t, Handoff> handoffMeta; // pimba-lint: allow(node-container) ditto
-    EventQueue<FleetEvent> calendar;
-    std::vector<CompletedRequest> prefillOnly; // single-token requests
-    std::vector<size_t> polled(engines.size(), 0);
-    AdvanceGate gate(engines);
-    std::vector<ReplicaSnapshot> snap;
-
-    // Collect fresh prefill completions into transfer hand-offs. The
-    // shipped bytes are the request's cached state + KV at prompt + 1
-    // tokens, in the *prefill* replica's storage formats.
-    auto pollPrefills = [&]() {
-        for (size_t i : prefills) {
-            const auto &done = engines[i].completedSoFar();
-            for (size_t k = polled[i]; k < done.size(); ++k) {
-                const CompletedRequest &c = done[k];
-                const Request &orig = originals.at(c.req.id);
-                if (orig.outputLen == 1) {
-                    // Fully served by the prefill stage; never ships.
-                    prefillOnly.push_back(c);
-                    continue;
-                }
-                MemoryUsage mem = engines[i].simulator().memoryUsage(
-                    model, 1, orig.inputLen + 1);
-                Bytes bytes = mem.state + mem.kvCache;
-                LinkCost cost = link.transfer(bytes);
-                Handoff h;
-                h.prefillFinish = finishTime(c);
-                h.ready = h.prefillFinish + cost.seconds;
-                h.req = orig;
-                h.linkSeconds = cost.seconds;
-                h.prefillQueueing = c.queueing;
-                h.prefillPreemptions = c.preemptions;
-                calendar.push(h.ready, kHandoffClass, h.req.id,
-                              FleetEvent{false, Request{}, h});
-                if (obs.tracer)
-                    // Slice on the interconnect process, one lane per
-                    // source replica: blocks leave when the prefill
-                    // finishes and land cost.seconds later.
-                    obs.tracer->complete(
-                        obs.interconnectPid, static_cast<int>(i) + 1,
-                        h.prefillFinish, cost.seconds,
-                        "ship req " + std::to_string(orig.id),
-                        "interconnect",
-                        {{"bytes", bytes.value()},
-                         {"seconds", cost.seconds.value()}});
-                // A request with no cached state or KV bytes (possible
-                // only for degenerate models) ships nothing: it is a
-                // hand-off, not a transfer, and must not count into the
-                // transfer-overhead breakdown.
-                if (bytes > Bytes(0.0)) {
-                    ++report.transfer.transfers;
-                    report.transfer.totalBytes += bytes;
-                    report.transfer.totalSeconds += cost.seconds;
-                    report.transfer.totalEnergyJ += cost.energyJ;
-                }
-            }
-            polled[i] = done.size();
-        }
-    };
-
-    auto prefillBusy = [&]() {
-        for (size_t i : prefills)
-            if (engines[i].queueDepth() > 0)
-                return true;
-        return false;
-    };
-
-    // One pending arrival rides the calendar at a time: the source is
-    // pulled lazily, and the next arrival is scheduled only once the
-    // current one dispatches (it cannot precede it, so the calendar
-    // order is complete regardless).
-    auto pullArrival = [&]() {
-        Request r;
-        if (arrivals.next(r))
-            calendar.push(r.arrival, kArrivalClass, r.id,
-                          FleetEvent{true, r, Handoff{}});
-    };
-    pullArrival();
-    while (!calendar.empty() || prefillBusy()) {
-        if (calendar.empty()) {
-            // No event on the calendar, but prefill work is still in
-            // flight: run it out to discover the remaining hand-offs.
-            for (size_t i : prefills) {
-                engines[i].drain();
-                gate.refresh(i);
-            }
-            pollPrefills();
-            continue;
-        }
-        // Advance the prefill pool to the event horizon *before*
-        // committing to the event order: a completion inside (now, t]
-        // may ready a hand-off earlier than the one queued — the poll
-        // schedules it, and the pop below dispatches the true minimum.
-        gate.advancePool(prefills, calendar.nextTime());
-        pollPrefills();
-
-        CalendarEntry<FleetEvent> e = calendar.pop();
-        if (e.payload.isArrival) {
-            const Request r = e.payload.req;
-            PIMBA_ASSERT(originals.emplace(r.id, r).second,
-                         "duplicate request id ", r.id, " in trace");
-            snapshotPool(engines, prefills, snap);
-            size_t pick = prefills[prefillRouter->route(snap, r)];
-            Request pr = r;
-            pr.outputLen = 1; // prefill stage emits the first token only
-            engines[pick].submit(pr);
-            gate.refresh(pick);
-            assignmentIdx.emplace(r.id, report.assignments.size());
-            report.assignments.push_back(Assignment{r.id, pick, -1});
-            pullArrival();
-        } else {
-            const Handoff &h = e.payload.handoff;
-            gate.advancePool(decodes, h.ready);
-            snapshotPool(engines, decodes, snap);
-            size_t pick = decodes[decodeRouter->route(snap, h.req)];
-            Request dr = h.req;
-            dr.arrival = h.ready; // blocks land; decode clock starts
-            engines[pick].submitPrefilled(dr);
-            gate.refresh(pick);
-            report.assignments[assignmentIdx.at(h.req.id)].decodeReplica =
-                static_cast<int>(pick);
-            handoffMeta.emplace(h.req.id, h);
-        }
-    }
-
-    for (ServingEngine &e : engines)
-        e.drain();
-    for (ServingEngine &e : engines)
-        report.replicas.push_back(e.finish());
-
-    // Synthesize the fleet-level records: TTFT is prefill + transfer
-    // (the first token is not servable until its blocks land on the
-    // decode replica), decode-stage queueing and compute land in TPOT.
-    double shareSum = 0.0;
-    std::vector<double> transferSeconds;
-    transferSeconds.reserve(handoffMeta.size());
-    for (size_t i : decodes) {
-        for (const CompletedRequest &c : report.replicas[i].completed) {
-            const Handoff &h = handoffMeta.at(c.req.id);
-            const Request &orig = originals.at(c.req.id);
-            CompletedRequest out;
-            out.req = orig;
-            out.ttft = h.prefillFinish + h.linkSeconds - orig.arrival;
-            out.latency = finishTime(c) - orig.arrival;
-            out.tpot =
-                (out.latency - out.ttft) /
-                static_cast<double>(orig.outputLen - 1);
-            out.queueing = h.prefillQueueing;
-            out.preemptions = h.prefillPreemptions + c.preemptions;
-            report.completed.push_back(out);
-            shareSum += h.linkSeconds / out.ttft;
-            transferSeconds.push_back(h.linkSeconds.value());
-        }
-    }
-    report.completed.insert(report.completed.end(), prefillOnly.begin(),
-                            prefillOnly.end());
-    finalizeReport(report, cfg.slo);
-    report.transfer.perTransfer = summarizeLatency(transferSeconds);
-    report.transfer.meanTtftShare =
-        transferSeconds.empty()
-            ? 0.0
-            : shareSum / static_cast<double>(transferSeconds.size());
-    return report;
-}
-
 FleetReport
 Fleet::runLockstep(const std::vector<Request> &trace)
 {
-    // The pre-event-core driver, byte for byte: it walks the sorted
-    // trace eagerly, keeps its own hand-off priority queue, and
-    // re-derives the event order per iteration. The equivalence suite
-    // holds the calendar pump to this implementation's exact output;
-    // do not "improve" one without the other.
+    // The pre-event-core driver's dispatch order, kept independent of
+    // the pump: it walks the sorted trace eagerly, keeps its own
+    // hand-off priority queue, and re-derives the event order per
+    // iteration. The equivalence suite holds the calendar pump to this
+    // implementation's exact output; do not "improve" one without the
+    // other.
     PIMBA_ASSERT(!cfg.controlPlane.anyEnabled(),
                  "runLockstep() predates the control plane; use run()");
     std::vector<Request> sorted = trace;
@@ -887,12 +785,14 @@ Fleet::runLockstep(const std::vector<Request> &trace)
     for (ServingEngine &e : engines)
         e.begin();
 
+    auto router = makeRouter(cfg.router, cfg.routerSeed);
+    AdvanceGate gate(engines);
+    std::vector<ReplicaSnapshot> snap;
+
     if (cfg.mode == FleetMode::Colocated) {
         // ---------------------------------------------- colocated
-        auto router = makeRouter(cfg.router, cfg.routerSeed);
-        const std::vector<size_t> pool = prefillPool(); // all replicas
-        AdvanceGate gate(engines);
-        std::vector<ReplicaSnapshot> snap;
+        std::vector<size_t> pool(engines.size());
+        std::iota(pool.begin(), pool.end(), size_t{0});
         for (const Request &r : sorted) {
             gate.advancePool(pool, r.arrival);
             snapshotPool(engines, pool, snap);
@@ -914,112 +814,35 @@ Fleet::runLockstep(const std::vector<Request> &trace)
     }
 
     // ------------------------------------------------ disaggregated
-    const std::vector<size_t> prefills = prefillPool();
-    const std::vector<size_t> decodes = decodePool();
-    auto prefillRouter = makeRouter(cfg.router, cfg.routerSeed);
-    auto decodeRouter = makeRouter(cfg.router, cfg.routerSeed ^ 0x9E3779B9u);
-    const LinkModel link(cfg.link);
-
-    // pimba-lint: allow(node-container) touched once per request, not per step
-    std::unordered_map<uint64_t, Request> originals;
-    std::unordered_map<uint64_t, size_t> assignmentIdx; // pimba-lint: allow(node-container) ditto
-    std::unordered_map<uint64_t, Handoff> handoffMeta; // pimba-lint: allow(node-container) ditto
+    Disaggregation disagg(engines, gate, model, cfg, obs,
+                          cfg.prefillReplicas);
+    const std::vector<size_t> &prefills = disagg.prefillPool();
     std::priority_queue<Handoff, std::vector<Handoff>, HandoffLater> due;
-    std::vector<CompletedRequest> prefillOnly; // single-token requests
-    std::vector<size_t> polled(engines.size(), 0);
-    AdvanceGate gate(engines);
-    std::vector<ReplicaSnapshot> snap;
-
-    auto pollPrefills = [&]() {
-        for (size_t i : prefills) {
-            const auto &done = engines[i].completedSoFar();
-            for (size_t k = polled[i]; k < done.size(); ++k) {
-                const CompletedRequest &c = done[k];
-                const Request &orig = originals.at(c.req.id);
-                if (orig.outputLen == 1) {
-                    prefillOnly.push_back(c);
-                    continue;
-                }
-                MemoryUsage mem = engines[i].simulator().memoryUsage(
-                    model, 1, orig.inputLen + 1);
-                Bytes bytes = mem.state + mem.kvCache;
-                LinkCost cost = link.transfer(bytes);
-                Handoff h;
-                h.prefillFinish = finishTime(c);
-                h.ready = h.prefillFinish + cost.seconds;
-                h.req = orig;
-                h.linkSeconds = cost.seconds;
-                h.prefillQueueing = c.queueing;
-                h.prefillPreemptions = c.preemptions;
-                due.push(h);
-                if (obs.tracer)
-                    obs.tracer->complete(
-                        obs.interconnectPid, static_cast<int>(i) + 1,
-                        h.prefillFinish, cost.seconds,
-                        "ship req " + std::to_string(orig.id),
-                        "interconnect",
-                        {{"bytes", bytes.value()},
-                         {"seconds", cost.seconds.value()}});
-                if (bytes > Bytes(0.0)) {
-                    ++report.transfer.transfers;
-                    report.transfer.totalBytes += bytes;
-                    report.transfer.totalSeconds += cost.seconds;
-                    report.transfer.totalEnergyJ += cost.energyJ;
-                }
-            }
-            polled[i] = done.size();
-        }
-    };
-
-    auto prefillBusy = [&]() {
-        for (size_t i : prefills)
-            if (engines[i].queueDepth() > 0)
-                return true;
-        return false;
-    };
+    auto enqueue = [&](const Handoff &h) { due.push(h); };
 
     size_t next = 0;
-    while (next < sorted.size() || !due.empty() || prefillBusy()) {
+    while (next < sorted.size() || !due.empty() || disagg.prefillBusy()) {
         Seconds ta = next < sorted.size() ? sorted[next].arrival : kInf;
         Seconds th = due.empty() ? kInf : due.top().ready;
         Seconds t = std::min(ta, th);
-        if (t == kInf) {
-            for (size_t i : prefills) {
-                engines[i].drain();
-                gate.refresh(i);
-            }
-            pollPrefills();
+        // At t = +inf this runs the prefill work out to discover the
+        // remaining hand-offs.
+        disagg.poll(t, report.transfer, enqueue);
+        if (t == kInf)
             continue;
-        }
-        gate.advancePool(prefills, t);
-        pollPrefills();
         th = due.empty() ? kInf : due.top().ready;
 
         if (ta <= th) {
             const Request &r = sorted[next++];
-            PIMBA_ASSERT(originals.emplace(r.id, r).second,
-                         "duplicate request id ", r.id, " in trace");
             snapshotPool(engines, prefills, snap);
-            size_t pick = prefills[prefillRouter->route(snap, r)];
-            Request pr = r;
-            pr.outputLen = 1;
-            engines[pick].submit(pr);
+            size_t pick = prefills[router->route(snap, r)];
+            disagg.admit(r, pick, report.assignments.size());
             gate.refresh(pick);
-            assignmentIdx.emplace(r.id, report.assignments.size());
             report.assignments.push_back(Assignment{r.id, pick, -1});
         } else {
             Handoff h = due.top();
             due.pop();
-            gate.advancePool(decodes, h.ready);
-            snapshotPool(engines, decodes, snap);
-            size_t pick = decodes[decodeRouter->route(snap, h.req)];
-            Request dr = h.req;
-            dr.arrival = h.ready;
-            engines[pick].submitPrefilled(dr);
-            gate.refresh(pick);
-            report.assignments[assignmentIdx.at(h.req.id)].decodeReplica =
-                static_cast<int>(pick);
-            handoffMeta.emplace(h.req.id, h);
+            disagg.land(h, report.assignments);
         }
     }
 
@@ -1027,36 +850,7 @@ Fleet::runLockstep(const std::vector<Request> &trace)
         e.drain();
     for (ServingEngine &e : engines)
         report.replicas.push_back(e.finish());
-
-    double shareSum = 0.0;
-    std::vector<double> transferSeconds;
-    transferSeconds.reserve(handoffMeta.size());
-    for (size_t i : decodes) {
-        for (const CompletedRequest &c : report.replicas[i].completed) {
-            const Handoff &h = handoffMeta.at(c.req.id);
-            const Request &orig = originals.at(c.req.id);
-            CompletedRequest out;
-            out.req = orig;
-            out.ttft = h.prefillFinish + h.linkSeconds - orig.arrival;
-            out.latency = finishTime(c) - orig.arrival;
-            out.tpot =
-                (out.latency - out.ttft) /
-                static_cast<double>(orig.outputLen - 1);
-            out.queueing = h.prefillQueueing;
-            out.preemptions = h.prefillPreemptions + c.preemptions;
-            report.completed.push_back(out);
-            shareSum += h.linkSeconds / out.ttft;
-            transferSeconds.push_back(h.linkSeconds.value());
-        }
-    }
-    report.completed.insert(report.completed.end(), prefillOnly.begin(),
-                            prefillOnly.end());
-    finalizeReport(report, cfg.slo);
-    report.transfer.perTransfer = summarizeLatency(transferSeconds);
-    report.transfer.meanTtftShare =
-        transferSeconds.empty()
-            ? 0.0
-            : shareSum / static_cast<double>(transferSeconds.size());
+    disagg.synthesize(report, cfg.slo);
     return report;
 }
 

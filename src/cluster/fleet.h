@@ -189,17 +189,9 @@ class Fleet
     std::string replicaLabel(size_t i) const;
 
   private:
-    std::vector<size_t> prefillPool() const;
-    std::vector<size_t> decodePool() const;
-    /// Event-calendar drivers behind the public run()/runStreamed().
-    FleetReport runColocated(ArrivalSource &arrivals,
-                             StreamingMetrics *stream);
-    FleetReport runDisaggregated(ArrivalSource &arrivals);
-    /// The control-plane driver (cfg.controlPlane.anyEnabled()):
-    /// colocated routing plus autoscaler ticks, warm-up timers and
-    /// per-request deadline timers on the same calendar.
-    FleetReport runControlled(ArrivalSource &arrivals,
-                              StreamingMetrics *stream);
+    /// The one event-calendar driver behind run() and runStreamed()
+    /// (@p stream null: per-request records retained).
+    FleetReport pump(ArrivalSource &arrivals, StreamingMetrics *stream);
 
     ModelConfig model;
     FleetConfig cfg;
