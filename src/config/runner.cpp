@@ -322,15 +322,35 @@ runServing(const Scenario &scenario, bool quiet)
     return rep;
 }
 
+/**
+ * Fleet study (scenario kinds `fleet` and `control`): one row per
+ * (case, router). Both kinds share the first seven columns
+ * (tools/check_replay.py reads goodput/TTFT/TPOT by index); `fleet`
+ * adds queueing, load imbalance and the disaggregation transfer
+ * breakdown, `control` the control-plane outcome — SLO attainment,
+ * cancellations, wasted tokens, the provisioned replica range, and the
+ * replica-second bill. Control-plane-off cases are the static
+ * baselines: their bill is simply replicas x makespan, putting both
+ * policies on one cost axis.
+ */
 ScenarioReport
-runFleet(const Scenario &scenario, bool quiet)
+runFleetStudy(const Scenario &scenario, bool quiet)
 {
     const auto &sc = std::get<FleetScenario>(scenario.spec);
     const ObservabilityConfig &oc = scenario.obs;
+    const bool control = scenario.kind == ScenarioKind::ControlPlane;
     ScenarioReport rep;
-    Table t({"fleet", "router", "goodput", "TTFT p50", "TTFT p95",
-             "TPOT p50", "TPOT p95", "queue p95", "req imbal",
-             "tok imbal", "xfer MB/req", "xfer p95 ms", "TTFT share"});
+    std::vector<std::string> header = {"fleet", "router", "goodput",
+                                       "TTFT p50", "TTFT p95",
+                                       "TPOT p50", "TPOT p95"};
+    if (control)
+        header.insert(header.end(), {"SLO att", "cancelled", "wasted tok",
+                                     "replicas", "replica-sec"});
+    else
+        header.insert(header.end(),
+                      {"queue p95", "req imbal", "tok imbal",
+                       "xfer MB/req", "xfer p95 ms", "TTFT share"});
+    Table t(header);
     std::optional<Tracer> tracer;
     std::optional<TimelineSampler> timeline;
     if (oc.tracing())
@@ -368,7 +388,7 @@ runFleet(const Scenario &scenario, bool quiet)
                 r = runFleetCase(sc, c, router, fo);
                 if (oc.streamMetrics) {
                     // Disaggregated cases must retain records (the
-                    // driver polls them for hand-offs); stream the
+                    // pump polls them for hand-offs); stream the
                     // fleet-level records (transfer-adjusted TTFTs)
                     // through sketch collectors after the fact.
                     StreamingMetrics stream(c.fleet.slo);
@@ -383,126 +403,56 @@ runFleet(const Scenario &scenario, bool quiet)
             r = runFleetCase(sc, c, router);
             m = r.metrics;
         }
-        std::string mb_per_req = "-", xfer_p95 = "-", ttft_share = "-";
-        if (r.transfer.transfers > 0) {
-            mb_per_req =
-                fmt(r.transfer.totalBytes.value() /
-                        static_cast<double>(r.transfer.transfers) / 1e6,
-                    2);
-            xfer_p95 = fmt(r.transfer.perTransfer.p95 * 1e3, 3);
-            ttft_share = fmtPercent(r.transfer.meanTtftShare);
-        }
-        t.addRow({c.label, routerName(router ? *router
-                                             : c.fleet.router),
-                  fmt(m.goodput.value(), 2),
-                  fmt(m.ttft.p50, 3),
-                  fmt(m.ttft.p95, 3), fmt(m.tpot.p50, 4),
-                  fmt(m.tpot.p95, 4),
-                  fmt(m.queueing.p95, 3),
-                  fmt(r.load.requestImbalance, 3),
-                  fmt(r.load.tokenImbalance, 3), mb_per_req, xfer_p95,
-                  ttft_share});
-    };
-    for (const FleetCase &c : sc.cases) {
-        if (sc.routers.empty()) {
-            addRow(c, {});
-        } else {
-            for (RouterPolicy router : sc.routers)
-                addRow(c, router);
-        }
-        if (!quiet)
-            fprintf(stderr, "  %s done\n", c.label.c_str());
-    }
-    rep.sections.push_back(ReportSection{"", std::move(t), {}});
-    emitObsOutputs(oc, tracer ? &*tracer : nullptr,
-                   timeline ? &*timeline : nullptr, rep);
-    return rep;
-}
-
-/**
- * Control-plane fleet study: the fleet columns every CSV consumer
- * already parses (first seven identical to runFleet's, so
- * tools/check_replay.py reads goodput/TTFT/TPOT unchanged), then the
- * control-plane outcome — cancellations, wasted tokens, the provisioned
- * replica range, and the replica-second bill. Cases with the control
- * plane disabled are the static baselines: their bill is simply
- * replicas x makespan, putting both policies on one cost axis.
- */
-ScenarioReport
-runControlPlane(const Scenario &scenario, bool quiet)
-{
-    const auto &sc = std::get<FleetScenario>(scenario.spec);
-    const ObservabilityConfig &oc = scenario.obs;
-    ScenarioReport rep;
-    Table t({"fleet", "router", "goodput", "TTFT p50", "TTFT p95",
-             "TPOT p50", "TPOT p95", "SLO att", "cancelled",
-             "wasted tok", "replicas", "replica-sec"});
-    std::optional<Tracer> tracer;
-    std::optional<TimelineSampler> timeline;
-    if (oc.tracing())
-        tracer.emplace();
-    if (oc.timelining())
-        timeline.emplace(oc.timelineInterval);
-    int nextPid = 1;
-    auto addRow = [&](const FleetCase &c,
-                      std::optional<RouterPolicy> router) {
-        FleetReport r;
-        ServingMetrics m;
-        if (oc.enabled()) {
-            FleetObservers fo;
-            fo.labelPrefix =
-                c.label + " [" +
-                routerName(router ? *router : c.fleet.router) + "] ";
-            fo.tracer = tracer ? &*tracer : nullptr;
-            fo.timeline = timeline ? &*timeline : nullptr;
-            fo.pidBase = nextPid;
-            fo.interconnectPid =
-                nextPid + static_cast<int>(c.fleet.replicas.size());
-            nextPid += static_cast<int>(c.fleet.replicas.size()) + 1;
-            if (oc.streamMetrics) {
-                // Control-plane fleets are colocated by construction
-                // (validateFleetConfig), so the bounded-memory shape is
-                // always available.
-                StreamingMetrics stream(c.fleet.slo);
-                r = runFleetCaseStreamed(sc, c, router, fo, stream);
-                m = r.metrics;
-            } else {
-                r = runFleetCase(sc, c, router, fo);
-                m = r.metrics;
+        std::vector<std::string> row = {
+            c.label, routerName(router ? *router : c.fleet.router),
+            fmt(m.goodput.value(), 2), fmt(m.ttft.p50, 3),
+            fmt(m.ttft.p95, 3), fmt(m.tpot.p50, 4), fmt(m.tpot.p95, 4)};
+        if (control) {
+            size_t minProv = c.fleet.replicas.size();
+            size_t maxProv = minProv;
+            double replicaSec =
+                static_cast<double>(c.fleet.replicas.size()) *
+                r.makespan.value();
+            if (r.controlPlane.enabled &&
+                !r.controlPlane.trajectory.empty()) {
+                minProv = maxProv =
+                    r.controlPlane.trajectory[0].provisioned;
+                for (const ScaleEvent &e : r.controlPlane.trajectory) {
+                    minProv = std::min(minProv, e.provisioned);
+                    maxProv = std::max(maxProv, e.provisioned);
+                }
+                replicaSec = r.controlPlane.replicaSeconds.value();
             }
+            const double attainment =
+                m.requests > 0
+                    ? static_cast<double>(m.requests - m.sloViolations) /
+                          static_cast<double>(m.requests)
+                    : 0.0;
+            row.insert(row.end(),
+                       {fmtPercent(attainment),
+                        fmt(static_cast<double>(m.cancelledRequests), 0),
+                        fmt(static_cast<double>(m.wastedTokens), 0),
+                        std::to_string(minProv) + ".." +
+                            std::to_string(maxProv),
+                        fmt(replicaSec, 1)});
         } else {
-            r = runFleetCase(sc, c, router);
-            m = r.metrics;
-        }
-        size_t minProv = c.fleet.replicas.size();
-        size_t maxProv = minProv;
-        double replicaSec =
-            static_cast<double>(c.fleet.replicas.size()) *
-            r.makespan.value();
-        if (r.controlPlane.enabled &&
-            !r.controlPlane.trajectory.empty()) {
-            minProv = maxProv = r.controlPlane.trajectory[0].provisioned;
-            for (const ScaleEvent &e : r.controlPlane.trajectory) {
-                minProv = std::min(minProv, e.provisioned);
-                maxProv = std::max(maxProv, e.provisioned);
+            std::string mb_per_req = "-", xfer_p95 = "-",
+                        ttft_share = "-";
+            if (r.transfer.transfers > 0) {
+                mb_per_req = fmt(r.transfer.totalBytes.value() /
+                                     static_cast<double>(
+                                         r.transfer.transfers) /
+                                     1e6,
+                                 2);
+                xfer_p95 = fmt(r.transfer.perTransfer.p95 * 1e3, 3);
+                ttft_share = fmtPercent(r.transfer.meanTtftShare);
             }
-            replicaSec = r.controlPlane.replicaSeconds.value();
+            row.insert(row.end(), {fmt(m.queueing.p95, 3),
+                                   fmt(r.load.requestImbalance, 3),
+                                   fmt(r.load.tokenImbalance, 3),
+                                   mb_per_req, xfer_p95, ttft_share});
         }
-        const double attainment =
-            m.requests > 0
-                ? static_cast<double>(m.requests - m.sloViolations) /
-                      static_cast<double>(m.requests)
-                : 0.0;
-        t.addRow({c.label,
-                  routerName(router ? *router : c.fleet.router),
-                  fmt(m.goodput.value(), 2), fmt(m.ttft.p50, 3),
-                  fmt(m.ttft.p95, 3), fmt(m.tpot.p50, 4),
-                  fmt(m.tpot.p95, 4), fmtPercent(attainment),
-                  fmt(static_cast<double>(m.cancelledRequests), 0),
-                  fmt(static_cast<double>(m.wastedTokens), 0),
-                  std::to_string(minProv) + ".." +
-                      std::to_string(maxProv),
-                  fmt(replicaSec, 1)});
+        t.addRow(row);
     };
     for (const FleetCase &c : sc.cases) {
         if (sc.routers.empty()) {
@@ -515,10 +465,11 @@ runControlPlane(const Scenario &scenario, bool quiet)
             fprintf(stderr, "  %s done\n", c.label.c_str());
     }
     ReportSection sec{"", std::move(t), {}};
-    sec.lines.push_back(
-        "\"replica-sec\": replica-seconds billed — the autoscaler's "
-        "trajectory integral, or replicas x makespan for a static "
-        "fleet.");
+    if (control)
+        sec.lines.push_back(
+            "\"replica-sec\": replica-seconds billed — the autoscaler's "
+            "trajectory integral, or replicas x makespan for a static "
+            "fleet.");
     rep.sections.push_back(std::move(sec));
     emitObsOutputs(oc, tracer ? &*tracer : nullptr,
                    timeline ? &*timeline : nullptr, rep);
@@ -711,16 +662,14 @@ runScenario(const Scenario &sc, bool quiet)
         rep = runServing(sc, quiet);
         break;
       case ScenarioKind::Fleet:
-        rep = runFleet(sc, quiet);
+      case ScenarioKind::ControlPlane:
+        rep = runFleetStudy(sc, quiet);
         break;
       case ScenarioKind::Saturation:
         rep = runSaturation(sc, quiet);
         break;
       case ScenarioKind::Planner:
         rep = runPlanner(sc, quiet);
-        break;
-      case ScenarioKind::ControlPlane:
-        rep = runControlPlane(sc, quiet);
         break;
     }
     rep.title = sc.description.empty() ? sc.name : sc.description;

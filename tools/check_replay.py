@@ -23,7 +23,7 @@ import os
 import sys
 
 # Table columns of the fleet report CSV, by index (tools keep this in
-# sync with runFleet's header in src/config/runner.cpp).
+# sync with runFleetStudy's header in src/config/runner.cpp).
 COL_GOODPUT = 2
 PERCENTILE_COLS = {
     "TTFT p50": 3,
