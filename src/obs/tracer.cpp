@@ -72,7 +72,7 @@ Tracer::processName(int pid, const std::string &name)
 }
 
 void
-Tracer::threadName(int pid, int tid, const std::string &name)
+Tracer::threadName(int pid, int64_t tid, const std::string &name)
 {
     Event e;
     e.ph = 'M';
@@ -84,7 +84,7 @@ Tracer::threadName(int pid, int tid, const std::string &name)
 }
 
 void
-Tracer::complete(int pid, int tid, Seconds ts, Seconds dur,
+Tracer::complete(int pid, int64_t tid, Seconds ts, Seconds dur,
                  const std::string &name, const std::string &cat,
                  Args args)
 {
@@ -101,7 +101,7 @@ Tracer::complete(int pid, int tid, Seconds ts, Seconds dur,
 }
 
 void
-Tracer::begin(int pid, int tid, Seconds ts, const std::string &name,
+Tracer::begin(int pid, int64_t tid, Seconds ts, const std::string &name,
               const std::string &cat, Args args)
 {
     Event e;
@@ -116,7 +116,7 @@ Tracer::begin(int pid, int tid, Seconds ts, const std::string &name,
 }
 
 void
-Tracer::end(int pid, int tid, Seconds ts)
+Tracer::end(int pid, int64_t tid, Seconds ts)
 {
     Event e;
     e.ph = 'E';
@@ -127,7 +127,7 @@ Tracer::end(int pid, int tid, Seconds ts)
 }
 
 void
-Tracer::instant(int pid, int tid, Seconds ts, const std::string &name,
+Tracer::instant(int pid, int64_t tid, Seconds ts, const std::string &name,
                 const std::string &cat, Args args)
 {
     Event e;

@@ -51,11 +51,13 @@ constexpr int kTraceSyncTid = 4; ///< GPU<->PIM synchronization phase
 /// First tid of the per-request lanes (below it: engine phase tracks).
 constexpr int kRequestLaneBase = 100;
 
-/// Lane tid of one request id (one Perfetto track per request).
-constexpr int
+/// Lane tid of one request id (one Perfetto track per request). Trace
+/// tids are 64-bit so every id a pimba-trace-v1 file can carry below
+/// 2^63 - kRequestLaneBase maps to its own exact, positive lane.
+constexpr int64_t
 requestLane(uint64_t id)
 {
-    return kRequestLaneBase + static_cast<int>(id);
+    return kRequestLaneBase + static_cast<int64_t>(id);
 }
 
 /** Chrome-trace-event recorder (see file comment for the layout). */
@@ -68,20 +70,20 @@ class Tracer
     /// "M" process_name metadata for @p pid.
     void processName(int pid, const std::string &name);
     /// "M" thread_name metadata for (@p pid, @p tid).
-    void threadName(int pid, int tid, const std::string &name);
+    void threadName(int pid, int64_t tid, const std::string &name);
 
     /// "X" complete slice of @p dur at @p ts.
-    void complete(int pid, int tid, Seconds ts, Seconds dur,
+    void complete(int pid, int64_t tid, Seconds ts, Seconds dur,
                   const std::string &name, const std::string &cat,
                   Args args = {});
     /// "B" begin; every begin must be closed by end() on the same
     /// (pid, tid), nested like a call stack.
-    void begin(int pid, int tid, Seconds ts, const std::string &name,
+    void begin(int pid, int64_t tid, Seconds ts, const std::string &name,
                const std::string &cat, Args args = {});
     /// "E" end of the innermost open begin() on (pid, tid).
-    void end(int pid, int tid, Seconds ts);
+    void end(int pid, int64_t tid, Seconds ts);
     /// "i" instant (thread scope).
-    void instant(int pid, int tid, Seconds ts, const std::string &name,
+    void instant(int pid, int64_t tid, Seconds ts, const std::string &name,
                  const std::string &cat, Args args = {});
     /// "C" counter sample; each @p name renders as a counter track.
     void counter(int pid, Seconds ts, const std::string &name,
@@ -102,7 +104,7 @@ class Tracer
     {
         char ph = 'X';
         int pid = 0;
-        int tid = 0;
+        int64_t tid = 0;
         double tsUs = 0.0;  ///< microseconds of simulated time
         double durUs = 0.0; ///< "X" only
         std::string name;

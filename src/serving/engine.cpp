@@ -299,7 +299,7 @@ ServingEngine::submit(const Request &r)
     if (obs.tracer) {
         // One lane per request: open its span at arrival time; the
         // retire path closes it at completion.
-        int lane = requestLane(r.id);
+        int64_t lane = requestLane(r.id);
         obs.tracer->threadName(obs.pid, lane,
                                "req " + std::to_string(r.id));
         obs.tracer->begin(

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,26 @@ TEST(Tracer, BeginEndInstantCounterRenderTheirPhases)
     EXPECT_NE(json.find("\"s\":\"t\""), std::string::npos);
     EXPECT_NE(json.find("\"value\":5"), std::string::npos);
     EXPECT_NE(json.find("\"input_len\":64"), std::string::npos);
+}
+
+TEST(Tracer, RequestLanesStayExactPastThirtyTwoBits)
+{
+    // pimba-trace-v1 ids are 64-bit; a 32-bit lane would wrap them
+    // negative (or onto another request's lane).
+    const uint64_t big = (uint64_t{1} << 31) + 5;
+    const uint64_t huge = uint64_t{1} << 40;
+    EXPECT_EQ(requestLane(big), int64_t{2147483753});
+    EXPECT_EQ(requestLane(huge), int64_t{1099511627876});
+
+    Tracer t;
+    t.begin(3, requestLane(big), Seconds(0.5), "req big", "request");
+    t.end(3, requestLane(big), Seconds(1.0));
+    t.instant(3, requestLane(huge), Seconds(0.75), "admitted",
+              "request");
+    std::string json = t.renderJson();
+    EXPECT_EQ(countOf(json, "\"tid\":2147483753,"), 2u);
+    EXPECT_EQ(countOf(json, "\"tid\":1099511627876,"), 1u);
+    EXPECT_EQ(countOf(json, "\"tid\":-"), 0u);
 }
 
 TraceConfig
