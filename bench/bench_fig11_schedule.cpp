@@ -56,6 +56,6 @@ main(int argc, char **argv)
            cfg.timing.tRP);
     printf("finish cycle: %llu (%.1f ns)\n",
            static_cast<unsigned long long>(sched.finishCycle().value()),
-           sched.finishSeconds() * 1e9);
+           sched.finishSeconds().value() * 1e9);
     return 0;
 }

@@ -73,8 +73,9 @@ expectError(const std::string &text, const std::string &needle,
     } catch (const ConfigError &e) {
         EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
             << "message '" << e.what() << "' lacks '" << needle << "'";
-        if (line > 0)
+        if (line > 0) {
             EXPECT_EQ(e.line(), line) << e.what();
+        }
     }
 }
 

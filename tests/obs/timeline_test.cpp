@@ -40,8 +40,9 @@ TEST(TimelineSampler, CadenceGatesPerTrack)
     for (const TimelineRow &r : tl.rows()) {
         if (r.track != a)
             continue;
-        if (prev >= Seconds(0.0))
+        if (prev >= Seconds(0.0)) {
             EXPECT_GE((r.time - prev).value(), 0.1 - 1e-12);
+        }
         prev = r.time;
     }
 }

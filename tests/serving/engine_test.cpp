@@ -265,9 +265,11 @@ TEST(ServingEngine, PreloadedVictimBeforeFirstLocalDecodeKeepsCounts)
     // was ever discarded, so no recompute debt and no token clawback.
     EXPECT_EQ(rep.recomputedTokens, 0u);
     EXPECT_EQ(rep.generatedTokens, a.outputLen + b.outputLen - 1);
-    for (const auto &c : rep.completed)
-        if (c.req.id == b.id)
+    for (const auto &c : rep.completed) {
+        if (c.req.id == b.id) {
             EXPECT_GT(c.preemptions, 0u);
+        }
+    }
 
     // The pressured run delivers exactly what a pressure-free run of
     // the same workload delivers (a wrap would corrupt the totals).
