@@ -8,11 +8,12 @@
  * the cache-affinity router.
  *
  * Everything here is strictly opt-in: a default-constructed
- * ControlPlaneConfig reports anyEnabled() == false and the fleet runs
- * its classic static paths byte-for-byte unchanged. When any feature is
- * on, Fleet::runControlled() pumps a dedicated calendar (arrivals,
- * warm-up completions, deadline timers, autoscaler ticks) and this
- * class owns the replica activation state machine:
+ * ControlPlaneConfig reports anyEnabled() == false, the fleet's event
+ * pump then schedules no timer and routes over every replica, and its
+ * reports are byte-for-byte those of a static fleet. When any feature
+ * is on, the same pump also carries warm-up completions, deadline
+ * timers and autoscaler ticks on its calendar, and this class owns the
+ * replica activation state machine:
  *
  *   Inactive --scaleUp(warm-up)--> Warming --timer--> Active
  *   Active --scaleDown--> Draining (keeps serving its backlog, gets no
@@ -102,7 +103,8 @@ struct ControlPlaneConfig
     std::vector<uint64_t> prefixTokensByClass;
 
     /** Any feature on? False for a default-constructed config — the
-     *  fleet then never enters the controlled run path. */
+     *  fleet's pump then schedules no control-plane timer and leaves
+     *  FleetReport::controlPlane default-constructed. */
     bool anyEnabled() const
     {
         return autoscaler.enabled || !tierByClass.empty() ||
@@ -168,7 +170,7 @@ struct ControlPlaneReport
 
 /**
  * Replica activation state machine + replica-second billing. Owned by
- * Fleet::runControlled(); the signal evaluation and calendar pumping
+ * the fleet's event pump; the signal evaluation and calendar pumping
  * stay in the fleet, this class answers "who is routable" and records
  * the audit trail the property tests replay.
  */

@@ -408,8 +408,8 @@ validateFleetConfig(const FleetConfig &cfg)
     if (cfg.controlPlane.anyEnabled()) {
         if (cfg.mode == FleetMode::Disaggregated)
             return "fleet: the control plane drives colocated fleets "
-                   "only (the disaggregated pump has no notion of "
-                   "draining or warming a pool member)";
+                   "only (warming, draining and cancelling across a "
+                   "prefill and a decode pool is not modeled)";
         if (std::string err = validateControlPlaneConfig(
                 cfg.controlPlane, cfg.replicas.size());
             !err.empty())

@@ -6,15 +6,16 @@
  *
  * Replicas are full ServingEngine instances (homogeneous or
  * heterogeneous SystemKind mixes, per-replica EngineConfig). The fleet
- * is a discrete-event simulation: arrivals and (in disaggregated mode)
- * transfer hand-offs live on one event calendar (core/event_queue.h),
- * and the fleet pumps the earliest event — advancing only the replicas
+ * is a discrete-event simulation with one driver: a pump over one
+ * event calendar (core/event_queue.h) holding arrivals, disaggregation
+ * hand-offs, and the control plane's warm-up, deadline and scale-tick
+ * timers. It pops the earliest event — advancing only the replicas
  * whose cached nextEventTime() says they have due work, snapshotting
  * queue depth and outstanding tokens, and letting the router commit
  * the request. Arrivals are pulled lazily from an ArrivalSource, so a
  * replay-scale run never holds the whole trace. The retired lockstep
- * driver survives as runLockstep(), the reference the event core is
- * proven byte-identical against. Two fleet modes:
+ * driver survives as runLockstep(), the reference the pump is proven
+ * byte-identical against. Two fleet modes:
  *
  *  - Colocated: every replica both prefills and decodes its own
  *    requests — the classic replicated deployment.
@@ -25,6 +26,18 @@
  *    modeled interconnect link, and the transfer is charged into the
  *    request's TTFT. Single-token requests complete at the prefill
  *    stage and never cross the link.
+ *
+ * Two restrictions remain on disaggregated fleets, both because the
+ * pump finds hand-offs by polling the prefill replicas' per-request
+ * completion records (ServingEngine::completedSoFar()):
+ *
+ *  - no control plane — validateFleetConfig() rejects it, since the
+ *    autoscaler, deadline timers and prefix stamping would need to
+ *    warm, drain or cancel across both pools;
+ *  - no runStreamed() — it asserts a colocated fleet, since the
+ *    record-free streaming mode drops those records. The scenario
+ *    runner streams disaggregated cases' fleet-level records through
+ *    the sketches after a record-retaining run instead.
  *
  * Runs are deterministic: engines are seeded-trace-driven, router ties
  * break by replica index, PowerOfTwoChoices randomness flows from the
@@ -79,8 +92,8 @@ struct FleetConfig
     SloConfig slo;
     /// SLO-aware control plane (autoscaler, priority tiers, deadlines,
     /// prefix affinity; docs/control-plane.md). Disabled by default —
-    /// anyEnabled() false keeps every classic run path byte-identical.
-    /// Colocated fleets only.
+    /// anyEnabled() false keeps every static-fleet report
+    /// byte-identical. Colocated fleets only (see the file comment).
     ControlPlaneConfig controlPlane;
 };
 
@@ -137,8 +150,8 @@ struct FleetReport
     LoadStats load;
     TransferStats transfer; ///< all-zero for a colocated fleet
     /// Autoscaler trajectory, replica-second bill, warm-up spans and
-    /// cancellation totals. Default (enabled = false) outside the
-    /// controlled run path.
+    /// cancellation totals. Default (enabled = false) when the control
+    /// plane is off.
     ControlPlaneReport controlPlane;
 };
 
@@ -165,13 +178,13 @@ class Fleet
     /// independent of trace length. The report's completed /
     /// assignments vectors stay empty; metrics and makespan come from
     /// the stream (percentiles are sketch estimates, counters exact).
-    /// Colocated fleets only — the disaggregated driver polls
+    /// Colocated fleets only — the pump polls a disaggregated fleet's
     /// per-request completion records to build transfer hand-offs.
     FleetReport runStreamed(ArrivalSource &arrivals,
                             StreamingMetrics &stream);
 
     /// The pre-event-core lockstep driver, kept as the debug reference
-    /// the event calendar is proven byte-identical against
+    /// the event pump is proven byte-identical against
     /// (tests/cluster/event_equivalence_test.cpp). Not for new
     /// callers: it holds the whole trace and advances eagerly.
     FleetReport runLockstep(const std::vector<Request> &trace);

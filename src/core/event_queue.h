@@ -5,9 +5,11 @@
  * (time, class, tiebreak, insertion sequence):
  *
  *  - time      — the simulated instant the event is due;
- *  - class     — event kind priority at equal times (the fleet dispatches
- *                arrivals, class 0, before hand-offs, class 1, matching
- *                the lockstep loop's `arrival <= handoff` rule);
+ *  - class     — event kind priority at equal times (the fleet's event
+ *                kinds, in class order: warm-up, arrival, hand-off,
+ *                deadline, scale tick — so arrivals dispatch before
+ *                hand-offs, the lockstep loop's `arrival <= handoff`
+ *                rule);
  *  - tiebreak  — caller-chosen order within a class (e.g. request id, so
  *                simultaneous hand-offs dispatch by id);
  *  - sequence  — automatic insertion counter, making equal keys FIFO.

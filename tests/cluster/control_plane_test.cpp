@@ -192,9 +192,10 @@ TEST(ControlPlaneRegression, NeutralControlPlaneMatchesClassicRun)
 {
     // A control-plane config with anyEnabled() == true but no
     // *behavioral* feature — zero-length prefixes, deadlines too far
-    // out to ever fire — must reproduce the classic colocated pump
-    // byte-for-byte. This pins runControlled() as a superset of the
-    // PR 9 event core, not a fork of it.
+    // out to ever fire — must reproduce the control-plane-off run
+    // byte-for-byte. This pins the control-plane branches of the one
+    // fleet pump (prefix stamping, deadline timers) as inert when they
+    // cannot change a decision.
     auto trace = clusterTrace(32.0, 96);
     ModelConfig model = mamba2_2p7b();
 
