@@ -182,6 +182,22 @@ finalizeReport(FleetReport &report, const SloConfig &slo)
 }
 
 /**
+ * Fleet-level records of a colocated run: the merged replica records,
+ * computed on directly (aggregateMetrics would merge the same vectors
+ * a second time; it remains the API for callers holding only
+ * per-replica reports).
+ */
+void
+mergeReplicaRecords(FleetReport &report, const SloConfig &slo)
+{
+    for (const ServingReport &rep : report.replicas)
+        report.completed.insert(report.completed.end(),
+                                rep.completed.begin(),
+                                rep.completed.end());
+    finalizeReport(report, slo);
+}
+
+/**
  * Prefill -> decode hand-off bookkeeping of one disaggregated run,
  * shared by the calendar pump and the lockstep reference so both cost
  * transfers and synthesize records the same way. The first
@@ -576,7 +592,6 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     AdvanceGate gate(engines);
     Disaggregation disagg(engines, gate, model, cfg, obs,
                           disaggregated ? cfg.prefillReplicas : 0);
-    const std::vector<size_t> &prefills = disagg.prefillPool();
     std::vector<ReplicaSnapshot> snap;
 
     EventQueue<FleetEvent> calendar;
@@ -612,6 +627,9 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     pullArrival();
 
     while (!calendar.empty() || disagg.prefillBusy()) {
+        // A prefill completion before the next event may ready an
+        // earlier hand-off; on an empty calendar (+inf) this runs the
+        // prefill work out.
         disagg.poll(calendar.nextTime(), report.transfer, scheduleHandoff);
         if (calendar.empty())
             continue;
@@ -627,7 +645,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
             if (cpCfg.anyEnabled())
                 r.prefixLen = cpCfg.prefixTokensOf(r.classId);
             const std::vector<size_t> &pool =
-                disaggregated ? prefills : cp.pool();
+                disaggregated ? disagg.prefillPool() : cp.pool();
             gate.advancePool(pool, t);
             snapshotPool(engines, pool, snap, &r);
             size_t pick = pool[router->route(snap, r)];
@@ -732,15 +750,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     } else if (disaggregated) {
         disagg.synthesize(report, cfg.slo);
     } else {
-        // The fleet records are the merged replica records, computed
-        // on directly (aggregateMetrics would merge the same vectors a
-        // second time; it remains the API for callers holding only
-        // per-replica reports).
-        for (const ServingReport &rep : report.replicas)
-            report.completed.insert(report.completed.end(),
-                                    rep.completed.begin(),
-                                    rep.completed.end());
-        finalizeReport(report, cfg.slo);
+        mergeReplicaRecords(report, cfg.slo);
     }
 
     if (!cpCfg.anyEnabled())
@@ -785,12 +795,14 @@ Fleet::runLockstep(const std::vector<Request> &trace)
     for (ServingEngine &e : engines)
         e.begin();
 
+    const bool colocated = cfg.mode == FleetMode::Colocated;
     auto router = makeRouter(cfg.router, cfg.routerSeed);
     AdvanceGate gate(engines);
     std::vector<ReplicaSnapshot> snap;
+    Disaggregation disagg(engines, gate, model, cfg, obs,
+                          colocated ? 0 : cfg.prefillReplicas);
 
-    if (cfg.mode == FleetMode::Colocated) {
-        // ---------------------------------------------- colocated
+    if (colocated) {
         std::vector<size_t> pool(engines.size());
         std::iota(pool.begin(), pool.end(), size_t{0});
         for (const Request &r : sorted) {
@@ -801,48 +813,37 @@ Fleet::runLockstep(const std::vector<Request> &trace)
             gate.refresh(pick);
             report.assignments.push_back(Assignment{r.id, pick, -1});
         }
-        for (ServingEngine &e : engines)
-            e.drain();
-        for (ServingEngine &e : engines)
-            report.replicas.push_back(e.finish());
-        for (const ServingReport &rep : report.replicas)
-            report.completed.insert(report.completed.end(),
-                                    rep.completed.begin(),
-                                    rep.completed.end());
-        finalizeReport(report, cfg.slo);
-        return report;
-    }
+    } else {
+        const std::vector<size_t> &prefills = disagg.prefillPool();
+        std::priority_queue<Handoff, std::vector<Handoff>, HandoffLater>
+            due;
+        auto enqueue = [&](const Handoff &h) { due.push(h); };
+        size_t next = 0;
+        while (next < sorted.size() || !due.empty() ||
+               disagg.prefillBusy()) {
+            Seconds ta =
+                next < sorted.size() ? sorted[next].arrival : kInf;
+            Seconds th = due.empty() ? kInf : due.top().ready;
+            Seconds t = std::min(ta, th);
+            // At t = +inf this runs the prefill work out to discover
+            // the remaining hand-offs.
+            disagg.poll(t, report.transfer, enqueue);
+            if (t == kInf)
+                continue;
+            th = due.empty() ? kInf : due.top().ready;
 
-    // ------------------------------------------------ disaggregated
-    Disaggregation disagg(engines, gate, model, cfg, obs,
-                          cfg.prefillReplicas);
-    const std::vector<size_t> &prefills = disagg.prefillPool();
-    std::priority_queue<Handoff, std::vector<Handoff>, HandoffLater> due;
-    auto enqueue = [&](const Handoff &h) { due.push(h); };
-
-    size_t next = 0;
-    while (next < sorted.size() || !due.empty() || disagg.prefillBusy()) {
-        Seconds ta = next < sorted.size() ? sorted[next].arrival : kInf;
-        Seconds th = due.empty() ? kInf : due.top().ready;
-        Seconds t = std::min(ta, th);
-        // At t = +inf this runs the prefill work out to discover the
-        // remaining hand-offs.
-        disagg.poll(t, report.transfer, enqueue);
-        if (t == kInf)
-            continue;
-        th = due.empty() ? kInf : due.top().ready;
-
-        if (ta <= th) {
-            const Request &r = sorted[next++];
-            snapshotPool(engines, prefills, snap);
-            size_t pick = prefills[router->route(snap, r)];
-            disagg.admit(r, pick, report.assignments.size());
-            gate.refresh(pick);
-            report.assignments.push_back(Assignment{r.id, pick, -1});
-        } else {
-            Handoff h = due.top();
-            due.pop();
-            disagg.land(h, report.assignments);
+            if (ta <= th) {
+                const Request &r = sorted[next++];
+                snapshotPool(engines, prefills, snap);
+                size_t pick = prefills[router->route(snap, r)];
+                disagg.admit(r, pick, report.assignments.size());
+                gate.refresh(pick);
+                report.assignments.push_back(Assignment{r.id, pick, -1});
+            } else {
+                Handoff h = due.top();
+                due.pop();
+                disagg.land(h, report.assignments);
+            }
         }
     }
 
@@ -850,7 +851,10 @@ Fleet::runLockstep(const std::vector<Request> &trace)
         e.drain();
     for (ServingEngine &e : engines)
         report.replicas.push_back(e.finish());
-    disagg.synthesize(report, cfg.slo);
+    if (colocated)
+        mergeReplicaRecords(report, cfg.slo);
+    else
+        disagg.synthesize(report, cfg.slo);
     return report;
 }
 
