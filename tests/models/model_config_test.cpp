@@ -7,10 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "models/model_config.h"
 
 namespace pimba {
+
+// Name the parameter by its model, not its raw bytes: gtest's default dump
+// starts with the heap address of the name string, so the discovered test
+// names would change from run to run.
+void PrintTo(const ModelConfig &cfg, std::ostream *os)
+{
+    *os << cfg.name;
+}
+
 namespace {
 
 TEST(ModelZoo, SmallScaleParameterCounts)
