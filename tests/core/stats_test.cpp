@@ -92,6 +92,37 @@ TEST(Breakdown, ScaleAndMerge)
     EXPECT_DOUBLE_EQ(a.get("y"), 5.0);
 }
 
+TEST(Breakdown, TotalSumsInNameOrderNotInsertionOrder)
+{
+    // total() sums the categories in byte-wise name order, whatever
+    // order they were added in; every golden depends on that rounding.
+    // Insertion order here would give (0.1 + 0.2) + 0.3, one ulp above
+    // 0.6.
+    Breakdown b;
+    b.add("StateUpdate", 0.1);
+    b.add("GEMM", 0.2);
+    b.add("Attention", 0.3);
+    ASSERT_NE((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1);
+    EXPECT_EQ(b.total(), (0.3 + 0.2) + 0.1);
+
+    // All eleven legend names, added in the order the step simulator
+    // first meets them, with values that round differently in that
+    // order than in name order.
+    Breakdown all;
+    const char *names[] = {
+        "StateUpdate", "Attention", "Discretization", "CausalConv",
+        "GEMM", "Communication", "Others", "State update (I/O)",
+        "State update (Compute)", "Attention (I/O)",
+        "Attention (Compute)"};
+    double insertion_sum = 0.0;
+    for (int i = 0; i < 11; ++i) {
+        all.add(names[i], 1.0 / (i + 7));
+        insertion_sum += 1.0 / (i + 7);
+    }
+    ASSERT_NE(insertion_sum, 0x1.faa6a0d4d52c6p-1);
+    EXPECT_EQ(all.total(), 0x1.faa6a0d4d52c6p-1);
+}
+
 TEST(StatSet, IncSetGet)
 {
     StatSet s;
