@@ -87,6 +87,59 @@ PimCommandScheduler::issueResultRead()
     return at;
 }
 
+bool
+PimCommandScheduler::issueRunHead(uint64_t k, Cycles (PimCommandScheduler::*one)())
+{
+    uint64_t per_command = keepTrace ? k : std::min<uint64_t>(k, 1);
+    for (uint64_t i = 0; i < per_command; ++i)
+        (this->*one)();
+    return per_command < k;
+}
+
+Cycles
+PimCommandScheduler::runEnd(uint64_t k, int spacing) const
+{
+    return lastIssue + Cycles(std::max(1, spacing)) * (k - 1);
+}
+
+void
+PimCommandScheduler::finishDataBusRun(uint64_t k, uint64_t &count)
+{
+    Cycles at = runEnd(k, cfg.timing.burstCycles);
+    dataBusFree = at + Cycles(cfg.timing.burstCycles);
+    cmdBusFree = at + Cycles(1);
+    frontier = std::max(frontier, dataBusFree);
+    count += k - 1;
+    lastIssue = at;
+}
+
+void
+PimCommandScheduler::issueRegWrites(uint64_t k)
+{
+    if (issueRunHead(k, &PimCommandScheduler::issueRegWrite))
+        finishDataBusRun(k, stats.regWrite);
+}
+
+void
+PimCommandScheduler::issueComps(uint64_t k)
+{
+    if (!issueRunHead(k, &PimCommandScheduler::issueComp))
+        return;
+    Cycles at = runEnd(k, cfg.timing.tCCD_L);
+    lastComp = at;
+    cmdBusFree = at + Cycles(1);
+    frontier = std::max(frontier, at + Cycles(cfg.timing.tCCD_L));
+    stats.comp += k - 1;
+    lastIssue = at;
+}
+
+void
+PimCommandScheduler::issueResultReads(uint64_t k)
+{
+    if (issueRunHead(k, &PimCommandScheduler::issueResultRead))
+        finishDataBusRun(k, stats.resultRead);
+}
+
 Cycles
 PimCommandScheduler::issuePrecharges()
 {

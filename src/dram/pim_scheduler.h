@@ -16,6 +16,18 @@
  * schedules PIM passes between refresh windows ("aligning with DRAM
  * refresh schemes", Section 5.5), so REF is issued while banks are
  * precharged and charges tRFC.
+ *
+ * Runs of k same-kind commands (issueRegWrites(), issueComps(),
+ * issueResultReads()) are issued in O(1), and exactly. Because refresh
+ * happens only at pass boundaries, nothing else moves a frontier inside
+ * a run, so after the run's first command each issue-time max() has one
+ * dominant term: the command's own previous issue plus its spacing.
+ * COMPs then fall exactly max(1, tCCD_L) apart (command bus vs. tCCD_L),
+ * and REG_WRITEs and RESULT_READs max(1, burstCycles) apart (command
+ * bus vs. data bus). The first command of a run goes through the
+ * single-command path, so every legality check still fires; with
+ * keep_trace on, runs fall back to one call per command so the trace
+ * holds every record.
  */
 
 #ifndef PIMBA_DRAM_PIM_SCHEDULER_H
@@ -63,6 +75,15 @@ class PimCommandScheduler
     /** Drain one accumulator register group to the host. */
     Cycles issueResultRead();
 
+    /** @p k back-to-back issueRegWrite()s, in closed form. */
+    void issueRegWrites(uint64_t k);
+
+    /** @p k back-to-back issueComp()s, in closed form. */
+    void issueComps(uint64_t k);
+
+    /** @p k back-to-back issueResultRead()s, in closed form. */
+    void issueResultReads(uint64_t k);
+
     /** Precharge all banks; returns issue cycle (completion is +tRP). */
     Cycles issuePrecharges();
 
@@ -87,6 +108,21 @@ class PimCommandScheduler
 
   private:
     void record(DramCommand cmd, Cycles cycle, int bank = -1);
+
+    /**
+     * Issue a @p k-command run's head through the single-command
+     * @p one: its first command, or all of them when tracing. Returns
+     * true when the rest of the run is left to close in closed form.
+     */
+    bool issueRunHead(uint64_t k, Cycles (PimCommandScheduler::*one)());
+
+    /** Issue cycle of the k-th command of a run whose commands fall
+     *  max(1, @p spacing) apart, the first at lastIssue. */
+    Cycles runEnd(uint64_t k, int spacing) const;
+
+    /** Close a data-bus run (REG_WRITE or RESULT_READ) whose first
+     *  command is issued, adding its other k - 1 to @p count. */
+    void finishDataBusRun(uint64_t k, uint64_t &count);
 
     const HbmConfig cfg;
     const bool keepTrace;

@@ -113,23 +113,18 @@ PimComputeModel::runPasses(uint64_t passes, uint64_t total_comps,
             uint64_t quota = ceilDiv(regs, uint64_t{4}) *
                              static_cast<uint64_t>(a + 1);
             quota = std::min(quota, regs);
-            while (regs_issued < quota) {
-                sched.issueRegWrite();
-                ++regs_issued;
+            if (quota > regs_issued) {
+                sched.issueRegWrites(quota - regs_issued);
+                regs_issued = quota;
             }
         }
-        while (regs_issued < regs) {
-            sched.issueRegWrite();
-            ++regs_issued;
-        }
+        sched.issueRegWrites(regs - regs_issued);
 
-        for (uint64_t c = 0; c < comps; ++c)
-            sched.issueComp();
+        sched.issueComps(comps);
 
         // PRECHARGES first so the RESULT_READs overlap its tRP window.
         sched.issuePrecharges();
-        for (uint64_t r = 0; r < results; ++r)
-            sched.issueResultRead();
+        sched.issueResultReads(results);
     }
 
     PimKernelResult res;
