@@ -39,8 +39,8 @@ main(int argc, char **argv)
     StepResult step = sim.generationStep(model, batch, /*seq_len=*/2048);
     printf("\nper-token step latency: %.3f ms\n",
            step.seconds.value() * 1e3);
-    for (const auto &key : step.latency.keys())
-        printf("  %-15s %7.3f ms (%4.1f%%)\n", key.c_str(),
+    for (BreakdownKey key : step.latency.keys())
+        printf("  %-15s %7.3f ms (%4.1f%%)\n", breakdownKeyName(key),
                step.latency.get(key) * 1e3,
                100.0 * step.latency.fraction(key));
 

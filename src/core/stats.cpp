@@ -22,52 +22,98 @@ Accumulator::add(double x)
     m2 += delta * (x - mu);
 }
 
-void
-Breakdown::add(const std::string &key, double value)
+namespace {
+
+constexpr const char *kBreakdownNames[kBreakdownKeys] = {
+    "StateUpdate",
+    "Attention",
+    "Discretization",
+    "CausalConv",
+    "GEMM",
+    "Communication",
+    "Others",
+    "State update (I/O)",
+    "State update (Compute)",
+    "Attention (I/O)",
+    "Attention (Compute)",
+};
+
+/** The keys in byte-wise name order: the order total() sums in. */
+constexpr std::array<BreakdownKey, kBreakdownKeys> kNameOrder = [] {
+    std::array<BreakdownKey, kBreakdownKeys> keys{};
+    for (size_t i = 0; i < kBreakdownKeys; ++i)
+        keys[i] = static_cast<BreakdownKey>(i);
+    std::sort(keys.begin(), keys.end(), [](BreakdownKey a, BreakdownKey b) {
+        return std::string_view(kBreakdownNames[static_cast<size_t>(a)]) <
+               std::string_view(kBreakdownNames[static_cast<size_t>(b)]);
+    });
+    return keys;
+}();
+
+} // namespace
+
+const char *
+breakdownKeyName(BreakdownKey key)
 {
-    auto it = values.find(key);
-    if (it == values.end()) {
-        values.emplace(key, value);
-        order.push_back(key);
-    } else {
-        it->second += value;
+    return kBreakdownNames[static_cast<size_t>(key)];
+}
+
+void
+Breakdown::add(BreakdownKey key, double value)
+{
+    if (has(key)) {
+        values[index(key)] += value;
+        return;
     }
+    present = static_cast<uint16_t>(present | (1u << index(key)));
+    order[count++] = key;
+    values[index(key)] = value;
 }
 
 double
-Breakdown::get(const std::string &key) const
+Breakdown::get(std::string_view name) const
 {
-    auto it = values.find(key);
-    return it == values.end() ? 0.0 : it->second;
+    for (size_t i = 0; i < kBreakdownKeys; ++i)
+        if (name == kBreakdownNames[i])
+            return get(static_cast<BreakdownKey>(i));
+    return 0.0;
 }
 
 double
 Breakdown::total() const
 {
     double sum = 0.0;
-    for (const auto &kv : values)
-        sum += kv.second;
+    for (BreakdownKey key : kNameOrder)
+        if (has(key))
+            sum += values[index(key)];
     return sum;
 }
 
 double
-Breakdown::fraction(const std::string &key) const
+Breakdown::fraction(BreakdownKey key) const
 {
     double t = total();
     return t > 0.0 ? get(key) / t : 0.0;
 }
 
+double
+Breakdown::fraction(std::string_view name) const
+{
+    double t = total();
+    return t > 0.0 ? get(name) / t : 0.0;
+}
+
 void
 Breakdown::scale(double s)
 {
-    for (auto &kv : values)
-        kv.second *= s;
+    for (BreakdownKey key : keys())
+        values[index(key)] *= s;
 }
 
 void
 Breakdown::merge(const Breakdown &other)
 {
-    for (const auto &key : other.keys())
+    for (BreakdownKey key : other.keys())
         add(key, other.get(key));
 }
 

@@ -8,10 +8,13 @@
 #ifndef PIMBA_CORE_STATS_H
 #define PIMBA_CORE_STATS_H
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pimba {
@@ -42,27 +45,67 @@ class Accumulator
 };
 
 /**
- * Named-category breakdown (e.g. latency per operation class).
+ * Categories of the step breakdowns, named after the paper's figure
+ * legends: the seven operation classes of the latency breakdown
+ * (Figs. 3 and 13) and the state-update/attention energy split of
+ * Fig. 14. GEMM and Others appear in both breakdowns.
+ */
+enum class BreakdownKey : uint8_t
+{
+    StateUpdate,
+    Attention,
+    Discretization,
+    CausalConv,
+    GEMM,
+    Communication,
+    Others,
+    StateUpdateIo,      ///< "State update (I/O)"
+    StateUpdateCompute, ///< "State update (Compute)"
+    AttentionIo,        ///< "Attention (I/O)"
+    AttentionCompute,   ///< "Attention (Compute)"
+};
+
+inline constexpr size_t kBreakdownKeys = 11;
+
+/** Figure-legend name of @p key. */
+const char *breakdownKeyName(BreakdownKey key);
+
+/**
+ * Per-category breakdown (e.g. latency per operation class) over the
+ * fixed BreakdownKey set.
  *
  * Categories keep insertion order so reports match the paper's legends.
+ * total() sums them in byte-wise name order, whatever order they were
+ * added in, which the golden reports pin to the last bit.
  */
 class Breakdown
 {
   public:
     /** Add @p value to category @p key, creating it if necessary. */
-    void add(const std::string &key, double value);
+    void add(BreakdownKey key, double value);
 
     /** Value of @p key, or 0 if absent. */
-    double get(const std::string &key) const;
+    double get(BreakdownKey key) const
+    {
+        return has(key) ? values[index(key)] : 0.0;
+    }
+
+    /** Value of the category named @p name, or 0 if absent or not a
+     *  legend name. */
+    double get(std::string_view name) const;
 
     /** Sum over all categories. */
     double total() const;
 
     /** Fraction of the total in @p key (0 if total is 0). */
-    double fraction(const std::string &key) const;
+    double fraction(BreakdownKey key) const;
+    double fraction(std::string_view name) const;
 
     /** Categories in insertion order. */
-    const std::vector<std::string> &keys() const { return order; }
+    std::span<const BreakdownKey> keys() const
+    {
+        return {order.data(), count};
+    }
 
     /** Scale every category by @p s (e.g. per-token normalization). */
     void scale(double s);
@@ -70,11 +113,22 @@ class Breakdown
     /** Merge another breakdown into this one. */
     void merge(const Breakdown &other);
 
-    bool empty() const { return order.empty(); }
+    bool empty() const { return count == 0; }
 
   private:
-    std::map<std::string, double> values;
-    std::vector<std::string> order;
+    static size_t index(BreakdownKey key)
+    {
+        return static_cast<size_t>(key);
+    }
+    bool has(BreakdownKey key) const
+    {
+        return (present >> index(key)) & 1u;
+    }
+
+    std::array<double, kBreakdownKeys> values{};
+    std::array<BreakdownKey, kBreakdownKeys> order{};
+    uint8_t count = 0;
+    uint16_t present = 0; ///< bit index(key) set once key is added
 };
 
 /**

@@ -8,19 +8,25 @@
 
 namespace pimba {
 
+BreakdownKey
+opClassKey(OpClass cls)
+{
+    switch (cls) {
+      case OpClass::StateUpdate: return BreakdownKey::StateUpdate;
+      case OpClass::Attention: return BreakdownKey::Attention;
+      case OpClass::Discretization: return BreakdownKey::Discretization;
+      case OpClass::CausalConv: return BreakdownKey::CausalConv;
+      case OpClass::GEMM: return BreakdownKey::GEMM;
+      case OpClass::Communication: return BreakdownKey::Communication;
+      case OpClass::Others: return BreakdownKey::Others;
+    }
+    PIMBA_PANIC("unknown op class");
+}
+
 std::string
 opClassName(OpClass cls)
 {
-    switch (cls) {
-      case OpClass::StateUpdate: return "StateUpdate";
-      case OpClass::Attention: return "Attention";
-      case OpClass::Discretization: return "Discretization";
-      case OpClass::CausalConv: return "CausalConv";
-      case OpClass::GEMM: return "GEMM";
-      case OpClass::Communication: return "Communication";
-      case OpClass::Others: return "Others";
-    }
-    PIMBA_PANIC("unknown op class");
+    return breakdownKeyName(opClassKey(cls));
 }
 
 int

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/stats.h"
 #include "core/units.h"
 #include "pim/data_layout.h"
 
@@ -51,6 +52,9 @@ enum class OpClass
     Communication,
     Others,
 };
+
+/** Latency-breakdown category of @p cls. */
+BreakdownKey opClassKey(OpClass cls);
 
 /** Breakdown label matching the paper's figure legends. */
 std::string opClassName(OpClass cls);

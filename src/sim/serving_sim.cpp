@@ -6,17 +6,6 @@
 
 namespace pimba {
 
-namespace {
-
-constexpr const char *kEnergySuIo = "State update (I/O)";
-constexpr const char *kEnergySuCompute = "State update (Compute)";
-constexpr const char *kEnergyAttnIo = "Attention (I/O)";
-constexpr const char *kEnergyAttnCompute = "Attention (Compute)";
-constexpr const char *kEnergyGemm = "GEMM";
-constexpr const char *kEnergyOthers = "Others";
-
-} // namespace
-
 ServingSimulator::ServingSimulator(const SystemConfig &system)
     : sys(system), gpuModel(system.gpu)
 {
@@ -30,11 +19,11 @@ ServingSimulator::addGpuCost(OpClass cls, const GpuKernelCost &cost,
 {
     acc.seconds += cost.seconds;
     acc.gpuSeconds += cost.seconds;
-    acc.latency.add(opClassName(cls), cost.seconds.value());
+    acc.latency.add(opClassKey(cls), cost.seconds.value());
     if (cls == OpClass::GEMM)
-        acc.energy.add(kEnergyGemm, cost.energyJ.value());
+        acc.energy.add(BreakdownKey::GEMM, cost.energyJ.value());
     else
-        acc.energy.add(kEnergyOthers, cost.energyJ.value());
+        acc.energy.add(BreakdownKey::Others, cost.energyJ.value());
 }
 
 void
@@ -53,8 +42,8 @@ ServingSimulator::runOp(const OpSpec &op, StepResult &acc) const
         GpuKernelCost cost = gpuModel.allReduce(op.memBytes.value(), sys.nGpus);
         acc.seconds += cost.seconds;
         acc.gpuSeconds += cost.seconds;
-        acc.latency.add(opClassName(op.cls), cost.seconds.value());
-        acc.energy.add(kEnergyOthers, cost.energyJ.value());
+        acc.latency.add(opClassKey(op.cls), cost.seconds.value());
+        acc.energy.add(BreakdownKey::Others, cost.energyJ.value());
         return;
       }
       case OpClass::StateUpdate: {
@@ -66,12 +55,12 @@ ServingSimulator::runOp(const OpSpec &op, StepResult &acc) const
             // overlap another sub-batch's GPU phase.
             acc.pimSeconds += r.seconds;
             acc.gpuSeconds += Seconds(gpu.kernelLaunchOverhead);
-            acc.latency.add(opClassName(op.cls), secs.value());
+            acc.latency.add(opClassKey(op.cls), secs.value());
             Joules io = (r.energy.activation + r.energy.column +
                          r.energy.io) *
                         sys.nGpus;
-            acc.energy.add(kEnergySuIo, io.value());
-            acc.energy.add(kEnergySuCompute,
+            acc.energy.add(BreakdownKey::StateUpdateIo, io.value());
+            acc.energy.add(BreakdownKey::StateUpdateCompute,
                            (r.energy.compute * sys.nGpus).value());
             return;
         }
@@ -91,10 +80,10 @@ ServingSimulator::runOp(const OpSpec &op, StepResult &acc) const
         GpuKernelCost cost = gpuModel.kernel(op.flops, su_bytes);
         acc.seconds += cost.seconds;
         acc.gpuSeconds += cost.seconds;
-        acc.latency.add(opClassName(op.cls), cost.seconds.value());
-        acc.energy.add(kEnergySuIo, su_bytes * 8.0 *
-                                        gpu.dramEnergyPerBit * sys.nGpus);
-        acc.energy.add(kEnergySuCompute,
+        acc.latency.add(opClassKey(op.cls), cost.seconds.value());
+        acc.energy.add(BreakdownKey::StateUpdateIo,
+                       su_bytes * 8.0 * gpu.dramEnergyPerBit * sys.nGpus);
+        acc.energy.add(BreakdownKey::StateUpdateCompute,
                        op.flops * gpu.computeEnergyPerFlop * sys.nGpus);
         return;
       }
@@ -116,15 +105,15 @@ ServingSimulator::runOp(const OpSpec &op, StepResult &acc) const
             // sub-batch's work — it is the pipeline's sync bubble.
             acc.syncSeconds += softmax.seconds;
             acc.gpuSeconds += Seconds(gpu.kernelLaunchOverhead);
-            acc.latency.add(opClassName(op.cls), secs.value());
+            acc.latency.add(opClassKey(op.cls), secs.value());
             Joules io = (score.energy.activation + score.energy.column +
                          score.energy.io + attend.energy.activation +
                          attend.energy.column + attend.energy.io) *
                         sys.nGpus;
             Joules cmp = (score.energy.compute + attend.energy.compute) *
                          sys.nGpus;
-            acc.energy.add(kEnergyAttnIo, io.value());
-            acc.energy.add(kEnergyAttnCompute,
+            acc.energy.add(BreakdownKey::AttentionIo, io.value());
+            acc.energy.add(BreakdownKey::AttentionCompute,
                            (cmp + softmax.energyJ * sys.nGpus).value());
             return;
         }
@@ -143,10 +132,10 @@ ServingSimulator::runOp(const OpSpec &op, StepResult &acc) const
         Seconds secs = cost.seconds + softmax.seconds;
         acc.seconds += secs;
         acc.gpuSeconds += secs;
-        acc.latency.add(opClassName(op.cls), secs.value());
-        acc.energy.add(kEnergyAttnIo,
+        acc.latency.add(opClassKey(op.cls), secs.value());
+        acc.energy.add(BreakdownKey::AttentionIo,
                        kv_bytes * 8.0 * gpu.dramEnergyPerBit * sys.nGpus);
-        acc.energy.add(kEnergyAttnCompute,
+        acc.energy.add(BreakdownKey::AttentionCompute,
                        ((Joules(op.flops * gpu.computeEnergyPerFlop) +
                          softmax.energyJ) * sys.nGpus).value());
         return;

@@ -46,50 +46,68 @@ TEST(Accumulator, KnownMoments)
 TEST(Breakdown, AccumulatesByKey)
 {
     Breakdown b;
-    b.add("x", 1.0);
-    b.add("y", 2.0);
-    b.add("x", 3.0);
-    EXPECT_DOUBLE_EQ(b.get("x"), 4.0);
-    EXPECT_DOUBLE_EQ(b.get("y"), 2.0);
-    EXPECT_DOUBLE_EQ(b.get("absent"), 0.0);
+    b.add(BreakdownKey::GEMM, 1.0);
+    b.add(BreakdownKey::Others, 2.0);
+    b.add(BreakdownKey::GEMM, 3.0);
+    EXPECT_DOUBLE_EQ(b.get(BreakdownKey::GEMM), 4.0);
+    EXPECT_DOUBLE_EQ(b.get(BreakdownKey::Others), 2.0);
+    EXPECT_DOUBLE_EQ(b.get(BreakdownKey::Attention), 0.0);
     EXPECT_DOUBLE_EQ(b.total(), 6.0);
+}
+
+TEST(Breakdown, LooksUpByLegendName)
+{
+    Breakdown b;
+    b.add(BreakdownKey::StateUpdateIo, 1.5);
+    EXPECT_DOUBLE_EQ(b.get("State update (I/O)"), 1.5);
+    EXPECT_DOUBLE_EQ(b.get("StateUpdate"), 0.0);   // absent
+    EXPECT_DOUBLE_EQ(b.get("not a legend"), 0.0); // unknown name
+    for (size_t i = 0; i < kBreakdownKeys; ++i) {
+        auto key = static_cast<BreakdownKey>(i);
+        Breakdown one;
+        one.add(key, 2.0);
+        EXPECT_DOUBLE_EQ(one.get(breakdownKeyName(key)), 2.0)
+            << breakdownKeyName(key);
+    }
 }
 
 TEST(Breakdown, PreservesInsertionOrder)
 {
     Breakdown b;
-    b.add("zeta", 1.0);
-    b.add("alpha", 1.0);
-    b.add("zeta", 1.0);
+    b.add(BreakdownKey::StateUpdate, 1.0);
+    b.add(BreakdownKey::Attention, 1.0);
+    b.add(BreakdownKey::StateUpdate, 1.0);
     ASSERT_EQ(b.keys().size(), 2u);
-    EXPECT_EQ(b.keys()[0], "zeta");
-    EXPECT_EQ(b.keys()[1], "alpha");
+    EXPECT_EQ(b.keys()[0], BreakdownKey::StateUpdate);
+    EXPECT_EQ(b.keys()[1], BreakdownKey::Attention);
 }
 
 TEST(Breakdown, Fraction)
 {
     Breakdown b;
-    b.add("a", 1.0);
-    b.add("b", 3.0);
-    EXPECT_DOUBLE_EQ(b.fraction("a"), 0.25);
-    EXPECT_DOUBLE_EQ(b.fraction("b"), 0.75);
+    b.add(BreakdownKey::Attention, 1.0);
+    b.add(BreakdownKey::GEMM, 3.0);
+    EXPECT_DOUBLE_EQ(b.fraction(BreakdownKey::Attention), 0.25);
+    EXPECT_DOUBLE_EQ(b.fraction("GEMM"), 0.75);
     Breakdown empty;
-    EXPECT_DOUBLE_EQ(empty.fraction("a"), 0.0);
+    EXPECT_DOUBLE_EQ(empty.fraction(BreakdownKey::Attention), 0.0);
 }
 
 TEST(Breakdown, ScaleAndMerge)
 {
     Breakdown a;
-    a.add("x", 2.0);
+    a.add(BreakdownKey::GEMM, 2.0);
     a.scale(0.5);
-    EXPECT_DOUBLE_EQ(a.get("x"), 1.0);
+    EXPECT_DOUBLE_EQ(a.get(BreakdownKey::GEMM), 1.0);
 
     Breakdown b;
-    b.add("x", 1.0);
-    b.add("y", 5.0);
+    b.add(BreakdownKey::GEMM, 1.0);
+    b.add(BreakdownKey::Others, 5.0);
     a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get("x"), 2.0);
-    EXPECT_DOUBLE_EQ(a.get("y"), 5.0);
+    EXPECT_DOUBLE_EQ(a.get(BreakdownKey::GEMM), 2.0);
+    EXPECT_DOUBLE_EQ(a.get(BreakdownKey::Others), 5.0);
+    ASSERT_EQ(a.keys().size(), 2u);
+    EXPECT_EQ(a.keys()[1], BreakdownKey::Others);
 }
 
 TEST(Breakdown, TotalSumsInNameOrderNotInsertionOrder)
@@ -99,24 +117,21 @@ TEST(Breakdown, TotalSumsInNameOrderNotInsertionOrder)
     // Insertion order here would give (0.1 + 0.2) + 0.3, one ulp above
     // 0.6.
     Breakdown b;
-    b.add("StateUpdate", 0.1);
-    b.add("GEMM", 0.2);
-    b.add("Attention", 0.3);
+    b.add(BreakdownKey::StateUpdate, 0.1);
+    b.add(BreakdownKey::GEMM, 0.2);
+    b.add(BreakdownKey::Attention, 0.3);
     ASSERT_NE((0.1 + 0.2) + 0.3, (0.3 + 0.2) + 0.1);
     EXPECT_EQ(b.total(), (0.3 + 0.2) + 0.1);
 
     // All eleven legend names, added in the order the step simulator
     // first meets them, with values that round differently in that
-    // order than in name order.
+    // order than in name order. The pinned total is the name-order sum,
+    // as the std::map<std::string, double> store this class once used
+    // computed it.
     Breakdown all;
-    const char *names[] = {
-        "StateUpdate", "Attention", "Discretization", "CausalConv",
-        "GEMM", "Communication", "Others", "State update (I/O)",
-        "State update (Compute)", "Attention (I/O)",
-        "Attention (Compute)"};
     double insertion_sum = 0.0;
-    for (int i = 0; i < 11; ++i) {
-        all.add(names[i], 1.0 / (i + 7));
+    for (size_t i = 0; i < kBreakdownKeys; ++i) {
+        all.add(static_cast<BreakdownKey>(i), 1.0 / (i + 7));
         insertion_sum += 1.0 / (i + 7);
     }
     ASSERT_NE(insertion_sum, 0x1.faa6a0d4d52c6p-1);

@@ -58,10 +58,11 @@ TEST(ExecutionMode, EnergyIdenticalToBlocked)
                            .generationStep(m, 32, 2048);
             EXPECT_DOUBLE_EQ(blk.energy.total(), ovl.energy.total())
                 << systemName(kind) << " " << m.name;
-            for (const std::string &key : blk.energy.keys())
+            for (BreakdownKey key : blk.energy.keys())
                 EXPECT_DOUBLE_EQ(blk.energy.get(key),
                                  ovl.energy.get(key))
-                    << systemName(kind) << " " << m.name << " " << key;
+                    << systemName(kind) << " " << m.name << " "
+                    << breakdownKeyName(key);
         }
     }
 }
