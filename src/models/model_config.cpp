@@ -23,12 +23,6 @@ opClassKey(OpClass cls)
     PIMBA_PANIC("unknown op class");
 }
 
-std::string
-opClassName(OpClass cls)
-{
-    return breakdownKeyName(opClassKey(cls));
-}
-
 int
 ModelConfig::attentionLayers() const
 {

@@ -53,11 +53,9 @@ enum class OpClass
     Others,
 };
 
-/** Latency-breakdown category of @p cls. */
+/** Latency-breakdown category of @p cls; its breakdownKeyName() is the
+ *  label of the paper's figure legends. */
 BreakdownKey opClassKey(OpClass cls);
-
-/** Breakdown label matching the paper's figure legends. */
-std::string opClassName(OpClass cls);
 
 /** One operation of a generation step (per token, whole model shard). */
 struct OpSpec

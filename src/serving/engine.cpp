@@ -95,11 +95,10 @@ ServingEngine::decodeSeconds(int batch, uint64_t mean_seq)
 double
 ServingEngine::prefillSeconds(uint64_t chunk, uint64_t seq_pos)
 {
-    // Attention inside a prefill chunk is affine in the base cache
-    // position, so bucketing the position mirrors the decode memo —
-    // including evaluating at the bucket *center*, matching
-    // decodeSeconds (the seed evaluated this memo at the bucket floor,
-    // biasing prefill cost low by half a bucket).
+    // The base cache position is bucketed as in the decode memo,
+    // evaluated at the bucket *center* like decodeSeconds (the seed
+    // evaluated this memo at the bucket floor, biasing prefill cost low
+    // by half a bucket). step_memo.h bounds the error this costs.
     uint64_t key = prefillMemoKey(chunk, seq_pos);
     if (const double *hit = prefillCache.find(key))
         return *hit;

@@ -171,12 +171,14 @@ ServingSimulator::averagedStep(const ModelConfig &model, int batch,
                                uint64_t output_len) const
 {
     PIMBA_ASSERT(output_len > 0, "empty decode window");
-    // Attention latency/energy is affine in cache length; the average
-    // over the decode positions [input_len, input_len + output_len) is
-    // the step at their mean, input_len + (output_len - 1) / 2. The
-    // integer midpoint floors that mean (exact for odd windows, half a
-    // position low for even ones — the seed's output_len / 2 ceiled
-    // it, overcharging even windows by the same half position).
+    // The window average is costed as the step at the mean of the
+    // decode positions [input_len, input_len + output_len),
+    // input_len + (output_len - 1) / 2: exact where attention cost is
+    // affine in cache length, close where it is not (the PIM attention
+    // kernels are step functions of it). The integer midpoint floors
+    // that mean (exact for odd windows, half a position low for even
+    // ones — the seed's output_len / 2 ceiled it, overcharging even
+    // windows by the same half position).
     uint64_t mid = input_len + (output_len - 1) / 2;
     return generationStep(model, batch, mid);
 }

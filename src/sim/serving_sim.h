@@ -88,11 +88,13 @@ class ServingSimulator
                               uint64_t seq_len) const;
 
     /**
-     * Average generation step over the decode window. Both the GPU and
-     * PIM attention costs are affine in the cache length, so the window
-     * average equals the step at the mean position of
-     * [input_len, input_len + output_len), i.e.
-     * input_len + (output_len - 1) / 2 (floored for even windows).
+     * Average generation step over the decode window, costed as the
+     * step at the mean position of [input_len, input_len + output_len),
+     * i.e. input_len + (output_len - 1) / 2 (floored for even windows).
+     * That equals the window average only where attention cost is
+     * affine in the cache length. The GPU's attention cost nearly is;
+     * the PIM attention kernels are step functions of it (whole DRAM
+     * rows and passes), so on PIM systems this is an approximation.
      */
     StepResult averagedStep(const ModelConfig &model, int batch,
                             uint64_t input_len, uint64_t output_len) const;
@@ -101,12 +103,12 @@ class ServingSimulator
      * Simulate one prefill chunk: @p tokens prompt tokens of a single
      * request whose cache already holds @p seq_pos tokens. The chunk's
      * tokens flow through the same operator graph as a decode batch of
-     * the same size (identical GEMM/state-update work per token), and
-     * causal attention inside the chunk is affine in cache length, so
-     * the chunk costs one generation step of batch @p tokens at the
-     * chunk's mean cache position seq_pos + (tokens - 1) / 2, floored
-     * for even chunks (token i of the chunk attends a cache of length
-     * seq_pos + i).
+     * the same size (identical GEMM/state-update work per token). The
+     * chunk is costed as one generation step of batch @p tokens at its
+     * mean cache position seq_pos + (tokens - 1) / 2, floored for even
+     * chunks (token i of the chunk attends a cache of length
+     * seq_pos + i); like averagedStep(), that is exact only where
+     * attention cost is affine in cache length.
      */
     StepResult prefillStep(const ModelConfig &model, uint64_t tokens,
                            uint64_t seq_pos) const;
@@ -119,9 +121,9 @@ class ServingSimulator
      * Sarathi-style chunked-prefill piggyback. The fused step pays the
      * per-step weight pass and launch overheads once, which is exactly
      * where it beats running a decode step and a prefill chunk
-     * back-to-back; per-token attention/state costs are affine in the
-     * cache position, so the fused step is costed at the token-weighted
-     * mean position of its constituents.
+     * back-to-back. The fused step is costed at the token-weighted mean
+     * cache position of its constituents, the same mean-position
+     * approximation as averagedStep().
      */
     StepResult mixedStep(const ModelConfig &model, int decode_batch,
                          uint64_t decode_seq, uint64_t prefill_tokens,

@@ -198,10 +198,11 @@ TEST(OpGraph, BatchScalesStateUpdateLinearly)
 
 TEST(OpGraph, OpClassNamesMatchPaperLegends)
 {
-    EXPECT_EQ(opClassName(OpClass::StateUpdate), "StateUpdate");
-    EXPECT_EQ(opClassName(OpClass::CausalConv), "CausalConv");
-    EXPECT_EQ(opClassName(OpClass::Discretization), "Discretization");
-    EXPECT_EQ(opClassName(OpClass::Communication), "Communication");
+    auto name = [](OpClass cls) { return breakdownKeyName(opClassKey(cls)); };
+    EXPECT_STREQ(name(OpClass::StateUpdate), "StateUpdate");
+    EXPECT_STREQ(name(OpClass::CausalConv), "CausalConv");
+    EXPECT_STREQ(name(OpClass::Discretization), "Discretization");
+    EXPECT_STREQ(name(OpClass::Communication), "Communication");
 }
 
 } // namespace
