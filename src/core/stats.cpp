@@ -1,6 +1,7 @@
 #include "core/stats.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 namespace pimba {
@@ -24,7 +25,7 @@ Accumulator::add(double x)
 
 namespace {
 
-constexpr const char *kBreakdownNames[kBreakdownKeys] = {
+constexpr const char *kBreakdownNames[] = {
     "StateUpdate",
     "Attention",
     "Discretization",
@@ -37,6 +38,7 @@ constexpr const char *kBreakdownNames[kBreakdownKeys] = {
     "Attention (I/O)",
     "Attention (Compute)",
 };
+static_assert(std::size(kBreakdownNames) == kBreakdownKeys);
 
 /** The keys in byte-wise name order: the order total() sums in. */
 constexpr std::array<BreakdownKey, kBreakdownKeys> kNameOrder = [] {

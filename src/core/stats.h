@@ -1,7 +1,7 @@
 /**
  * @file
  * Lightweight statistics collection: named scalar counters, running
- * accumulators, and breakdown maps used by the simulators to report the
+ * accumulators, and the breakdowns used by the simulators to report the
  * per-operation latency/energy splits the paper's figures show.
  */
 

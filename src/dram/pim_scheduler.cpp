@@ -88,7 +88,8 @@ PimCommandScheduler::issueResultRead()
 }
 
 bool
-PimCommandScheduler::issueRunHead(uint64_t k, Cycles (PimCommandScheduler::*one)())
+PimCommandScheduler::issueRunHead(uint64_t k,
+                                  Cycles (PimCommandScheduler::*one)())
 {
     uint64_t per_command = keepTrace ? k : std::min<uint64_t>(k, 1);
     for (uint64_t i = 0; i < per_command; ++i)

@@ -113,10 +113,8 @@ PimComputeModel::runPasses(uint64_t passes, uint64_t total_comps,
             uint64_t quota = ceilDiv(regs, uint64_t{4}) *
                              static_cast<uint64_t>(a + 1);
             quota = std::min(quota, regs);
-            if (quota > regs_issued) {
-                sched.issueRegWrites(quota - regs_issued);
-                regs_issued = quota;
-            }
+            sched.issueRegWrites(quota - regs_issued);
+            regs_issued = quota;
         }
         sched.issueRegWrites(regs - regs_issued);
 
