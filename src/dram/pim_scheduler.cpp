@@ -87,13 +87,13 @@ PimCommandScheduler::issueResultRead()
     return at;
 }
 
+template <Cycles (PimCommandScheduler::*One)()>
 bool
-PimCommandScheduler::issueRunHead(uint64_t k,
-                                  Cycles (PimCommandScheduler::*one)())
+PimCommandScheduler::issueRunHead(uint64_t k)
 {
     uint64_t per_command = keepTrace ? k : std::min<uint64_t>(k, 1);
     for (uint64_t i = 0; i < per_command; ++i)
-        (this->*one)();
+        (this->*One)();
     return per_command < k;
 }
 
@@ -117,14 +117,14 @@ PimCommandScheduler::finishDataBusRun(uint64_t k, uint64_t &count)
 void
 PimCommandScheduler::issueRegWrites(uint64_t k)
 {
-    if (issueRunHead(k, &PimCommandScheduler::issueRegWrite))
+    if (issueRunHead<&PimCommandScheduler::issueRegWrite>(k))
         finishDataBusRun(k, stats.regWrite);
 }
 
 void
 PimCommandScheduler::issueComps(uint64_t k)
 {
-    if (!issueRunHead(k, &PimCommandScheduler::issueComp))
+    if (!issueRunHead<&PimCommandScheduler::issueComp>(k))
         return;
     Cycles at = runEnd(k, cfg.timing.tCCD_L);
     lastComp = at;
@@ -137,7 +137,7 @@ PimCommandScheduler::issueComps(uint64_t k)
 void
 PimCommandScheduler::issueResultReads(uint64_t k)
 {
-    if (issueRunHead(k, &PimCommandScheduler::issueResultRead))
+    if (issueRunHead<&PimCommandScheduler::issueResultRead>(k))
         finishDataBusRun(k, stats.resultRead);
 }
 

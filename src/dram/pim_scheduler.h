@@ -111,10 +111,12 @@ class PimCommandScheduler
 
     /**
      * Issue a @p k-command run's head through the single-command
-     * @p one: its first command, or all of them when tracing. Returns
+     * @p One: its first command, or all of them when tracing. Returns
      * true when the rest of the run is left to close in closed form.
+     * @p One is a template argument so the head is a direct call.
      */
-    bool issueRunHead(uint64_t k, Cycles (PimCommandScheduler::*one)());
+    template <Cycles (PimCommandScheduler::*One)()>
+    bool issueRunHead(uint64_t k);
 
     /** Issue cycle of the k-th command of a run whose commands fall
      *  max(1, @p spacing) apart, the first at lastIssue. */

@@ -19,6 +19,28 @@ computeEnergyPerValuePj(NumberFormat fmt)
 }
 
 /**
+ * Even split of a kernel's command total over its passes: passes
+ * [0, total % passes) take one command more than the rest. These are
+ * the shares that handing each pass ceilDiv(left, passes_left) of what
+ * is left gives, without a division per pass.
+ */
+struct PassShare
+{
+    PassShare(uint64_t total, uint64_t passes)
+        : base(total / passes), extra(total % passes)
+    {}
+
+    uint64_t
+    of(uint64_t pass) const
+    {
+        return base + (pass < extra ? 1 : 0);
+    }
+
+    uint64_t base;
+    uint64_t extra;
+};
+
+/**
  * Pack a state-update shape into a nonzero memo key, or 0 if a field
  * exceeds its bit range (instances >= 1 keeps in-range keys nonzero).
  */
@@ -91,18 +113,15 @@ PimComputeModel::runPasses(uint64_t passes, uint64_t total_comps,
     PimCommandScheduler sched(hbmCfg);
 
     const int act4_per_pass = ceilDiv(org.banksPerPseudoChannel(), 4);
-    uint64_t comps_left = total_comps;
-    uint64_t regs_left = reg_write_cmds;
-    uint64_t results_left = result_read_cmds;
+    PIMBA_ASSERT(passes > 0, "a PIM kernel runs at least one pass");
+    const PassShare comps_of(total_comps, passes);
+    const PassShare regs_of(reg_write_cmds, passes);
+    const PassShare results_of(result_read_cmds, passes);
 
     for (uint64_t p = 0; p < passes; ++p) {
-        uint64_t passes_left = passes - p;
-        uint64_t comps = ceilDiv(comps_left, passes_left);
-        uint64_t regs = ceilDiv(regs_left, passes_left);
-        uint64_t results = ceilDiv(results_left, passes_left);
-        comps_left -= comps;
-        regs_left -= regs;
-        results_left -= results;
+        const uint64_t comps = comps_of.of(p);
+        const uint64_t regs = regs_of.of(p);
+        const uint64_t results = results_of.of(p);
 
         sched.maybeRefresh();
 
