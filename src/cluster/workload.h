@@ -1,10 +1,9 @@
 /**
  * @file
- * Canonical cluster testbeds shared by bench_cluster_sweep and
- * tests/cluster, so what the bench prints is exactly what the tests
- * pin (the same discipline serving/workload.h applies one layer down).
- * One seeded uniform-length Poisson trace, one heterogeneous
+ * Canonical cluster testbeds for the cluster and serving tests. One
+ * seeded uniform-length Poisson trace, one heterogeneous
  * router-shootout fleet, and one colocated/disaggregated Pimba pair.
+ * The scenarios/cluster_*.json presets describe the same shapes.
  */
 
 #ifndef PIMBA_CLUSTER_WORKLOAD_H

@@ -1,7 +1,7 @@
 /**
  * @file
  * Scenario execution: turn a declarative Scenario into the table/CSV
- * report the bench binaries print.
+ * report `pimba run` prints.
  *
  * A ScenarioReport is a pure value — title, ordered sections, each an
  * optional table plus free-form note lines — rendered to aligned text
@@ -40,7 +40,7 @@ struct ScenarioReport
     std::string title;
     std::vector<ReportSection> sections;
 
-    /// Aligned-table rendering, the bench-binary stdout format.
+    /// Aligned-table rendering, the `pimba run` stdout format.
     std::string renderText() const;
     /// CSV rendering; headings/notes become `#`-prefixed comments.
     std::string renderCsv() const;

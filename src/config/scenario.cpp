@@ -5,8 +5,6 @@
 #include <initializer_list>
 #include <limits>
 
-#include "cluster/workload.h"
-
 namespace pimba {
 
 std::string
@@ -972,334 +970,6 @@ loadScenarioFile(const std::string &path, bool smoke)
     } catch (const ConfigError &e) {
         throw ConfigError(path + ": " + e.what());
     }
-}
-
-// ---------------------------------------------------- built-in studies
-
-Scenario
-fig12Scenario(bool smoke)
-{
-    Scenario sc;
-    sc.name = "fig12_throughput";
-    sc.description = "Figure 12: normalized generation throughput";
-    sc.kind = ScenarioKind::Throughput;
-    ThroughputScenario ts;
-    ts.systems = mainSystems();
-    ts.inputLen = 2048;
-    ts.outputLen = 2048;
-
-    ThroughputGrid small;
-    small.label = "Small scale (2.7B, 7B) - 1x A100";
-    small.gpu = a100Config();
-    small.hbm = hbm2eConfig();
-    small.nGpus = 1;
-    small.models = evaluationModels();
-    small.batches = {32, 64, 128};
-
-    ThroughputGrid large;
-    large.label = "Large scale (70B) - 8x A100";
-    large.gpu = a100Config();
-    large.hbm = hbm2eConfig();
-    large.nGpus = 8;
-    large.models = evaluationModels70b();
-    large.batches = {32, 64, 128};
-
-    if (smoke) {
-        small.models.resize(2);
-        small.batches = {32};
-        large.models.resize(2);
-        large.batches = {32};
-    }
-    ts.grids = {std::move(small), std::move(large)};
-    ts.summaries = {
-        {SystemKind::PIMBA, SystemKind::GPU,
-         "paper: avg 1.9x, up to 4.1x"},
-        {SystemKind::PIMBA, SystemKind::GPU_PIM,
-         "paper: avg 1.4x, up to 2.1x"},
-    };
-    sc.spec = std::move(ts);
-    return sc;
-}
-
-Scenario
-fig16Scenario(bool smoke)
-{
-    Scenario sc;
-    sc.name = "fig16_h100";
-    sc.description = "Figure 16: throughput on H100 (70B, 8 GPUs)";
-    sc.kind = ScenarioKind::Throughput;
-    ThroughputScenario ts;
-    ts.systems = mainSystems();
-    ts.inputLen = 2048;
-    ts.outputLen = 2048;
-
-    ThroughputGrid grid;
-    grid.gpu = h100Config();
-    grid.hbm = hbm3Config();
-    grid.nGpus = 8;
-    grid.models = evaluationModels70b();
-    grid.batches = {32, 64, 128};
-    if (smoke) {
-        grid.models.resize(2);
-        grid.batches = {32};
-    }
-    ts.grids = {std::move(grid)};
-    ts.summaries = {
-        {SystemKind::PIMBA, SystemKind::GPU, "paper: 1.8x"},
-        {SystemKind::PIMBA, SystemKind::GPU_PIM, "paper: 1.3x"},
-    };
-    sc.spec = std::move(ts);
-    return sc;
-}
-
-Scenario
-servingRateSweepScenario(const ModelConfig &model, bool smoke)
-{
-    Scenario sc;
-    sc.name = "serving_rate_sweep";
-    sc.description = model.name +
-                     ", Poisson arrivals, input 512 / output 256, "
-                     "batch cap 64";
-    sc.kind = ScenarioKind::Serving;
-    ServingScenario ss;
-    ss.systems = {SystemKind::GPU, SystemKind::GPU_Q,
-                  SystemKind::GPU_PIM, SystemKind::PIMBA,
-                  SystemKind::NEUPIMS};
-    ss.rates = {1, 2, 4, 8, 16, 32, 64};
-    ss.model = model;
-    ss.engine.maxBatch = 64;
-    ss.trace.arrivals = ArrivalProcess::Poisson;
-    ss.trace.numRequests = 64;
-    ss.trace.inputLen = 512;
-    ss.trace.outputLen = 256;
-    ss.trace.seed = 0x5EED0001u;
-    if (smoke) {
-        ss.rates = {2, 8, 32};
-        ss.trace.numRequests = 24;
-    }
-    sc.spec = std::move(ss);
-    return sc;
-}
-
-Scenario
-policyShootoutScenario(const ModelConfig &model, bool smoke)
-{
-    Scenario sc;
-    sc.name = "policy_shootout";
-    sc.description = model.name +
-                     ", policy comparison at 32 req/s (saturating), "
-                     "uniform lengths";
-    sc.kind = ScenarioKind::Serving;
-    ServingScenario ss;
-    ss.systems = {SystemKind::GPU, SystemKind::PIMBA};
-    ss.policies = allPolicies();
-    ss.autoModes = true;
-    ss.rates = {32};
-    ss.model = model;
-    ss.engine.maxBatch = 64;
-    ss.trace.arrivals = ArrivalProcess::Poisson;
-    ss.trace.numRequests = 64;
-    ss.trace.lengths = LengthDistribution::Uniform;
-    ss.trace.inputLen = 256;
-    ss.trace.inputLenMax = 768; // uniform, mean 512
-    ss.trace.outputLen = 128;
-    ss.trace.outputLenMax = 384; // uniform, mean 256
-    ss.trace.seed = 0x5EED0001u;
-    if (smoke)
-        ss.trace.numRequests = 24;
-    sc.spec = std::move(ss);
-    return sc;
-}
-
-namespace {
-
-/// The canonical cluster trace of cluster/workload.h, as a TraceConfig.
-TraceConfig
-clusterTraceConfig(double rate, int num_requests)
-{
-    TraceConfig tc;
-    tc.arrivals = ArrivalProcess::Poisson;
-    tc.ratePerSec = rate;
-    tc.numRequests = num_requests;
-    tc.lengths = LengthDistribution::Uniform;
-    tc.inputLen = 256;
-    tc.inputLenMax = 768;
-    tc.outputLen = 128;
-    tc.outputLenMax = 384;
-    tc.seed = 0x5EEDC0DEu;
-    return tc;
-}
-
-} // namespace
-
-Scenario
-routerShootoutScenario(bool smoke)
-{
-    Scenario sc;
-    sc.name = "cluster_routers";
-    sc.description =
-        "Router shootout: 2x Pimba + 2x GPU, Mamba-2 2.7B";
-    sc.kind = ScenarioKind::Fleet;
-    FleetScenario fs;
-    fs.model = mamba2_2p7b();
-    fs.trace = clusterTraceConfig(48.0, smoke ? 48 : 192);
-    fs.routers = allRouterPolicies();
-    FleetCase c;
-    c.label = "2x Pimba + 2x GPU";
-    c.fleet = heterogeneousFleet();
-    fs.cases = {std::move(c)};
-    sc.spec = std::move(fs);
-    return sc;
-}
-
-Scenario
-disaggregationScenario(bool smoke)
-{
-    Scenario sc;
-    sc.name = "cluster_disaggregation";
-    sc.description =
-        "Prefill/decode disaggregation: 4x Pimba, Mamba-2 2.7B";
-    sc.kind = ScenarioKind::Fleet;
-    FleetScenario fs;
-    fs.model = mamba2_2p7b();
-    fs.trace = clusterTraceConfig(24.0, smoke ? 48 : 192);
-    FleetCase colo;
-    colo.label = "colocated 4";
-    colo.fleet = colocatedPimbaFleet();
-    fs.cases.push_back(std::move(colo));
-    for (const LinkConfig &link : {nvlinkLink(), infinibandLink()}) {
-        FleetCase c;
-        c.label = "2p+2d " + link.name;
-        c.fleet = disaggregatedPimbaFleet(link);
-        fs.cases.push_back(std::move(c));
-    }
-    sc.spec = std::move(fs);
-    return sc;
-}
-
-Scenario
-executionModeScenario(bool smoke)
-{
-    Scenario sc;
-    sc.name = "cluster_execution_modes";
-    sc.description =
-        "Execution modes: 4x Pimba colocated, Mamba-2 2.7B";
-    sc.kind = ScenarioKind::Fleet;
-    FleetScenario fs;
-    fs.model = mamba2_2p7b();
-    fs.trace = clusterTraceConfig(48.0, smoke ? 48 : 192);
-    FleetCase blocked;
-    blocked.label = "blocked x4";
-    blocked.fleet = colocatedPimbaFleet(4, ExecutionMode::Blocked);
-    FleetCase overlapped;
-    overlapped.label = "overlapped x4";
-    overlapped.fleet = colocatedPimbaFleet(4, ExecutionMode::Overlapped);
-    FleetCase mixed;
-    mixed.label = "mixed 2+2";
-    mixed.fleet = mixedModePimbaFleet(4);
-    fs.cases = {std::move(blocked), std::move(overlapped),
-                std::move(mixed)};
-    sc.spec = std::move(fs);
-    return sc;
-}
-
-Scenario
-saturationScenario(bool smoke)
-{
-    Scenario sc;
-    sc.name = "saturation_search";
-    sc.description = "Saturation sweep: Mamba-2 2.7B, Poisson, "
-                     "uniform input 256..768 / output 128..384";
-    sc.kind = ScenarioKind::Saturation;
-    SaturationScenario ss;
-    ss.systems = {SystemKind::GPU, SystemKind::GPU_Q,
-                  SystemKind::GPU_PIM, SystemKind::PIMBA,
-                  SystemKind::NEUPIMS};
-    ss.policies = allPolicies();
-    ss.model = mamba2_2p7b();
-    ss.engine.maxBatch = 64;
-    ss.trace.arrivals = ArrivalProcess::Poisson;
-    ss.trace.numRequests = smoke ? 32 : 96;
-    ss.trace.lengths = LengthDistribution::Uniform;
-    ss.trace.inputLen = 256;
-    ss.trace.inputLenMax = 768;
-    ss.trace.outputLen = 128;
-    ss.trace.outputLenMax = 384;
-    ss.trace.seed = 0x5EED0001u;
-    ss.bisectSteps = smoke ? 2 : 6;
-    sc.spec = std::move(ss);
-    return sc;
-}
-
-Scenario
-plannerScenario(bool smoke)
-{
-    Scenario sc;
-    sc.name = "fleet_planner";
-    sc.description =
-        "Fleet planner: min replicas for >= 90% SLO attainment";
-    sc.kind = ScenarioKind::Planner;
-    PlannerScenario ps;
-    ps.systems = mainSystems();
-    ps.model = mamba2_2p7b();
-    ps.trace.arrivals = ArrivalProcess::Poisson;
-    ps.trace.ratePerSec = smoke ? 24.0 : 48.0;
-    ps.trace.numRequests = smoke ? 64 : 192;
-    ps.trace.inputLen = 512;
-    ps.trace.outputLen = 256;
-    ps.trace.seed = 0x5EEDF1EEu;
-    ps.router = RouterPolicy::JoinShortestQueue;
-    ps.sloFraction = 0.9;
-    ps.maxReplicas = 32;
-    sc.spec = std::move(ps);
-    return sc;
-}
-
-Scenario
-autoscaleScenario(bool smoke)
-{
-    Scenario sc;
-    sc.name = "autoscale_diurnal";
-    sc.description = "Autoscaler vs. static provisioning on a diurnal "
-                     "trace: 4x Pimba, Mamba-2 2.7B";
-    sc.kind = ScenarioKind::ControlPlane;
-    FleetScenario fs;
-    fs.model = mamba2_2p7b();
-    fs.trace.arrivals = ArrivalProcess::Diurnal;
-    fs.trace.ratePerSec = 24.0;
-    fs.trace.diurnal.period = Seconds(120.0);
-    fs.trace.diurnal.peakToTrough = 3.0;
-    fs.trace.numRequests = smoke ? 200 : 2000;
-    fs.trace.inputLen = smoke ? 256 : 512;
-    fs.trace.outputLen = smoke ? 128 : 256;
-    fs.trace.seed = 0x5EEDBE4Cu;
-
-    // The autoscaler case leads (tools/check_replay.py reads the first
-    // data row); the statics it must beat on replica-seconds follow.
-    FleetCase scaled;
-    scaled.label = "autoscale 1..4";
-    scaled.fleet = colocatedPimbaFleet(4);
-    scaled.fleet.router = RouterPolicy::JoinShortestQueue;
-    AutoscalerConfig &as = scaled.fleet.controlPlane.autoscaler;
-    as.enabled = true;
-    as.minReplicas = 1;
-    as.maxReplicas = 4;
-    as.initialReplicas = 1;
-    as.interval = Seconds(2.0);
-    as.scaleUpQueueDepth = 6.0;
-    as.scaleDownQueueDepth = 1.0;
-    as.warmup = Seconds(2.0);
-    fs.cases.push_back(std::move(scaled));
-
-    for (size_t n : {4, 2}) {
-        FleetCase stat;
-        stat.label = "static " + std::to_string(n);
-        stat.fleet = colocatedPimbaFleet(n);
-        stat.fleet.router = RouterPolicy::JoinShortestQueue;
-        fs.cases.push_back(std::move(stat));
-    }
-    sc.spec = std::move(fs);
-    return sc;
 }
 
 } // namespace pimba

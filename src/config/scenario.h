@@ -5,8 +5,8 @@
  * (the paper's Fig. 12/16 shape), request-level serving runs over
  * synthetic traces, cluster fleets (router shootouts, colocated vs.
  * disaggregated pools, execution-mode mixes), saturation-point searches,
- * and fleet-capacity planning — loadable from JSON with located schema
- * errors, or built in C++ by the thin bench wrappers.
+ * and fleet-capacity planning — loaded from JSON with located schema
+ * errors. The checked-in studies are the JSON presets in scenarios/.
  *
  * Six scenario kinds:
  *
@@ -190,7 +190,7 @@ struct Scenario
  */
 Scenario parseScenario(const JsonValue &root, bool smoke = false);
 
-/// parseScenario over in-memory JSON text (tests, embedded presets).
+/// parseScenario over in-memory JSON text (tests).
 Scenario parseScenarioText(const std::string &text, bool smoke = false);
 
 /// parseScenario over a JSON file.
@@ -214,38 +214,6 @@ ModelConfig modelPreset(const std::string &name);
 std::string
 validateEngineAcrossPolicies(const EngineConfig &engine,
                              const std::vector<SchedulerPolicy> &policies);
-
-// ------------------------------------------------- built-in scenarios
-// The canonical studies the bench binaries print, constructed in C++ so
-// the benches stay path-independent. fig12Scenario()/fig16Scenario()
-// are mirrored by scenarios/fig12_throughput.json / fig16_h100.json and
-// a parity test pins that `pimba run` on the JSON file reproduces the
-// bench's tables exactly.
-
-/// Fig. 12: normalized throughput, A100, small + 70B scale.
-Scenario fig12Scenario(bool smoke = false);
-/// Fig. 16: normalized throughput on the H100/HBM3 platform, 70B.
-Scenario fig16Scenario(bool smoke = false);
-/// Rate sweep of all five systems under open-loop Poisson traffic.
-Scenario servingRateSweepScenario(const ModelConfig &model,
-                                  bool smoke = false);
-/// Scheduler-policy x execution-mode shootout at a saturating rate.
-Scenario policyShootoutScenario(const ModelConfig &model,
-                                bool smoke = false);
-/// Router shootout on the heterogeneous 2x Pimba + 2x GPU fleet.
-Scenario routerShootoutScenario(bool smoke = false);
-/// Colocated vs. NVLink/InfiniBand-disaggregated Pimba fleets.
-Scenario disaggregationScenario(bool smoke = false);
-/// All-blocked vs. all-overlapped vs. mixed-mode Pimba fleets.
-Scenario executionModeScenario(bool smoke = false);
-/// Saturation-point search per system x policy (traffic_sweep).
-Scenario saturationScenario(bool smoke = false);
-/// Min-replica fleet planning per system (fleet_planner).
-Scenario plannerScenario(bool smoke = false);
-/// Autoscaler vs. static provisioning on a diurnal trace
-/// (fleet_planner's policy-evaluation mode; mirrored by
-/// scenarios/autoscale_diurnal.json).
-Scenario autoscaleScenario(bool smoke = false);
 
 } // namespace pimba
 

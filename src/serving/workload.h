@@ -1,12 +1,12 @@
 /**
  * @file
- * Canonical open-loop Poisson workload shared by the serving bench, the
- * traffic-sweep example, and the goodput regression tests, so all three
- * measure the same thing. Also defines the saturation criterion: a
- * system sustains a rate when (nearly) every request meets the SLO —
- * judged on the per-request compliance fraction, not on goodput vs the
- * offered rate, whose makespan denominator includes the post-arrival
- * drain of the final batch.
+ * Canonical open-loop Poisson workload of the serving and goodput
+ * regression tests. Also defines the saturation criterion that the
+ * saturation and planner scenarios search against: a system sustains
+ * a rate when (nearly) every request meets the SLO — judged on the
+ * per-request compliance fraction, not on goodput vs the offered rate,
+ * whose makespan denominator includes the post-arrival drain of the
+ * final batch.
  */
 
 #ifndef PIMBA_SERVING_WORKLOAD_H
@@ -47,7 +47,7 @@ ServingMetrics servePoisson(SystemKind kind, const ModelConfig &model,
 
 /**
  * True if at least @p fraction of the completed requests met the SLO —
- * the saturation test used by the bench and the sweep example.
+ * the saturation test of the saturation and planner scenarios.
  */
 bool sustainsSlo(const ServingMetrics &m, double fraction = 0.95);
 

@@ -127,7 +127,8 @@ TEST(ClusterDisagg, DisaggregationCutsTailTpotAgainstColocated)
     // colocated replicas interleave prefill chunks with decode steps,
     // inflating inter-token gaps; dedicated decode replicas do not.
     // The transfer-inclusive TTFT is reported against the colocated
-    // baseline by bench_cluster_sweep; here both sides are pinned.
+    // baseline by cluster_disaggregation.json; here both sides are
+    // pinned.
     auto trace = clusterTrace(24.0, 192);
     ModelConfig model = mamba2_2p7b();
 

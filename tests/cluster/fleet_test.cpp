@@ -118,7 +118,7 @@ TEST(ClusterFleet, LoadAwareRoutersBeatRoundRobinAtSaturation)
     // twice its ~8 req/s capacity while the Pimba replicas idle below
     // theirs; the load-aware policies divert the overflow, so their
     // tail TTFT must be strictly lower. This is the cluster layer's
-    // core claim — pinned, not just printed by bench_cluster_sweep.
+    // core claim — pinned, not just printed by cluster_routers.json.
     auto trace = clusterTrace(48.0, 192);
     ModelConfig model = mamba2_2p7b();
 

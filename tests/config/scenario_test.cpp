@@ -3,10 +3,16 @@
  * Scenario schema tests: JSON -> typed scenario round-trips that run
  * through the registry and reproduce the exact metrics of the
  * equivalent hand-constructed engine/fleet runs, located schema errors
- * for unknown keys and bad values, and the smoke-overlay semantics.
+ * for unknown keys and bad values, the smoke-overlay semantics, and a
+ * load of every checked-in preset.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "config/runner.h"
 #include "config/scenario.h"
@@ -411,6 +417,27 @@ TEST(ScenarioSchema, ScaledModelKeepsFamilyName)
     const auto &ss = std::get<ServingScenario>(sc.spec);
     EXPECT_EQ(ss.model.name, zamba2_7b().name);
     EXPECT_GT(ss.model.paramCount(), 5e10);
+}
+
+TEST(ScenarioPresets, EveryPresetParsesAndValidates)
+{
+    // Walk scenarios/*.json in sorted order so a new preset is covered
+    // without touching this test; each must load plain and with its
+    // smoke overlay.
+    std::vector<std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(PIMBA_SCENARIO_DIR)))
+        if (entry.path().extension() == ".json")
+            files.push_back(entry.path().string());
+    std::sort(files.begin(), files.end());
+    // Guard against a wrong directory or filter passing vacuously.
+    ASSERT_GE(files.size(), 15u);
+    for (const std::string &file : files) {
+        EXPECT_NO_THROW({
+            loadScenarioFile(file);
+            loadScenarioFile(file, /*smoke=*/true);
+        }) << file;
+    }
 }
 
 } // namespace

@@ -20,9 +20,12 @@ measured:
 
   docs-coverage    every bench/*.cpp binary must appear in
                    docs/figures.md, and every scenarios/*.json preset
-                   must appear somewhere under docs/ or README.md. The
-                   figure map is the contract between the benches and
-                   the paper.
+                   must appear somewhere under docs/ or README.md.
+                   Conversely, every `bench_*` binary and every
+                   scenarios/*.json path that docs/figures.md names
+                   must exist, so a deleted study cannot leave a stale
+                   row behind. The figure map is the contract between
+                   the runnable commands and the paper.
 
 Suppression: append
     // pimba-lint: allow(<rule>) <justification>
@@ -53,6 +56,10 @@ BARE_UNIT_RE = re.compile(
     r"^\s*double\s+\w*(?:seconds|joules|bytes|watts)\w*\s*(?:=[^;()]*)?;",
     re.IGNORECASE,
 )
+
+# Names docs/figures.md may cite that must resolve to a file.
+BINARY_NAME_RE = re.compile(r"\bbench_\w+")
+PRESET_PATH_RE = re.compile(r"\bscenarios/[\w.-]+\.json")
 
 ALLOW_RE = re.compile(r"pimba-lint:\s*allow\((?P<rule>[\w-]+)\)\s*(?P<why>.*)")
 
@@ -149,6 +156,19 @@ def check_docs_coverage(root: str) -> list[Finding]:
                     f"bench binary `{binary}` is not mapped to a paper "
                     "figure"))
 
+    for i, line in enumerate(figures_text.splitlines()):
+        for binary in BINARY_NAME_RE.findall(line):
+            if not os.path.exists(os.path.join(bench_dir, binary + ".cpp")):
+                findings.append(Finding(
+                    "docs-coverage", "docs/figures.md", i + 1,
+                    f"names bench binary `{binary}`, but "
+                    f"bench/{binary}.cpp does not exist"))
+        for preset in PRESET_PATH_RE.findall(line):
+            if not os.path.exists(os.path.join(root, preset)):
+                findings.append(Finding(
+                    "docs-coverage", "docs/figures.md", i + 1,
+                    f"names `{preset}`, which does not exist"))
+
     docs_text = figures_text
     docs_dir = os.path.join(root, "docs")
     if os.path.isdir(docs_dir):
@@ -211,14 +231,18 @@ def self_test() -> int:
               "    double transferSeconds = 0.0;\n"
               "};\n")
         write("bench/bench_unmapped.cpp", "int main() {}\n")
-        write("docs/figures.md", "| `bench_mapped` | Fig. 0 |\n")
+        write("docs/figures.md",
+              "| `bench_mapped` | Fig. 0 |\n"
+              "| `bench_deleted` | Fig. 9 | "
+              "`pimba run scenarios/deleted.json` |\n")
         write("bench/bench_mapped.cpp", "int main() {}\n")
         write("scenarios/orphan.json", "{}\n")
         write("README.md", "nothing here\n")
         findings = run_all(root)
         expect("seeded", findings, "node-container", 2)
         expect("seeded", findings, "bare-unit", 1)
-        expect("seeded", findings, "docs-coverage", 2)
+        # Unmapped bench, unmentioned preset, and the two stale names.
+        expect("seeded", findings, "docs-coverage", 4)
 
         # Suppressions silence them; a bare allow() is itself flagged.
         write("src/serving/hot.h",

@@ -25,7 +25,6 @@
 
 #include "config/sweep.h"
 #include "core/args.h"
-#include "perf/selfbench.h"
 #include "serving/trace_io.h"
 
 using namespace pimba;
@@ -50,7 +49,6 @@ printTopLevelHelp()
         "  replay    run a fleet scenario with bounded-memory "
         "streaming metrics\n"
         "  validate  parse and type-check a scenario without running\n"
-        "  bench     time the simulator itself (see docs/benchmarking.md)\n"
         "\n"
         "common options:\n"
         "  --smoke       apply the scenario's \"smoke\" overlay "
@@ -326,60 +324,6 @@ replayCommand(int argc, char **argv)
     }
 }
 
-int
-benchCommand(int argc, char **argv)
-{
-    bool smoke = false;
-    int reps = 3;
-    std::string out;
-
-    ArgParser args("pimba bench",
-                   "Time the simulator's own layers and emit the "
-                   "BENCH_*.json perf record (docs/benchmarking.md).");
-    args.flag("--smoke", "CI-sized shapes instead of the full ones",
-              &smoke);
-    args.option("--reps", "n", "repetitions per layer (default 3)",
-                &reps);
-    args.option("--out", "file",
-                "also write the schema'd JSON record to this path",
-                &out);
-    if (!args.parse(argc, argv))
-        return args.exitCode();
-    if (reps < 1) {
-        fprintf(stderr, "pimba bench: --reps must be >= 1\n");
-        return 1;
-    }
-
-    SelfBenchOptions opts;
-    opts.smoke = smoke;
-    opts.reps = reps;
-    SelfBenchReport report = runSelfBench(opts);
-    fputs(report.renderText().c_str(), stdout);
-
-    std::string json = report.renderJson();
-    // The emitter and the schema must never drift: re-parse what we
-    // are about to publish and refuse to write an invalid record.
-    if (std::string err = validateSelfBenchJson(json); !err.empty()) {
-        fprintf(stderr,
-                "pimba bench: emitted JSON fails self-validation: "
-                "%s\n",
-                err.c_str());
-        return 1;
-    }
-    if (!out.empty()) {
-        FILE *f = fopen(out.c_str(), "w");
-        if (!f) {
-            fprintf(stderr, "pimba bench: cannot write %s\n",
-                    out.c_str());
-            return 1;
-        }
-        fputs(json.c_str(), f);
-        fclose(f);
-        printf("wrote %s\n", out.c_str());
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -391,8 +335,6 @@ main(int argc, char **argv)
         return argc < 2 ? 1 : 0;
     }
     std::string command = argv[1];
-    if (command == "bench")
-        return benchCommand(argc - 1, argv + 1);
     if (command == "trace")
         return traceCommand(argc - 1, argv + 1);
     if (command == "replay")
