@@ -24,6 +24,11 @@
  * fig16_full.txt and execution_modes_smoke.txt were captured from the
  * presets just before the C++ built-in studies they mirror were
  * deleted, while both definitions still printed the same tables.
+ *
+ * saturation_search_full.txt and fleet_planner_full.txt were captured
+ * while every engine still kept private step-cost memos, before the
+ * saturation and planner searches shared one step-cost store per
+ * system kind across their probes.
  */
 
 #include <gtest/gtest.h>
@@ -137,6 +142,20 @@ TEST(GoldenOutput, FleetReplaySmokeMatchesCapture)
     // Streamed colocated replay (bounded-memory shape).
     EXPECT_EQ(runPreset("fleet_replay.json", true),
               readFixture("fleet_replay_smoke.txt"));
+}
+
+TEST(GoldenOutput, SaturationSearchFullMatchesCapture)
+{
+    // Every gallop and bisection probe of every (system, policy) pair.
+    EXPECT_EQ(runPreset("saturation_search.json", false),
+              readFixture("saturation_search_full.txt"));
+}
+
+TEST(GoldenOutput, FleetPlannerFullMatchesCapture)
+{
+    // Every replica-count probe fleet of every system.
+    EXPECT_EQ(runPreset("fleet_planner.json", false),
+              readFixture("fleet_planner_full.txt"));
 }
 
 TEST(GoldenOutput, ControlDeadlinesMatchesCapture)
