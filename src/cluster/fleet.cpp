@@ -437,18 +437,31 @@ validateFleetConfig(const FleetConfig &cfg)
 Fleet::Fleet(const ModelConfig &model_, FleetConfig cfg_)
     : model(model_), cfg(std::move(cfg_))
 {
+    StepCostStores stores(model);
+    buildReplicas(stores);
+}
+
+Fleet::Fleet(StepCostStores &stores, FleetConfig cfg_)
+    : model(stores.model()), cfg(std::move(cfg_))
+{
+    buildReplicas(stores);
+}
+
+void
+Fleet::buildReplicas(StepCostStores &stores)
+{
     if (std::string err = validateFleetConfig(cfg); !err.empty())
         PIMBA_FATAL(err);
     engines.reserve(cfg.replicas.size());
     for (const ReplicaConfig &rc : cfg.replicas) {
-        ServingSimulator sim(makeSystem(rc.kind, rc.nGpus));
         EngineConfig ec = rc.engine;
         // Priority tiers are a fleet-level policy; every replica engine
         // must order its queue and pick eviction victims by the same
         // tier map.
         if (!cfg.controlPlane.tierByClass.empty())
             ec.tierByClass = cfg.controlPlane.tierByClass;
-        engines.emplace_back(sim, model, ec);
+        engines.emplace_back(
+            stores.get(rc.kind, rc.nGpus, rc.engine.executionMode), ec);
     }
 }
 

@@ -159,7 +159,14 @@ struct FleetReport
 class Fleet
 {
   public:
+    /// A fleet whose replicas share step-cost stores among themselves
+    /// only: one per distinct (kind, nGpus, execution mode).
     Fleet(const ModelConfig &model, FleetConfig cfg);
+
+    /// A fleet taking its replicas' stores from @p stores (and its
+    /// model from stores.model()), so a search that builds many probe
+    /// fleets costs each step once across all of them.
+    Fleet(StepCostStores &stores, FleetConfig cfg);
 
     /// Serve @p trace to completion across the fleet. Reusable: every
     /// run re-seeds the router and resets every replica. Sorts a copy
@@ -191,6 +198,8 @@ class Fleet
 
     const FleetConfig &config() const { return cfg; }
     size_t replicaCount() const { return engines.size(); }
+    /// Replica @p i's engine.
+    const ServingEngine &replica(size_t i) const { return engines[i]; }
 
     /// Attach (or with a default-constructed argument, detach) the
     /// observability sinks: wires every replica engine's observers,
@@ -202,6 +211,10 @@ class Fleet
     std::string replicaLabel(size_t i) const;
 
   private:
+    /// Validate the config and build one engine per replica, each on
+    /// its (kind, nGpus, execution mode) store from @p stores.
+    void buildReplicas(StepCostStores &stores);
+
     /// The one event-calendar driver behind run() and runStreamed()
     /// (@p stream null: per-request records retained).
     FleetReport pump(ArrivalSource &arrivals, StreamingMetrics *stream);

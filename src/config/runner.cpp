@@ -2,10 +2,33 @@
 
 #include <cstdio>
 
+#include "serving/step_cost_store.h"
 #include "serving/trace_io.h"
+#include "serving/workload.h"
 #include "sim/serving_sim.h"
 
 namespace pimba {
+
+namespace {
+
+/// One engine run over the @p trace template at Poisson/fixed rate
+/// @p rate under @p policy, costing its steps in @p costs (and running
+/// in the store's execution mode).
+ServingReport
+servePoint(std::shared_ptr<StepCostStore> costs, const TraceConfig &trace,
+           EngineConfig ec, SchedulerPolicy policy, double rate,
+           const EngineObservers &eo)
+{
+    TraceConfig tc = trace;
+    tc.ratePerSec = rate;
+    ec.policy = policy;
+    ec.executionMode = costs->simulator().system().executionMode;
+    ServingEngine engine(std::move(costs), ec);
+    engine.attachObservers(eo);
+    return engine.run(generateTrace(tc));
+}
+
+} // namespace
 
 std::string
 ScenarioReport::renderText() const
@@ -51,15 +74,10 @@ runServingPoint(const ServingScenario &sc, SystemKind kind,
                 SchedulerPolicy policy, ExecutionMode mode, double rate,
                 const EngineObservers &eo)
 {
-    TraceConfig tc = sc.trace;
-    tc.ratePerSec = rate;
-    ServingSimulator sim(makeSystem(kind, sc.nGpus));
-    EngineConfig ec = sc.engine;
-    ec.policy = policy;
-    ec.executionMode = mode;
-    ServingEngine engine(sim, sc.model, ec);
-    engine.attachObservers(eo);
-    return engine.run(generateTrace(tc));
+    return servePoint(std::make_shared<StepCostStore>(
+                          ServingSimulator(makeSystem(kind, sc.nGpus)),
+                          sc.model, mode),
+                      sc.trace, sc.engine, policy, rate, eo);
 }
 
 FleetReport
@@ -478,30 +496,28 @@ runFleetStudy(const Scenario &scenario, bool quiet)
 
 // ------------------------------------------------- saturation search
 
+/// Metrics of one saturation probe at @p rate, costed in @p costs —
+/// the one store of this system kind, shared by every gallop and
+/// bisection probe of every policy.
 ServingMetrics
-saturationPoint(const SaturationScenario &sc, SystemKind kind,
+saturationPoint(const SaturationScenario &sc,
+                const std::shared_ptr<StepCostStore> &costs,
                 SchedulerPolicy policy, double rate)
 {
-    ServingScenario point;
-    point.systems = {kind};
-    point.model = sc.model;
-    point.engine = sc.engine;
-    point.trace = sc.trace;
-    return runServingPoint(point, kind, policy,
-                           sc.engine.executionMode.value_or(
-                               ExecutionMode::Blocked),
-                           rate)
+    return servePoint(costs, sc.trace, sc.engine, policy, rate,
+                      EngineObservers{})
         .metrics;
 }
 
 /// Highest rate in [startRate, maxRate] sustaining the SLO fraction:
 /// geometric gallop up from startRate, then bisect the knee.
 double
-saturationRate(const SaturationScenario &sc, SystemKind kind,
+saturationRate(const SaturationScenario &sc,
+               const std::shared_ptr<StepCostStore> &costs,
                SchedulerPolicy policy, ServingMetrics &at_knee)
 {
     double lo = sc.startRate;
-    ServingMetrics m = saturationPoint(sc, kind, policy, lo);
+    ServingMetrics m = saturationPoint(sc, costs, policy, lo);
     if (!sustainsSlo(m, sc.sloFraction)) {
         at_knee = m;
         return 0.0;
@@ -511,20 +527,20 @@ saturationRate(const SaturationScenario &sc, SystemKind kind,
         // Clamp the gallop so no probe (and no reported rate) ever
         // exceeds the configured search ceiling.
         hi = std::min(hi * 2.0, sc.maxRate);
-        if (!sustainsSlo(saturationPoint(sc, kind, policy, hi),
+        if (!sustainsSlo(saturationPoint(sc, costs, policy, hi),
                          sc.sloFraction))
             break;
         lo = hi;
     }
     for (int i = 0; i < sc.bisectSteps; ++i) {
         double mid = 0.5 * (lo + hi);
-        if (sustainsSlo(saturationPoint(sc, kind, policy, mid),
+        if (sustainsSlo(saturationPoint(sc, costs, policy, mid),
                         sc.sloFraction))
             lo = mid;
         else
             hi = mid;
     }
-    at_knee = saturationPoint(sc, kind, policy, lo);
+    at_knee = saturationPoint(sc, costs, policy, lo);
     return lo;
 }
 
@@ -536,10 +552,14 @@ runSaturation(const Scenario &scenario, bool quiet)
     Table t({"system", "policy", "saturation req/s", "tok/s",
              "TTFT p95", "TPOT p95"});
     double gpu_fcfs_rate = 0.0;
+    StepCostStores stores(sc.model);
     for (SystemKind kind : sc.systems) {
+        // Probes run on one GPU, Blocked unless the engine sets a mode.
+        std::shared_ptr<StepCostStore> costs =
+            stores.get(kind, /*nGpus=*/1, sc.engine.executionMode);
         for (SchedulerPolicy policy : sc.policies) {
             ServingMetrics knee;
-            double rate = saturationRate(sc, kind, policy, knee);
+            double rate = saturationRate(sc, costs, policy, knee);
             if (kind == SystemKind::GPU &&
                 policy == SchedulerPolicy::FCFS)
                 gpu_fcfs_rate = rate;
@@ -562,19 +582,19 @@ runSaturation(const Scenario &scenario, bool quiet)
 
 /// True if an n-replica homogeneous fleet of @p kind meets the SLO.
 bool
-plannerMeetsSlo(const PlannerScenario &sc, SystemKind kind, size_t n,
-                const std::vector<Request> &trace)
+plannerMeetsSlo(const PlannerScenario &sc, StepCostStores &stores,
+                SystemKind kind, size_t n, const std::vector<Request> &trace)
 {
     FleetConfig cfg = homogeneousFleet(kind, n, sc.engine);
     cfg.router = sc.router;
-    FleetReport rep = Fleet(sc.model, cfg).run(trace);
+    FleetReport rep = Fleet(stores, cfg).run(trace);
     return sustainsSlo(rep.metrics, sc.sloFraction);
 }
 
 /// Smallest replica count in [1, maxReplicas] meeting the SLO, or 0.
 size_t
-plannerMinReplicas(const PlannerScenario &sc, SystemKind kind,
-                   const std::vector<Request> &trace)
+plannerMinReplicas(const PlannerScenario &sc, StepCostStores &stores,
+                   SystemKind kind, const std::vector<Request> &trace)
 {
     // Gallop to a passing upper bound, clamped to maxReplicas so the
     // ceiling itself is probed even when it is not a power of two,
@@ -582,7 +602,7 @@ plannerMinReplicas(const PlannerScenario &sc, SystemKind kind,
     size_t lo = 1, hi = 1;
     bool found = false;
     while (true) {
-        if (plannerMeetsSlo(sc, kind, hi, trace)) {
+        if (plannerMeetsSlo(sc, stores, kind, hi, trace)) {
             found = true;
             break;
         }
@@ -595,7 +615,7 @@ plannerMinReplicas(const PlannerScenario &sc, SystemKind kind,
         return 0;
     while (lo < hi) {
         size_t mid = (lo + hi) / 2;
-        if (plannerMeetsSlo(sc, kind, mid, trace))
+        if (plannerMeetsSlo(sc, stores, kind, mid, trace))
             hi = mid;
         else
             lo = mid + 1;
@@ -609,13 +629,15 @@ runPlanner(const Scenario &scenario, bool quiet)
     const auto &sc = std::get<PlannerScenario>(scenario.spec);
     ScenarioReport rep;
     std::vector<Request> trace = generateTrace(sc.trace);
+    // One store per system kind across every probe fleet.
+    StepCostStores stores(sc.model);
 
     Table t({"system", "min replicas", "goodput", "TTFT p95",
              "vs Pimba"});
     size_t pimba_count = 0;
     std::vector<std::pair<SystemKind, size_t>> results;
     for (SystemKind kind : sc.systems) {
-        size_t n = plannerMinReplicas(sc, kind, trace);
+        size_t n = plannerMinReplicas(sc, stores, kind, trace);
         if (kind == SystemKind::PIMBA)
             pimba_count = n;
         results.emplace_back(kind, n);
@@ -631,7 +653,7 @@ runPlanner(const Scenario &scenario, bool quiet)
         }
         FleetConfig cfg = homogeneousFleet(kind, n, sc.engine);
         cfg.router = sc.router;
-        FleetReport r = Fleet(sc.model, cfg).run(trace);
+        FleetReport r = Fleet(stores, cfg).run(trace);
         t.addRow({systemName(kind), fmt(static_cast<double>(n), 0),
                   fmt(r.metrics.goodput.value(), 2),
                   fmt(r.metrics.ttft.p95, 3),

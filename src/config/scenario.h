@@ -47,7 +47,6 @@
 #include "config/json.h"
 #include "obs/observability.h"
 #include "serving/trace.h"
-#include "serving/workload.h"
 
 namespace pimba {
 

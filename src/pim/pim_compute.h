@@ -75,8 +75,10 @@ struct PimKernelResult
  * stored result — bit-identical to recomputation, since the model is a
  * pure function of (shape, config) — is replayed for the rest. The
  * caches make the model stateful-but-const; a model instance is
- * therefore not safe to share across threads (each sweep worker builds
- * its own simulator, which is how the scenario layer already runs).
+ * therefore not safe to share across threads. The serving layer's one
+ * simulator per cost configuration lives in a StepCostStore
+ * (serving/step_cost_store.h), shared by the engines of one fleet or
+ * one search on one thread; each sweep worker builds its own.
  */
 class PimComputeModel
 {

@@ -5,23 +5,8 @@
 #include <limits>
 
 #include "core/logging.h"
-#include "serving/step_memo.h"
 
 namespace pimba {
-
-namespace {
-
-StepPhases
-phasesOf(const StepResult &r)
-{
-    StepPhases p;
-    p.gpu = r.gpuSeconds.value();
-    p.pim = r.pimSeconds.value();
-    p.sync = r.syncSeconds.value();
-    return p;
-}
-
-} // namespace
 
 Tokens
 resolvedIterTokenBudget(const EngineConfig &cfg)
@@ -68,101 +53,27 @@ validateEngineConfig(const EngineConfig &cfg)
     return "";
 }
 
-ServingEngine::ServingEngine(const ServingSimulator &sim_,
-                             const ModelConfig &model_, EngineConfig cfg_)
-    : sim(sim_), model(model_), cfg(cfg_)
+ServingEngine::ServingEngine(const ServingSimulator &sim,
+                             const ModelConfig &model, EngineConfig cfg_)
+    : ServingEngine(std::make_shared<StepCostStore>(sim, model,
+                                                    cfg_.executionMode),
+                    cfg_)
+{}
+
+ServingEngine::ServingEngine(std::shared_ptr<StepCostStore> costs_,
+                             EngineConfig cfg_)
+    : costs(std::move(costs_)), cfg(cfg_)
 {
     if (std::string err = validateEngineConfig(cfg); !err.empty())
         PIMBA_FATAL(err);
+    PIMBA_ASSERT(!cfg.executionMode ||
+                     *cfg.executionMode ==
+                         costs->simulator().system().executionMode,
+                 "engine execution mode differs from its step-cost "
+                 "store's");
     cfg.iterTokenBudget = resolvedIterTokenBudget(cfg);
-    if (cfg.executionMode)
-        sim.setExecutionMode(*cfg.executionMode);
     sched = makeScheduler(cfg.policy, cfg.prefillChunk,
                           cfg.iterTokenBudget);
-}
-
-double
-ServingEngine::decodeSeconds(int batch, uint64_t mean_seq)
-{
-    uint64_t key = decodeMemoKey(batch, mean_seq);
-    if (const double *hit = decodeCache.find(key))
-        return *hit;
-    double secs = sim.generationStep(model, batch, bucketCenter(mean_seq))
-                      .seconds.value();
-    return decodeCache.insert(key, secs);
-}
-
-double
-ServingEngine::prefillSeconds(uint64_t chunk, uint64_t seq_pos)
-{
-    // The base cache position is bucketed as in the decode memo,
-    // evaluated at the bucket *center* like decodeSeconds (the seed
-    // evaluated this memo at the bucket floor, biasing prefill cost low
-    // by half a bucket). step_memo.h bounds the error this costs.
-    uint64_t key = prefillMemoKey(chunk, seq_pos);
-    if (const double *hit = prefillCache.find(key))
-        return *hit;
-    double secs = sim.prefillStep(model, chunk, bucketCenter(seq_pos))
-                      .seconds.value();
-    return prefillCache.insert(key, secs);
-}
-
-double
-ServingEngine::mixedSeconds(int decode_batch, uint64_t decode_seq,
-                            uint64_t prefill_tokens, uint64_t prefill_pos)
-{
-    PIMBA_ASSERT(static_cast<uint64_t>(decode_batch) < kMixedMaxBatch &&
-                     prefill_tokens < kMixedMaxPrefillTokens &&
-                     seqBucket(decode_seq) < kMixedMaxBucket &&
-                     seqBucket(prefill_pos) < kMixedMaxBucket,
-                 "fused-step memo key overflow");
-    uint64_t key = mixedMemoKey(decode_batch, decode_seq, prefill_tokens,
-                                prefill_pos);
-    if (const double *hit = mixedCache.find(key))
-        return *hit;
-    double secs = sim.mixedStep(model, decode_batch,
-                                bucketCenter(decode_seq), prefill_tokens,
-                                bucketCenter(prefill_pos))
-                      .seconds.value();
-    return mixedCache.insert(key, secs);
-}
-
-StepPhases
-ServingEngine::decodePhases(int batch, uint64_t mean_seq)
-{
-    uint64_t key = decodeMemoKey(batch, mean_seq);
-    if (const StepPhases *hit = decodePhaseCache.find(key))
-        return *hit;
-    return decodePhaseCache.insert(
-        key,
-        phasesOf(sim.generationStep(model, batch, bucketCenter(mean_seq))));
-}
-
-StepPhases
-ServingEngine::prefillPhases(uint64_t chunk, uint64_t seq_pos)
-{
-    uint64_t key = prefillMemoKey(chunk, seq_pos);
-    if (const StepPhases *hit = prefillPhaseCache.find(key))
-        return *hit;
-    return prefillPhaseCache.insert(
-        key, phasesOf(sim.prefillStep(model, chunk, bucketCenter(seq_pos))));
-}
-
-StepPhases
-ServingEngine::mixedPhases(int decode_batch, uint64_t decode_seq,
-                           uint64_t prefill_tokens, uint64_t prefill_pos)
-{
-    // Bounds were already asserted by the mixedSeconds call that costed
-    // this same iteration.
-    uint64_t key = mixedMemoKey(decode_batch, decode_seq, prefill_tokens,
-                                prefill_pos);
-    if (const StepPhases *hit = mixedPhaseCache.find(key))
-        return *hit;
-    return mixedPhaseCache.insert(
-        key, phasesOf(sim.mixedStep(model, decode_batch,
-                                    bucketCenter(decode_seq),
-                                    prefill_tokens,
-                                    bucketCenter(prefill_pos))));
 }
 
 void
@@ -182,8 +93,8 @@ ServingEngine::tracePhaseSlices(Seconds start, const StepPhases &ph,
                                 const std::string &name)
 {
     Tracer &t = *obs.tracer;
-    const bool overlapped =
-        sim.system().executionMode == ExecutionMode::Overlapped;
+    const bool overlapped = costs->simulator().system().executionMode ==
+                            ExecutionMode::Overlapped;
     // Blocked mode runs gpu -> pim -> sync back-to-back; overlapped
     // mode launches gpu and pim together and syncs after the longer
     // one — matching StepResult::blockedSeconds/overlappedSeconds.
@@ -219,8 +130,8 @@ ServingEngine::traceIteration(Seconds start, Seconds dur, int decodeBatch,
          {"prefill_tokens", static_cast<double>(prefillTokens)}});
     if (plan.fused) {
         tracePhaseSlices(start,
-                         mixedPhases(decodeBatch, decodeMean,
-                                     prefillTokens, prefillMean),
+                         costs->mixedPhases(decodeBatch, decodeMean,
+                                            prefillTokens, prefillMean),
                          "fused");
         return;
     }
@@ -229,15 +140,16 @@ ServingEngine::traceIteration(Seconds start, Seconds dur, int decodeBatch,
     // its gpu/pim/sync phases.
     Seconds cursor = start;
     if (decodeBatch > 0) {
-        tracePhaseSlices(cursor, decodePhases(decodeBatch, decodeMean),
+        tracePhaseSlices(cursor,
+                         costs->decodePhases(decodeBatch, decodeMean),
                          "decode");
-        cursor += Seconds(decodeSeconds(decodeBatch, decodeMean));
+        cursor += Seconds(costs->decodeSeconds(decodeBatch, decodeMean));
     }
     for (const PrefillSlice &s : plan.prefill) {
         uint64_t pos = running[s.idx].prefilled;
-        tracePhaseSlices(cursor, prefillPhases(s.tokens.value(), pos),
+        tracePhaseSlices(cursor, costs->prefillPhases(s.tokens.value(), pos),
                          "prefill");
-        cursor += Seconds(prefillSeconds(s.tokens.value(), pos));
+        cursor += Seconds(costs->prefillSeconds(s.tokens.value(), pos));
     }
 }
 
@@ -247,6 +159,8 @@ ServingEngine::begin()
     PIMBA_ASSERT(!active, "begin() inside an open session");
     report = ServingReport{};
     report.policy = cfg.policy;
+    const ServingSimulator &sim = costs->simulator();
+    const ModelConfig &model = costs->model();
     report.executionMode = sim.system().executionMode;
     report.memoryBudget = cfg.memoryBudget > Bytes(0.0)
                               ? cfg.memoryBudget
@@ -817,14 +731,14 @@ ServingEngine::iterate()
     if (plan.fused) {
         uint64_t prefillMean =
             prefillTokens > 0 ? prefillPosWeighted / prefillTokens : 0;
-        iterSeconds = mixedSeconds(decodeBatch, decodeMean,
-                                   prefillTokens, prefillMean);
+        iterSeconds = costs->mixedSeconds(decodeBatch, decodeMean,
+                                          prefillTokens, prefillMean);
     } else {
         if (decodeBatch > 0)
-            iterSeconds += decodeSeconds(decodeBatch, decodeMean);
+            iterSeconds += costs->decodeSeconds(decodeBatch, decodeMean);
         for (const PrefillSlice &s : plan.prefill)
-            iterSeconds += prefillSeconds(s.tokens.value(),
-                                          running[s.idx].prefilled);
+            iterSeconds += costs->prefillSeconds(s.tokens.value(),
+                                                 running[s.idx].prefilled);
     }
     report.prefillChunks += plan.prefill.size();
 

@@ -21,6 +21,12 @@
  * therefore never exceeds the budget, without the seed engine's
  * peak-footprint over-reservation.
  *
+ * Step costs come from a StepCostStore (serving/step_cost_store.h),
+ * which also holds the engine's simulator and model. Engines of the
+ * same (system kind, nGpus, execution mode) — a fleet's replicas, a
+ * search's probes — share one store, so each distinct step is costed
+ * once for all of them.
+ *
  * Two driving modes share the same iteration loop:
  *  - run() serves a whole trace to completion (single-replica studies);
  *  - the begin()/submit()/advanceTo()/drain()/finish() session API lets
@@ -42,26 +48,15 @@
 #include <utility>
 #include <vector>
 
-#include "core/flat_table.h"
 #include "obs/timeline.h"
 #include "obs/tracer.h"
 #include "serving/block_manager.h"
 #include "serving/metrics.h"
 #include "serving/request.h"
 #include "serving/scheduler.h"
-#include "sim/serving_sim.h"
+#include "serving/step_cost_store.h"
 
 namespace pimba {
-
-/// GPU/PIM/sync phase split of one memoized step, cached for the
-/// tracer (raw seconds like the step-cost memos; populated only while
-/// a tracer is attached, so the disabled path never computes it).
-struct StepPhases
-{
-    double gpu = 0.0;
-    double pim = 0.0;
-    double sync = 0.0;
-};
 
 /// Observability sinks one engine reports into. All null/zero by
 /// default: an engine without observers skips every recording on its
@@ -112,8 +107,9 @@ struct EngineConfig
     /// GPU<->PIM execution mode override for this replica. nullopt
     /// inherits the mode of the SystemConfig the simulator was built
     /// with; setting it lets a fleet mix blocked and overlapped replicas
-    /// of the same system kind (the override is applied to the engine's
-    /// private simulator copy at construction).
+    /// of the same system kind (the override is applied to the
+    /// simulator of the replica's StepCostStore, so blocked and
+    /// overlapped replicas never share a store).
     std::optional<ExecutionMode> executionMode;
     SloConfig slo;
     /// Priority tier per request class (index = Request::classId,
@@ -182,7 +178,14 @@ struct ServingReport
 class ServingEngine
 {
   public:
+    /// An engine with a private step-cost store over a copy of @p sim.
     ServingEngine(const ServingSimulator &sim, const ModelConfig &model,
+                  EngineConfig cfg = {});
+
+    /// An engine costing its steps in @p costs, which other engines of
+    /// the same (system, model, execution mode) may share. A set
+    /// cfg.executionMode must equal the store's mode.
+    ServingEngine(std::shared_ptr<StepCostStore> costs,
                   EngineConfig cfg = {});
 
     /// Serve @p trace to completion and report fleet metrics.
@@ -284,7 +287,12 @@ class ServingEngine
 
     const EngineConfig &config() const { return cfg; }
     /// The replica's simulator (footprint math for transfer sizing).
-    const ServingSimulator &simulator() const { return sim; }
+    const ServingSimulator &simulator() const
+    {
+        return costs->simulator();
+    }
+    /// The step-cost store this engine costs its iterations in.
+    const StepCostStore &costStore() const { return *costs; }
 
     // ------------------------------------------------ observability
     /// Attach (or with a default-constructed argument, detach) the
@@ -297,24 +305,6 @@ class ServingEngine
     const EngineObservers &observers() const { return obs; }
 
   private:
-    /// Decode-step latency, memoized by (batch, cache-length bucket).
-    double decodeSeconds(int batch, uint64_t mean_seq);
-    /// Prefill-chunk latency, memoized by (chunk, position bucket).
-    double prefillSeconds(uint64_t chunk, uint64_t seq_pos);
-    /// Fused-iteration latency, memoized like the two above.
-    double mixedSeconds(int decode_batch, uint64_t decode_seq,
-                        uint64_t prefill_tokens, uint64_t prefill_pos);
-
-    // GPU/PIM/sync splits of the same memoized steps, in parallel
-    // tables keyed identically to the seconds memos. Touched only from
-    // the tracer emission path, so the disabled hot path never pays
-    // for the extra lookups (and the seconds memos stay byte-for-byte
-    // what the untraced run computes).
-    StepPhases decodePhases(int batch, uint64_t mean_seq);
-    StepPhases prefillPhases(uint64_t chunk, uint64_t seq_pos);
-    StepPhases mixedPhases(int decode_batch, uint64_t decode_seq,
-                           uint64_t prefill_tokens, uint64_t prefill_pos);
-
     /// Emit one substep's gpu/pim/sync slices on the phase tracks.
     /// @p start is the substep's start time; under Blocked execution
     /// the phases run back-to-back, under Overlapped gpu and pim start
@@ -341,21 +331,11 @@ class ServingEngine
     /// re-queue at the *front* of their tier segment instead.
     void enqueueWaiting(const Request &r, bool atSegmentFront);
 
-    ServingSimulator sim;
-    ModelConfig model;
+    // Shared with every engine of the same cost configuration (see
+    // step_cost_store.h); it also holds the simulator and the model.
+    std::shared_ptr<StepCostStore> costs;
     EngineConfig cfg;
     std::unique_ptr<Scheduler> sched;
-    // Step-cost memos: packed (batch, bucket) keys (see step_memo.h) to
-    // modeled seconds, in flat open-addressing tables — the memo lookup
-    // is the innermost operation of every sweep, and the node-based
-    // unordered_map's hash + pointer chase dominated it.
-    FlatTable<double> decodeCache;
-    FlatTable<double> prefillCache;
-    FlatTable<double> mixedCache;
-    // Phase-split memos (tracing only; see decodePhases).
-    FlatTable<StepPhases> decodePhaseCache;
-    FlatTable<StepPhases> prefillPhaseCache;
-    FlatTable<StepPhases> mixedPhaseCache;
     EngineObservers obs;
 
     // ------------------------------------------------ session state

@@ -162,8 +162,8 @@ class ServingSimulator
     const SystemConfig &system() const { return sys; }
 
     /**
-     * Switch the GPU<->PIM execution mode. The serving engine calls
-     * this when EngineConfig overrides the replica's mode; all
+     * Switch the GPU<->PIM execution mode. A StepCostStore calls this
+     * on its own simulator copy when built for an overridden mode; all
      * subsequent step costs use the new mode.
      */
     void setExecutionMode(ExecutionMode mode) { sys.executionMode = mode; }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project lint for the pimba tree (see docs/static-analysis.md).
 
-Three rules, each born from a regression this repo actually shipped or
+Four rules, each born from a regression this repo actually shipped or
 measured:
 
   node-container   std::map / std::set / std::unordered_map /
@@ -26,6 +26,13 @@ measured:
                    must exist, so a deleted study cannot leave a stale
                    row behind. The figure map is the contract between
                    the runnable commands and the paper.
+
+  memo-scope       a FlatTable or StepCostStore declared `static` or
+                   `thread_local` under src/. A step-cost store belongs
+                   to one fleet or one search: a process-wide memo
+                   would leak warm entries into benchmark probes that
+                   expect cold ones, and the simulator it holds is not
+                   thread-safe, so sweep workers must not share it.
 
 Suppression: append
     // pimba-lint: allow(<rule>) <justification>
@@ -56,6 +63,12 @@ BARE_UNIT_RE = re.compile(
     r"^\s*double\s+\w*(?:seconds|joules|bytes|watts)\w*\s*(?:=[^;()]*)?;",
     re.IGNORECASE,
 )
+
+# A memo table or step-cost store with static or thread-local storage:
+# the type comes before any '(' (a static function merely taking a
+# store as a parameter stores nothing).
+MEMO_SCOPE_RE = re.compile(
+    r"\b(?:static|thread_local)\b[^(;]*\b(?:FlatTable|StepCostStores?)\b")
 
 # Names docs/figures.md may cite that must resolve to a file.
 BINARY_NAME_RE = re.compile(r"\bbench_\w+")
@@ -138,6 +151,24 @@ def check_bare_units(root: str) -> list[Finding]:
     return findings
 
 
+def check_memo_scope(root: str) -> list[Finding]:
+    findings: list[Finding] = []
+    for path in iter_source(root, ("src",), (".h", ".cpp")):
+        rel = os.path.relpath(path, root)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        for i, line in enumerate(lines):
+            if not MEMO_SCOPE_RE.search(line.split("//")[0]):
+                continue
+            if allowed("memo-scope", lines, i, findings, rel):
+                continue
+            findings.append(Finding(
+                "memo-scope", rel, i + 1,
+                "static or thread_local memo — a step-cost store "
+                "belongs to one fleet or one search (StepCostStores), "
+                "never to the process"))
+    return findings
+
+
 def check_docs_coverage(root: str) -> list[Finding]:
     findings: list[Finding] = []
     figures = os.path.join(root, "docs", "figures.md")
@@ -194,7 +225,7 @@ def check_docs_coverage(root: str) -> list[Finding]:
 
 def run_all(root: str) -> list[Finding]:
     return (check_node_containers(root) + check_bare_units(root)
-            + check_docs_coverage(root))
+            + check_memo_scope(root) + check_docs_coverage(root))
 
 
 # ----------------------------------------------------------- self-test
@@ -230,6 +261,12 @@ def self_test() -> int:
               "struct T {\n"
               "    double transferSeconds = 0.0;\n"
               "};\n")
+        write("src/serving/memo.cpp",
+              "static FlatTable<double> globalMemo;\n"
+              "thread_local std::shared_ptr<StepCostStore> perThread;\n"
+              "auto n = static_cast<int>(FlatTable<int>{}.size());\n"
+              "static void fill(StepCostStore &store);\n"
+              "// a static FlatTable would leak across fleets\n")
         write("bench/bench_unmapped.cpp", "int main() {}\n")
         write("docs/figures.md",
               "| `bench_mapped` | Fig. 0 |\n"
@@ -241,6 +278,9 @@ def self_test() -> int:
         findings = run_all(root)
         expect("seeded", findings, "node-container", 2)
         expect("seeded", findings, "bare-unit", 1)
+        # Both storage classes; static_cast, a store parameter and
+        # comments do not count.
+        expect("seeded", findings, "memo-scope", 2)
         # Unmapped bench, unmentioned preset, and the two stale names.
         expect("seeded", findings, "docs-coverage", 4)
 
@@ -253,6 +293,10 @@ def self_test() -> int:
               "struct T {\n"
               "    Seconds transferSeconds;\n"
               "};\n")
+        write("src/serving/memo.cpp",
+              "// pimba-lint: allow(memo-scope) immutable lookup table\n"
+              "static const FlatTable<double> table;\n"
+              "StepCostStores stores(model);\n")
         write("docs/figures.md",
               "| `bench_mapped` | Fig. 0 |\n"
               "| `bench_unmapped` | simulator micro-bench |\n"
