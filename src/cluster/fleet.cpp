@@ -15,60 +15,52 @@ namespace {
 
 constexpr Seconds kInf{std::numeric_limits<double>::infinity()};
 
-/** Load snapshots of the replicas in @p pool, in pool order, into the
- *  caller's reused buffer (one routing decision per request makes this
- *  a per-request allocation otherwise). */
-void
-snapshotPool(const std::vector<ServingEngine> &engines,
-             const std::vector<size_t> &pool,
-             std::vector<ReplicaSnapshot> &snap,
-             const Request *req = nullptr)
+/** The request-independent load signals of @p e, read fresh. */
+ReplicaSnapshot
+loadOf(const ServingEngine &e)
 {
-    snap.clear();
-    snap.reserve(pool.size());
-    for (size_t i : pool) {
-        ReplicaSnapshot s;
-        s.queueDepth = engines[i].queueDepth();
-        s.outstandingTokens = engines[i].outstandingTokens();
-        s.tierPressure = engines[i].tierPressure();
-        // The locality signal is per arriving request (its class's
-        // prefix); legacy call sites route without a request and leave
-        // it zero, as do requests without a prefix id.
-        if (req && req->prefixLen > 0)
-            s.cachedPrefixBlocks =
-                engines[i].cachedPrefixBlocks(req->classId);
-        snap.push_back(s);
-    }
+    ReplicaSnapshot s;
+    s.queueDepth = e.queueDepth();
+    s.outstandingTokens = e.outstandingTokens();
+    s.tierPressure = e.tierPressure();
+    return s;
 }
 
 /**
  * Cached per-replica next-event times gating the fleet's advanceTo
- * broadcasts. The cache is refreshed after every state-changing engine
- * call (advance/submit/drain), so a cached time later than the target
- * proves the replica is idle until after it — advanceTo would be a pure
- * no-op — and the broadcast skips it. This turns the former
- * O(requests x replicas) advance loop into O(requests x replicas with
- * due work) while leaving every engine in exactly the state the eager
- * broadcast produced (routing snapshots, and therefore reports, are
- * byte-identical).
+ * broadcasts, and (with @c cacheRows) one cached load row per replica
+ * for routing. Both are refreshed after every state-changing engine
+ * call — advanceTo on a due replica, submit, submitPrefilled, cancel —
+ * and every such call in the pump and in Disaggregation goes through
+ * advancePool(), advanceOne() or refresh(). So a cached time later
+ * than the target proves the replica is idle until after it (advanceTo
+ * would be a pure no-op, and the broadcast skips it), and a cached row
+ * equals what the engine would report now. Per-arrival cost is then
+ * O(replicas with due work) engine calls plus an O(pool) row copy,
+ * while every engine ends in exactly the state the eager broadcast
+ * produced (routing snapshots, and therefore reports, are
+ * byte-identical). Without @c cacheRows — the lockstep reference —
+ * snapshot() reads every engine afresh, which keeps that driver an
+ * independent check on the rows.
  */
 class AdvanceGate
 {
   public:
-    explicit AdvanceGate(std::vector<ServingEngine> &engines_)
-        : engines(engines_), nextEvent(engines_.size(), Seconds(0.0))
-    {}
+    AdvanceGate(std::vector<ServingEngine> &engines_, bool cacheRows_)
+        : engines(engines_), cacheRows(cacheRows_),
+          nextEvent(engines_.size(), Seconds(0.0))
+    {
+        if (cacheRows)
+            for (const ServingEngine &e : engines)
+                rows.push_back(loadOf(e));
+    }
 
     /** advanceTo(@p t) on every pool replica not provably idle past t. */
     void
     advancePool(const std::vector<size_t> &pool, Seconds t)
     {
-        for (size_t i : pool) {
-            if (nextEvent[i] > t)
-                continue;
-            engines[i].advanceTo(t);
-            nextEvent[i] = engines[i].nextEventTime();
-        }
+        for (size_t i : pool)
+            advanceOne(i, t);
     }
 
     /** advanceTo(@p t) on replica @p i alone (deadline timers target
@@ -79,15 +71,56 @@ class AdvanceGate
         if (nextEvent[i] > t)
             return;
         engines[i].advanceTo(t);
-        nextEvent[i] = engines[i].nextEventTime();
+        refresh(i);
     }
 
-    /** Refresh replica @p i's cache after a submit/drain on it. */
-    void refresh(size_t i) { nextEvent[i] = engines[i].nextEventTime(); }
+    /** Refresh replica @p i's caches after a submit or cancel on it. */
+    void
+    refresh(size_t i)
+    {
+        nextEvent[i] = engines[i].nextEventTime();
+        if (cacheRows)
+            rows[i] = loadOf(engines[i]);
+    }
+
+    /**
+     * Load snapshots of the replicas in @p pool, in pool order, into
+     * the caller's reused buffer (one routing decision per request
+     * makes this a per-request allocation otherwise). The prefix
+     * locality signal depends on the arriving request, so it is read
+     * from the engine, and only for a request with a prefix id; legacy
+     * call sites route without a request and leave it zero.
+     */
+    void
+    snapshot(const std::vector<size_t> &pool,
+             std::vector<ReplicaSnapshot> &snap,
+             const Request *req = nullptr) const
+    {
+        snap.clear();
+        snap.reserve(pool.size());
+        for (size_t i : pool) {
+            ReplicaSnapshot s = cacheRows ? rows[i] : loadOf(engines[i]);
+#ifndef NDEBUG
+            // A row is stale when some engine call bypassed refresh().
+            const ReplicaSnapshot fresh = loadOf(engines[i]);
+            PIMBA_ASSERT(s.queueDepth == fresh.queueDepth &&
+                             s.outstandingTokens ==
+                                 fresh.outstandingTokens &&
+                             s.tierPressure == fresh.tierPressure,
+                         "stale load row for replica ", i);
+#endif
+            if (req && req->prefixLen > 0)
+                s.cachedPrefixBlocks =
+                    engines[i].cachedPrefixBlocks(req->classId);
+            snap.push_back(s);
+        }
+    }
 
   private:
     std::vector<ServingEngine> &engines;
+    const bool cacheRows;
     std::vector<Seconds> nextEvent;
+    std::vector<ReplicaSnapshot> rows; ///< empty without cacheRows
 };
 
 /** Completion instant of a fleet-level record. */
@@ -310,7 +343,7 @@ class Disaggregation
     land(const Handoff &h, std::vector<Assignment> &assignments)
     {
         gate.advancePool(decodes, h.ready);
-        snapshotPool(engines, decodes, snap);
+        gate.snapshot(decodes, snap);
         size_t pick = decodes[decodeRouter->route(snap, h.req)];
         Request dr = h.req;
         dr.arrival = h.ready;
@@ -602,7 +635,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     const ControlPlaneConfig &cpCfg = cfg.controlPlane;
     ControlPlane cp(cpCfg, engines.size());
     auto router = makeRouter(cfg.router, cfg.routerSeed);
-    AdvanceGate gate(engines);
+    AdvanceGate gate(engines, /*cacheRows=*/true);
     Disaggregation disagg(engines, gate, model, cfg, obs,
                           disaggregated ? cfg.prefillReplicas : 0);
     std::vector<ReplicaSnapshot> snap;
@@ -660,7 +693,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
             const std::vector<size_t> &pool =
                 disaggregated ? disagg.prefillPool() : cp.pool();
             gate.advancePool(pool, t);
-            snapshotPool(engines, pool, snap, &r);
+            gate.snapshot(pool, snap, &r);
             size_t pick = pool[router->route(snap, r)];
             if (disaggregated)
                 disagg.admit(r, pick, report.assignments.size());
@@ -810,7 +843,7 @@ Fleet::runLockstep(const std::vector<Request> &trace)
 
     const bool colocated = cfg.mode == FleetMode::Colocated;
     auto router = makeRouter(cfg.router, cfg.routerSeed);
-    AdvanceGate gate(engines);
+    AdvanceGate gate(engines, /*cacheRows=*/false);
     std::vector<ReplicaSnapshot> snap;
     Disaggregation disagg(engines, gate, model, cfg, obs,
                           colocated ? 0 : cfg.prefillReplicas);
@@ -820,7 +853,7 @@ Fleet::runLockstep(const std::vector<Request> &trace)
         std::iota(pool.begin(), pool.end(), size_t{0});
         for (const Request &r : sorted) {
             gate.advancePool(pool, r.arrival);
-            snapshotPool(engines, pool, snap);
+            gate.snapshot(pool, snap);
             size_t pick = pool[router->route(snap, r)];
             engines[pick].submit(r);
             gate.refresh(pick);
@@ -847,7 +880,7 @@ Fleet::runLockstep(const std::vector<Request> &trace)
 
             if (ta <= th) {
                 const Request &r = sorted[next++];
-                snapshotPool(engines, prefills, snap);
+                gate.snapshot(prefills, snap);
                 size_t pick = prefills[router->route(snap, r)];
                 disagg.admit(r, pick, report.assignments.size());
                 gate.refresh(pick);

@@ -10,10 +10,12 @@
  * event calendar (core/event_queue.h) holding arrivals, disaggregation
  * hand-offs, and the control plane's warm-up, deadline and scale-tick
  * timers. It pops the earliest event — advancing only the replicas
- * whose cached nextEventTime() says they have due work, snapshotting
- * queue depth and outstanding tokens, and letting the router commit
- * the request. Arrivals are pulled lazily from an ArrivalSource, so a
- * replay-scale run never holds the whole trace. The retired lockstep
+ * whose cached nextEventTime() says they have due work, copying each
+ * candidate's cached load row (queue depth, outstanding tokens, tier
+ * pressure; re-read only after an engine call that changes it), and
+ * letting the router commit the request. Arrivals are pulled lazily
+ * from an ArrivalSource, so a replay-scale run never holds the whole
+ * trace. The retired lockstep
  * driver survives as runLockstep(), the reference the pump is proven
  * byte-identical against. Two fleet modes:
  *

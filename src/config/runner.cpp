@@ -84,30 +84,32 @@ FleetReport
 runFleetCase(const FleetScenario &sc, const FleetCase &c,
              std::optional<RouterPolicy> router)
 {
-    return runFleetCase(sc, c, router, FleetObservers{});
+    StepCostStores stores(sc.model);
+    return runFleetCase(stores, sc, c, router, FleetObservers{});
 }
 
 FleetReport
-runFleetCase(const FleetScenario &sc, const FleetCase &c,
-             std::optional<RouterPolicy> router, const FleetObservers &fo)
+runFleetCase(StepCostStores &stores, const FleetScenario &sc,
+             const FleetCase &c, std::optional<RouterPolicy> router,
+             const FleetObservers &fo)
 {
     FleetConfig cfg = c.fleet;
     if (router)
         cfg.router = *router;
-    Fleet fleet(sc.model, cfg);
+    Fleet fleet(stores, cfg);
     fleet.attachObservers(fo);
     return fleet.run(materializeTrace(sc.trace));
 }
 
 FleetReport
-runFleetCaseStreamed(const FleetScenario &sc, const FleetCase &c,
-                     std::optional<RouterPolicy> router,
+runFleetCaseStreamed(StepCostStores &stores, const FleetScenario &sc,
+                     const FleetCase &c, std::optional<RouterPolicy> router,
                      const FleetObservers &fo, StreamingMetrics &stream)
 {
     FleetConfig cfg = c.fleet;
     if (router)
         cfg.router = *router;
-    Fleet fleet(sc.model, cfg);
+    Fleet fleet(stores, cfg);
     fleet.attachObservers(fo);
     auto arrivals = openArrivalSource(sc.trace);
     return fleet.runStreamed(*arrivals, stream);
@@ -378,6 +380,9 @@ runFleetStudy(const Scenario &scenario, bool quiet)
     // Each case claims a contiguous pid block: one pid per replica
     // plus one for its interconnect.
     int nextPid = 1;
+    // Every row of the study costs its steps in one set of stores, so
+    // rows over the same (kind, nGpus, mode) fill each memo once.
+    StepCostStores stores(sc.model);
     auto addRow = [&](const FleetCase &c,
                       std::optional<RouterPolicy> router) {
         FleetReport r;
@@ -400,10 +405,11 @@ runFleetStudy(const Scenario &scenario, bool quiet)
                 // million-request replay never materializes its trace
                 // or its per-request records.
                 StreamingMetrics stream(c.fleet.slo);
-                r = runFleetCaseStreamed(sc, c, router, fo, stream);
+                r = runFleetCaseStreamed(stores, sc, c, router, fo,
+                                         stream);
                 m = r.metrics;
             } else {
-                r = runFleetCase(sc, c, router, fo);
+                r = runFleetCase(stores, sc, c, router, fo);
                 if (oc.streamMetrics) {
                     // Disaggregated cases must retain records (the
                     // pump polls them for hand-offs); stream the
@@ -418,7 +424,7 @@ runFleetStudy(const Scenario &scenario, bool quiet)
                 }
             }
         } else {
-            r = runFleetCase(sc, c, router);
+            r = runFleetCase(stores, sc, c, router, FleetObservers{});
             m = r.metrics;
         }
         std::vector<std::string> row = {

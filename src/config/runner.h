@@ -77,9 +77,11 @@ ServingReport runServingPoint(const ServingScenario &sc,
 FleetReport runFleetCase(const FleetScenario &sc, const FleetCase &c,
                          std::optional<RouterPolicy> router = {});
 
-/// runFleetCase with observability sinks attached to the fleet before
-/// the run.
-FleetReport runFleetCase(const FleetScenario &sc, const FleetCase &c,
+/// runFleetCase costing its steps in @p stores (shared by every row of
+/// a fleet study), with observability sinks attached to the fleet
+/// before the run.
+FleetReport runFleetCase(StepCostStores &stores, const FleetScenario &sc,
+                         const FleetCase &c,
                          std::optional<RouterPolicy> router,
                          const FleetObservers &fo);
 
@@ -91,7 +93,8 @@ FleetReport runFleetCase(const FleetScenario &sc, const FleetCase &c,
  * need. Colocated cases only (Fleet::runStreamed); the runner falls
  * back to the record-retaining path for disaggregated cases.
  */
-FleetReport runFleetCaseStreamed(const FleetScenario &sc,
+FleetReport runFleetCaseStreamed(StepCostStores &stores,
+                                 const FleetScenario &sc,
                                  const FleetCase &c,
                                  std::optional<RouterPolicy> router,
                                  const FleetObservers &fo,

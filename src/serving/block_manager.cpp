@@ -53,54 +53,28 @@ BlockManager::utilization() const
 }
 
 bool
-BlockManager::resident(uint64_t req_id) const
+BlockManager::allocate(Blocks blocks)
 {
-    return held.find(req_id) != held.end();
-}
-
-Blocks
-BlockManager::holding(uint64_t req_id) const
-{
-    auto it = held.find(req_id);
-    return Blocks(it == held.end() ? 0 : it->second);
+    PIMBA_ASSERT(blocks >= Blocks(1), "zero-block allocation");
+    return grow(blocks);
 }
 
 bool
-BlockManager::allocate(uint64_t req_id, Blocks blocks)
+BlockManager::grow(Blocks blocks)
 {
-    PIMBA_ASSERT(!resident(req_id), "request ", req_id,
-                 " allocated twice");
-    PIMBA_ASSERT(blocks >= Blocks(1), "zero-block allocation");
     if (blocks > freeBlocks())
         return false;
-    held.emplace(req_id, blocks.value());
     used += blocks;
     return true;
 }
 
-bool
-BlockManager::growTo(uint64_t req_id, Blocks target_blocks)
-{
-    auto it = held.find(req_id);
-    PIMBA_ASSERT(it != held.end(), "growing non-resident request ",
-                 req_id);
-    PIMBA_ASSERT(target_blocks >= Blocks(it->second),
-                 "allocation shrink for request ", req_id);
-    Blocks extra = target_blocks - Blocks(it->second);
-    if (extra > freeBlocks())
-        return false;
-    it->second = target_blocks.value();
-    used += extra;
-    return true;
-}
-
 void
-BlockManager::release(uint64_t req_id)
+BlockManager::release(Blocks blocks)
 {
-    auto it = held.find(req_id);
-    PIMBA_ASSERT(it != held.end(), "double free of request ", req_id);
-    used -= Blocks(it->second);
-    held.erase(it);
+    PIMBA_ASSERT(blocks <= used, "over-release: returning ",
+                 blocks.value(), " blocks with only ", used.value(),
+                 " in use");
+    used -= blocks;
 }
 
 } // namespace pimba

@@ -8,7 +8,16 @@
  * request's cached-token count into a block demand for one model +
  * system — the per-request fixed bytes (recurrent state + transient
  * activations) plus per-token KV bytes, quantized to blocks — and the
- * BlockManager tracks which request holds how many blocks of the pool.
+ * BlockManager counts how many blocks of the pool are in use.
+ *
+ * The per-request side of the ledger lives with the request, not here:
+ * each resident RequestState carries its own heldBlocks, the way vLLM
+ * keeps a sequence's block table with the sequence. The engine reads
+ * that field when it sums admission pledges and growth demand, and
+ * hands the pool only counts — allocate(n) on admission, grow(n) when
+ * tokens are cached, release(n) with the resident's heldBlocks on
+ * completion, eviction or cancellation. The engine's debug build checks
+ * that the two sides agree after every iteration and cancel.
  *
  * The manager is pure bookkeeping (block counts, not addresses): the
  * simulator has no real memory, so fragmentation is not modeled and a
@@ -17,9 +26,6 @@
 
 #ifndef PIMBA_SERVING_BLOCK_MANAGER_H
 #define PIMBA_SERVING_BLOCK_MANAGER_H
-
-#include <cstdint>
-#include <unordered_map> // pimba-lint: allow(node-container) cold bookkeeping path
 
 #include "core/units.h"
 
@@ -46,11 +52,11 @@ struct BlockMapper
 };
 
 /**
- * Counting allocator over a fixed pool of equally-sized blocks. Tracks
- * the per-request holdings so the engine can grow an allocation as a
- * request caches tokens and release it on completion or eviction.
- * Double allocation, shrink, and double release are invariant
- * violations (panic), not recoverable errors.
+ * Counting allocator over a fixed pool of equally-sized blocks. It
+ * knows only how many blocks are in use; which request holds them is
+ * RequestState::heldBlocks. Over-commit is refused without side
+ * effects; releasing more blocks than are in use is an invariant
+ * violation (panic), not a recoverable error.
  */
 class BlockManager
 {
@@ -63,31 +69,26 @@ class BlockManager
     /** Fraction of the pool currently allocated, in [0, 1]. */
     double utilization() const;
 
-    bool resident(uint64_t req_id) const;
-    /** Blocks currently held by @p req_id (0 if not resident). */
-    Blocks holding(uint64_t req_id) const;
+    /**
+     * Take @p blocks (>= 1) blocks for a newly admitted request.
+     * Returns false, allocating nothing, when the pool cannot cover
+     * them.
+     */
+    bool allocate(Blocks blocks);
 
     /**
-     * Admit @p req_id with @p blocks initial blocks. Returns false
-     * (allocating nothing) when the pool cannot cover the demand.
+     * Take @p blocks more blocks for residents whose cached tokens
+     * grew (0 is a no-op). Returns false, allocating nothing, when the
+     * pool cannot cover the growth.
      */
-    bool allocate(uint64_t req_id, Blocks blocks);
+    bool grow(Blocks blocks);
 
-    /**
-     * Grow @p req_id's allocation to @p target_blocks (monotone; the
-     * engine never shrinks a live request). Returns false, allocating
-     * nothing, when the pool cannot cover the growth.
-     */
-    bool growTo(uint64_t req_id, Blocks target_blocks);
-
-    /** Release every block @p req_id holds (completion or eviction). */
-    void release(uint64_t req_id);
+    /** Return @p blocks blocks (completion, eviction or cancel). */
+    void release(Blocks blocks);
 
   private:
     Blocks total;
     Blocks used{0};
-    // pimba-lint: allow(node-container) cold bookkeeping, not per-step hot path
-    std::unordered_map<uint64_t, uint64_t> held;
 };
 
 } // namespace pimba

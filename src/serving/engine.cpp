@@ -468,8 +468,10 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
         }
         return false;
     };
-    if (dropQueued(waiting) || dropQueued(pendingArrivals))
+    if (dropQueued(waiting) || dropQueued(pendingArrivals)) {
+        auditBlockLedger();
         return true;
+    }
 
     for (size_t i = 0; i < running.size(); ++i) {
         RequestState &rs = running[i];
@@ -499,11 +501,12 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
         report.generatedTokens -= undelivered;
         report.wastedTokens += wasted;
         ++report.cancelledRequests;
-        blocks->release(id);
+        blocks->release(rs.heldBlocks);
         life.erase(id);
         preloadedIds.erase(id);
         closeLane();
         running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+        auditBlockLedger();
         return true;
     }
     return false; // already completed or cancelled — stale timer
@@ -529,22 +532,22 @@ ServingEngine::iterate()
         size_t pick = sched->pickAdmission(waiting);
         const Request &r = waiting[pick];
         Blocks outstanding{0};
-        for (const RequestState &rs : running) {
-            Blocks held = blocks->holding(rs.req.id);
-            if (rs.pledgedBlocks > held)
-                outstanding += rs.pledgedBlocks - held;
-        }
+        for (const RequestState &rs : running)
+            if (rs.pledgedBlocks > rs.heldBlocks)
+                outstanding += rs.pledgedBlocks - rs.heldBlocks;
         const bool preloaded = preloadedIds.count(r.id) > 0;
         Blocks pledge = mapper.blocksFor(Tokens(r.inputLen + 1));
         if (outstanding + pledge > blocks->freeBlocks())
             break;
-        bool ok = blocks->allocate(
-            r.id, preloaded ? pledge : mapper.blocksFor(Tokens(0)));
+        const Blocks initial =
+            preloaded ? pledge : mapper.blocksFor(Tokens(0));
+        bool ok = blocks->allocate(initial);
         PIMBA_ASSERT(ok, "admission allocation failed");
         RequestState rs;
         rs.req = r;
         rs.preloaded = preloaded;
         rs.pledgedBlocks = pledge;
+        rs.heldBlocks = initial;
         rs.admitted = clock;
         if (preloaded) {
             // Prompt cached elsewhere and shipped in; first token was
@@ -608,28 +611,28 @@ ServingEngine::iterate()
 
         Blocks extra{0};
         growScratch.clear();
-        auto demand = [&](const RequestState &rs, uint64_t cached) {
+        auto demand = [&](size_t i, uint64_t cached) {
             Blocks target = mapper.blocksFor(Tokens(cached));
-            Blocks cur = blocks->holding(rs.req.id);
+            Blocks cur = running[i].heldBlocks;
             if (target > cur) {
-                growScratch.emplace_back(rs.req.id, target.value());
+                growScratch.emplace_back(i, target);
                 extra += target - cur;
             }
         };
         for (size_t i : plan.decodeIdx)
-            demand(running[i], running[i].cachedTokens() + 1);
+            demand(i, running[i].cachedTokens() + 1);
         for (const PrefillSlice &s : plan.prefill) {
             const RequestState &rs = running[s.idx];
             uint64_t cached = rs.prefilled + s.tokens.value();
             if (cached >= rs.req.inputLen)
                 cached = rs.req.inputLen + 1; // first output token
-            demand(rs, cached);
+            demand(s.idx, cached);
         }
-        if (extra <= blocks->freeBlocks()) {
-            for (const auto &[id, target] : growScratch) {
-                bool ok = blocks->growTo(id, Blocks(target));
-                PIMBA_ASSERT(ok, "planned growth failed");
-            }
+        // Decode and prefill residents are disjoint (by phase), so each
+        // resident appears at most once and the growth is one grant.
+        if (blocks->grow(extra)) {
+            for (const auto &[i, target] : growScratch)
+                running[i].heldBlocks = target;
             break;
         }
 
@@ -659,7 +662,7 @@ ServingEngine::iterate()
         RequestState victim = running[victimIdx];
         running.erase(running.begin() +
                       static_cast<std::ptrdiff_t>(victimIdx));
-        blocks->release(victim.req.id);
+        blocks->release(victim.heldBlocks);
         ++report.preemptions;
         ++life[victim.req.id].preemptions;
         if (obs.tracer)
@@ -832,7 +835,7 @@ ServingEngine::iterate()
             report.completed.push_back(done);
         life.erase(rs.req.id);
         preloadedIds.erase(rs.req.id);
-        blocks->release(rs.req.id);
+        blocks->release(rs.heldBlocks);
         running.erase(running.begin() +
                       static_cast<std::ptrdiff_t>(i));
     }
@@ -855,6 +858,32 @@ ServingEngine::iterate()
         obs.timeline->sample(obs.timelineTrack, clock, queueDepth(),
                              outstandingTokens(), running.size(),
                              blocks->utilization());
+    auditBlockLedger();
+}
+
+void
+ServingEngine::auditBlockLedger() const
+{
+#ifndef NDEBUG
+    Blocks held{0};
+    for (const RequestState &rs : running) {
+        // Until its first local chunk, a prefix-cache hit counts its
+        // skipped tokens as cached but holds no blocks for them (the
+        // per-class prefix cache is synthetic, see prefixCache).
+        const uint64_t charged = rs.prefilled > rs.prefixSkipped
+                                     ? rs.cachedTokens()
+                                     : rs.generated;
+        PIMBA_ASSERT(rs.heldBlocks >= mapper.blocksFor(Tokens(charged)),
+                     "block ledger: request ", rs.req.id, " holds ",
+                     rs.heldBlocks.value(), " blocks for ", charged,
+                     " cached tokens");
+        held += rs.heldBlocks;
+    }
+    PIMBA_ASSERT(held == blocks->usedBlocks(),
+                 "block ledger: residents hold ", held.value(),
+                 " blocks but the pool has ", blocks->usedBlocks().value(),
+                 " in use");
+#endif
 }
 
 ServingReport

@@ -21,6 +21,15 @@
  * therefore never exceeds the budget, without the seed engine's
  * peak-footprint over-reservation.
  *
+ * The block ledger has two sides. BlockManager counts the pool's used
+ * blocks; each resident's RequestState::heldBlocks says how many of
+ * them it holds. Admission sums the residents' unmet pledges
+ * (pledgedBlocks - heldBlocks) and the growth pass compares each
+ * planned resident's heldBlocks with its new demand, so both are field
+ * reads, not lookups; completion, eviction and cancel return exactly
+ * heldBlocks to the pool. Debug builds check after every iteration and
+ * cancel that the residents' heldBlocks sum to the pool's count.
+ *
  * Step costs come from a StepCostStore (serving/step_cost_store.h),
  * which also holds the engine's simulator and model. Engines of the
  * same (system kind, nGpus, execution mode) — a fleet's replicas, a
@@ -43,8 +52,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map> // pimba-lint: allow(node-container) cold lifecycle map
-#include <unordered_set> // pimba-lint: allow(node-container) cold preload set
+#include <unordered_map> // pimba-lint: allow(node-container) lifecycle map
+#include <unordered_set> // pimba-lint: allow(node-container) preload set
 #include <utility>
 #include <vector>
 
@@ -255,6 +264,9 @@ class ServingEngine
     size_t waitingCount() const;
     /// Requests currently resident in the batch.
     size_t runningCount() const { return running.size(); }
+    /// Blocks of the pool the residents hold (the sum of their
+    /// RequestState::heldBlocks); zero once a session is drained.
+    Blocks usedBlocks() const { return blocks->usedBlocks(); }
     /// Submitted requests not yet completed (waiting + running).
     size_t queueDepth() const;
     /// Total tokens of work still to serve across queued and resident
@@ -326,6 +338,11 @@ class ServingEngine
     void iterate();
     /// Priority tier of @p classId (0 when untiered / out of range).
     int tierOf(uint32_t classId) const;
+    /// Debug builds: check the block ledger — the residents' heldBlocks
+    /// sum to the pool's usedBlocks(), and each resident holds at least
+    /// the blocks its locally cached tokens need. Compiled out under
+    /// NDEBUG.
+    void auditBlockLedger() const;
     /// Queue @p r respecting tier order (plain push_back when
     /// untiered; see EngineConfig::tierByClass). Evicted requests
     /// re-queue at the *front* of their tier segment instead.
@@ -355,9 +372,12 @@ class ServingEngine
     std::deque<Request> pendingArrivals; ///< submitted, arrival > clock
     std::deque<Request> waiting;         ///< revealed, not yet admitted
     std::vector<RequestState> running;   ///< kept in admission order
-    // pimba-lint: allow(node-container) touched on admission only
+    // Probed on admission and, once per queued request, by
+    // outstandingTokens(); erased on retire and cancel.
+    // pimba-lint: allow(node-container) per-request events + load probes
     std::unordered_set<uint64_t> preloadedIds;
-    // pimba-lint: allow(node-container) touched on admit/finish, not per step
+    // Written on admission, eviction, retire and cancel.
+    // pimba-lint: allow(node-container) per-request events, not per step
     std::unordered_map<uint64_t, Lifecycle> life;
     std::optional<BlockManager> blocks;
     BlockMapper mapper;
@@ -374,7 +394,9 @@ class ServingEngine
     // Per-iteration scratch, reused across iterations so the inner loop
     // allocates nothing once capacities settle.
     IterationPlan plan;
-    std::vector<std::pair<uint64_t, uint64_t>> growScratch;
+    /// (running index, target heldBlocks) of the residents this
+    /// iteration's plan grows.
+    std::vector<std::pair<size_t, Blocks>> growScratch;
 };
 
 } // namespace pimba

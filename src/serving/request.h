@@ -71,6 +71,11 @@ struct RequestState
      *  outstanding pledges gate further admissions so co-resident
      *  prompts can always be cached without evicting each other. */
     Blocks pledgedBlocks;
+    /** Blocks of the engine's pool this request holds now: its side of
+     *  the block ledger (BlockManager counts only the pool total). Set
+     *  at admission, raised as tokens are cached, and returned to the
+     *  pool in full on completion, eviction or cancellation. */
+    Blocks heldBlocks;
     Seconds admitted{-1.0};  ///< absolute admission time (eviction order)
     Seconds firstToken{-1.0}; ///< absolute time of the first output token
     Seconds finished{-1.0};

@@ -1,13 +1,17 @@
 /**
  * @file
- * Block-manager invariants: demand quantization via BlockMapper, the
- * allocate/grow/release accounting, no-double-free, and freed ==
- * allocated at drain.
+ * Block-ledger invariants: demand quantization via BlockMapper, the
+ * counting pool's allocate/grow/release accounting, over-commit
+ * refusal, the over-release panic, freed == allocated at drain, and
+ * the engine's per-request side of the ledger (RequestState::
+ * heldBlocks) returning every block through evictions, cancels and
+ * prefilled imports.
  */
 
 #include <gtest/gtest.h>
 
 #include "serving/block_manager.h"
+#include "serving/engine.h"
 
 namespace pimba {
 namespace {
@@ -42,76 +46,129 @@ TEST(BlockManager, AllocateGrowReleaseAccounting)
     BlockManager bm(Blocks(10));
     EXPECT_EQ(bm.totalBlocks(), Blocks(10));
     EXPECT_EQ(bm.freeBlocks(), Blocks(10));
-    EXPECT_FALSE(bm.resident(7));
 
-    ASSERT_TRUE(bm.allocate(7, Blocks(3)));
-    EXPECT_TRUE(bm.resident(7));
-    EXPECT_EQ(bm.holding(7), Blocks(3));
+    ASSERT_TRUE(bm.allocate(Blocks(3)));
     EXPECT_EQ(bm.usedBlocks(), Blocks(3));
     EXPECT_DOUBLE_EQ(bm.utilization(), 0.3);
 
-    ASSERT_TRUE(bm.growTo(7, Blocks(5)));
-    EXPECT_EQ(bm.holding(7), Blocks(5));
+    ASSERT_TRUE(bm.grow(Blocks(2)));
+    EXPECT_EQ(bm.usedBlocks(), Blocks(5));
     EXPECT_EQ(bm.freeBlocks(), Blocks(5));
 
-    // Growing to the current size is a no-op, not an error.
-    ASSERT_TRUE(bm.growTo(7, Blocks(5)));
+    // Growing by nothing is a no-op, not an error.
+    ASSERT_TRUE(bm.grow(Blocks(0)));
     EXPECT_EQ(bm.usedBlocks(), Blocks(5));
 
-    bm.release(7);
-    EXPECT_FALSE(bm.resident(7));
-    EXPECT_EQ(bm.holding(7), Blocks(0));
+    bm.release(Blocks(5));
     EXPECT_EQ(bm.usedBlocks(), Blocks(0));
+    EXPECT_EQ(bm.freeBlocks(), Blocks(10));
 }
 
 TEST(BlockManager, RefusesOverCommitWithoutSideEffects)
 {
     BlockManager bm(Blocks(8));
-    ASSERT_TRUE(bm.allocate(1, Blocks(6)));
-    EXPECT_FALSE(bm.allocate(2, Blocks(3))); // only 2 free
-    EXPECT_FALSE(bm.resident(2));
-    EXPECT_FALSE(bm.growTo(1, Blocks(9))); // would exceed the pool
-    EXPECT_EQ(bm.holding(1), Blocks(6));
+    ASSERT_TRUE(bm.allocate(Blocks(6)));
+    EXPECT_FALSE(bm.allocate(Blocks(3))); // only 2 free
     EXPECT_EQ(bm.usedBlocks(), Blocks(6));
-    ASSERT_TRUE(bm.allocate(2, Blocks(2)));
+    EXPECT_FALSE(bm.grow(Blocks(3))); // would exceed the pool
+    EXPECT_EQ(bm.usedBlocks(), Blocks(6));
+    ASSERT_TRUE(bm.allocate(Blocks(2)));
     EXPECT_EQ(bm.freeBlocks(), Blocks(0));
+    EXPECT_FALSE(bm.grow(Blocks(1)));
+    EXPECT_EQ(bm.usedBlocks(), Blocks(8));
 }
 
 TEST(BlockManager, FreedEqualsAllocatedAtDrain)
 {
     BlockManager bm(Blocks(64));
     uint64_t allocated = 0;
-    for (uint64_t id = 0; id < 8; ++id) {
-        ASSERT_TRUE(bm.allocate(id, Blocks(id + 1)));
-        allocated += id + 1;
+    for (uint64_t n = 1; n <= 8; ++n) {
+        ASSERT_TRUE(bm.allocate(Blocks(n)));
+        allocated += n;
     }
     EXPECT_EQ(bm.usedBlocks(), Blocks(allocated));
-    for (uint64_t id = 0; id < 8; ++id)
-        bm.release(id);
+    for (uint64_t n = 1; n <= 8; ++n)
+        bm.release(Blocks(n));
     EXPECT_EQ(bm.usedBlocks(), Blocks(0));
     EXPECT_EQ(bm.freeBlocks(), bm.totalBlocks());
 }
 
 TEST(BlockManagerDeathTest, DoubleFreePanics)
 {
+    // The pool cannot tell requests apart, so a double free shows up
+    // as returning more blocks than are in use.
     BlockManager bm(Blocks(4));
-    ASSERT_TRUE(bm.allocate(1, Blocks(2)));
-    bm.release(1);
-    EXPECT_DEATH(bm.release(1), "double free");
+    ASSERT_TRUE(bm.allocate(Blocks(2)));
+    bm.release(Blocks(2));
+    EXPECT_DEATH(bm.release(Blocks(2)), "over-release");
 }
 
-TEST(BlockManagerDeathTest, DoubleAllocatePanics)
+TEST(BlockManagerDeathTest, ZeroBlockAllocationPanics)
 {
     BlockManager bm(Blocks(4));
-    ASSERT_TRUE(bm.allocate(1, Blocks(1)));
-    EXPECT_DEATH(bm.allocate(1, Blocks(1)), "allocated twice");
+    EXPECT_DEATH(bm.allocate(Blocks(0)), "zero-block allocation");
 }
 
-TEST(BlockManagerDeathTest, ShrinkPanics)
+Request
+ledgerRequest(uint64_t id, double arrival)
 {
-    BlockManager bm(Blocks(4));
-    ASSERT_TRUE(bm.allocate(1, Blocks(3)));
-    EXPECT_DEATH(bm.growTo(1, Blocks(2)), "shrink");
+    Request r;
+    r.id = id;
+    r.arrival = Seconds(arrival);
+    r.inputLen = 64;
+    r.outputLen = 256;
+    return r;
+}
+
+TEST(BlockLedger, EngineDrainsToEmptyPool)
+{
+    // The engine's side of the ledger: every resident returns exactly
+    // its heldBlocks on completion, eviction and cancel, so the pool
+    // is empty at drain. OPT-2.7B keeps KV per token, so decode growth
+    // on a budget of three 320-token footprints must evict; every
+    // fourth request is a prefilled import that lands with its whole
+    // prompt's blocks at once.
+    ModelConfig model = opt2p7b();
+    ServingSimulator sim(makeSystem(SystemKind::GPU));
+    EngineConfig ec;
+    ec.memoryBudget = sim.weightFootprint(model) +
+                      3.0 * sim.requestFootprint(model, 320);
+    ServingEngine engine(sim, model, ec);
+    engine.begin();
+    const uint64_t n = 12;
+    for (uint64_t id = 1; id <= n; ++id) {
+        Request r = ledgerRequest(id, 0.001 * static_cast<double>(id));
+        if (id % 4 == 0)
+            engine.submitPrefilled(r);
+        else
+            engine.submit(r);
+    }
+    engine.advanceTo(Seconds(0.5));
+    ASSERT_GT(engine.runningCount(), 0u);
+    ASSERT_GT(engine.waitingCount(), 0u);
+    EXPECT_GT(engine.usedBlocks(), Blocks(0));
+
+    // The last arrival is still queued: cancelling it frees nothing.
+    const size_t waiting = engine.waitingCount();
+    const Blocks used = engine.usedBlocks();
+    EXPECT_TRUE(engine.cancel(n, engine.now(), false));
+    EXPECT_EQ(engine.waitingCount(), waiting - 1);
+    EXPECT_EQ(engine.usedBlocks(), used);
+
+    // The first admission is never an eviction victim (victims are
+    // the most recently admitted) and is still decoding: cancelling
+    // it returns its blocks.
+    const size_t running = engine.runningCount();
+    EXPECT_TRUE(engine.cancel(1, engine.now(), false));
+    EXPECT_EQ(engine.runningCount(), running - 1);
+    EXPECT_LT(engine.usedBlocks(), used);
+
+    engine.drain();
+    EXPECT_EQ(engine.usedBlocks(), Blocks(0));
+    ServingReport rep = engine.finish();
+    EXPECT_GT(rep.preemptions, 0u);
+    EXPECT_EQ(rep.cancelledRequests, 2u);
+    EXPECT_EQ(rep.completedRequests, n - 2);
 }
 
 } // namespace
