@@ -29,11 +29,20 @@
  * while every engine still kept private step-cost memos, before the
  * saturation and planner searches shared one step-cost store per
  * system kind across their probes.
+ *
+ * trace_bytes.txt pins the trace and timeline files of two traced
+ * smoke runs by length and FNV-1a-64 digest (the files are megabytes):
+ * a serving study with a CSV timeline, and a disaggregated fleet with
+ * interconnect ships and a JSON timeline. Regenerate a line by running
+ * the preset with --smoke --trace/--timeline and hashing the file.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -166,6 +175,85 @@ TEST(GoldenOutput, ControlDeadlinesMatchesCapture)
                           "/control_deadlines.json",
                       false),
               readFixture("control_deadlines.txt"));
+}
+
+/// FNV-1a-64 of @p bytes, as "%016x".
+std::string
+fnv1a64Hex(const std::string &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/// "<bytes> <fnv1a64>" of each file named in trace_bytes.txt.
+std::map<std::string, std::string>
+traceDigestFixture()
+{
+    std::map<std::string, std::string> pinned;
+    std::istringstream in(readFixture("trace_bytes.txt"));
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::istringstream fields(line);
+        std::string file, bytes, digest;
+        fields >> file >> bytes >> digest;
+        pinned[file] = bytes + " " + digest;
+    }
+    return pinned;
+}
+
+/// Run @p preset (smoke) with a trace and a timeline of extension
+/// @p timelineExt, and check both files against trace_bytes.txt.
+void
+expectTracedRunMatches(const std::string &preset,
+                       const std::string &timelineExt)
+{
+    const std::string stem = preset.substr(0, preset.size() - 5);
+    const std::string traceName = stem + ".trace.json";
+    const std::string timelineName = stem + ".timeline." + timelineExt;
+    Scenario sc = loadScenarioFile(
+        std::string(PIMBA_SCENARIO_DIR) + "/" + preset, true);
+    sc.obs.tracePath = testing::TempDir() + "golden_" + traceName;
+    sc.obs.timelinePath = testing::TempDir() + "golden_" + timelineName;
+    sc.obs.timelineFormat = timelineExt == "json" ? TimelineFormat::Json
+                                                  : TimelineFormat::Csv;
+    runScenario(sc, /*quiet=*/true);
+
+    std::map<std::string, std::string> pinned = traceDigestFixture();
+    const std::pair<std::string, std::string> files[] = {
+        {traceName, sc.obs.tracePath},
+        {timelineName, sc.obs.timelinePath}};
+    for (const auto &[name, path] : files) {
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in.good()) << "traced run wrote no " << path;
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        const std::string bytes = buf.str();
+        EXPECT_EQ(std::to_string(bytes.size()) + " " + fnv1a64Hex(bytes),
+                  pinned[name])
+            << name;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(GoldenTrace, ServingTraceAndCsvTimelineMatchCapture)
+{
+    // Lifecycle lanes and gpu/pim/sync phase slices of a hybrid model.
+    expectTracedRunMatches("fig15_neupims.json", "csv");
+}
+
+TEST(GoldenTrace, FleetTraceAndJsonTimelineMatchCapture)
+{
+    // Replica processes plus interconnect ship slices on pid 0.
+    expectTracedRunMatches("cluster_disaggregation.json", "json");
 }
 
 } // namespace
