@@ -1,20 +1,11 @@
 #include "obs/timeline.h"
 
-#include <cstdio>
-
 #include "core/logging.h"
+#include "obs/json_text.h"
 
 namespace pimba {
 
 namespace {
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return buf;
-}
 
 std::string
 csvEscape(const std::string &s)
@@ -38,15 +29,21 @@ TimelineSampler::registerTrack(const std::string &label)
     return static_cast<int>(labels.size()) - 1;
 }
 
+bool
+TimelineSampler::due(int track, Seconds now) const
+{
+    PIMBA_ASSERT(track >= 0 &&
+                     static_cast<size_t>(track) < labels.size(),
+                 "timeline sample on unregistered track ", track);
+    return now >= nextDue[static_cast<size_t>(track)];
+}
+
 void
 TimelineSampler::sample(int track, Seconds now, uint64_t queueDepth,
                         uint64_t outstandingTokens, uint64_t running,
                         double blockUtil)
 {
-    PIMBA_ASSERT(track >= 0 &&
-                     static_cast<size_t>(track) < labels.size(),
-                 "timeline sample on unregistered track ", track);
-    if (now < nextDue[static_cast<size_t>(track)])
+    if (!due(track, now))
         return;
     record(track, now, queueDepth, outstandingTokens, running,
            blockUtil);
@@ -78,7 +75,7 @@ TimelineSampler::renderCsv() const
     std::string out = "time_s,track,label,queue_depth,"
                       "outstanding_tokens,running,block_util\n";
     for (const TimelineRow &r : samples) {
-        out += num(r.time.value());
+        appendNumber(out, r.time.value());
         out += ",";
         out += std::to_string(r.track);
         out += ",";
@@ -90,7 +87,7 @@ TimelineSampler::renderCsv() const
         out += ",";
         out += std::to_string(r.running);
         out += ",";
-        out += num(r.blockUtil);
+        appendNumber(out, r.blockUtil);
         out += "\n";
     }
     return out;
@@ -102,20 +99,17 @@ TimelineSampler::renderJson() const
     std::string out = "[\n";
     for (size_t i = 0; i < samples.size(); ++i) {
         const TimelineRow &r = samples[i];
-        std::string label = labels[static_cast<size_t>(r.track)];
-        std::string escaped;
-        for (char c : label) {
-            if (c == '"' || c == '\\')
-                escaped.push_back('\\');
-            escaped.push_back(c);
-        }
-        out += "{\"time_s\":" + num(r.time.value()) +
-               ",\"track\":" + std::to_string(r.track) + ",\"label\":\"" +
-               escaped + "\",\"queue_depth\":" +
-               std::to_string(r.queueDepth) + ",\"outstanding_tokens\":" +
-               std::to_string(r.outstandingTokens) + ",\"running\":" +
-               std::to_string(r.running) + ",\"block_util\":" +
-               num(r.blockUtil) + "}";
+        out += "{\"time_s\":";
+        appendNumber(out, r.time.value());
+        out += ",\"track\":" + std::to_string(r.track) + ",\"label\":\"";
+        appendJsonEscaped(out, labels[static_cast<size_t>(r.track)]);
+        out += "\",\"queue_depth\":" + std::to_string(r.queueDepth) +
+               ",\"outstanding_tokens\":" +
+               std::to_string(r.outstandingTokens) +
+               ",\"running\":" + std::to_string(r.running) +
+               ",\"block_util\":";
+        appendNumber(out, r.blockUtil);
+        out += "}";
         out += i + 1 < samples.size() ? ",\n" : "\n";
     }
     out += "]\n";

@@ -48,6 +48,10 @@ class TimelineSampler
      *  rendered output; returns the dense track id to sample with. */
     int registerTrack(const std::string &label);
 
+    /** Whether sample() at @p now would record on @p track: callers
+     *  with costly probes check this first and skip them otherwise. */
+    bool due(int track, Seconds now) const;
+
     /** Offer one sample for @p track at simulated time @p now; it is
      *  recorded when the track's cadence is due. Engines call this
      *  once per iteration — the gate keeps the series at the

@@ -28,14 +28,26 @@
  * renderJson() emits metadata first, then all events stably sorted by
  * timestamp, so the output is globally monotonic — the property the
  * CI trace validator (tools/check_trace.py) checks.
+ *
+ * Storage: each event is one fixed-size record (80 bytes) holding its
+ * phase, pid, tid, timestamp and duration, its name and category as
+ * interned ids, and up to kMaxArgs numeric args keyed by interned ids.
+ * Records sit in fixed-size chunks that never move, so recording never
+ * copies the trace. writeFile() streams the document to disk through a
+ * buffer of about kFlushBytes instead of building it as one string.
  */
 
 #ifndef PIMBA_OBS_TRACER_H
 #define PIMBA_OBS_TRACER_H
 
 #include <cstdint>
+#include <cstdio>
+#include <deque>
+#include <initializer_list>
+#include <memory>
 #include <string>
-#include <utility>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/units.h"
@@ -60,63 +72,113 @@ requestLane(uint64_t id)
     return kRequestLaneBase + static_cast<int64_t>(id);
 }
 
-/** Chrome-trace-event recorder (see file comment for the layout). */
+/** Chrome-trace-event recorder (see file comment for the layout and
+ *  the storage). */
 class Tracer
 {
   public:
+    /// One named number attached to an event.
+    struct Arg
+    {
+        std::string_view key;
+        double value;
+    };
     /// Small named-number argument list attached to an event.
-    using Args = std::vector<std::pair<std::string, double>>;
+    using Args = std::initializer_list<Arg>;
+    /// Arguments one event can carry; more is a caller bug (panics).
+    static constexpr size_t kMaxArgs = 3;
+
+    Tracer() = default;
+    /// Not copyable: the intern index holds views of this tracer's own
+    /// strings.
+    Tracer(const Tracer &) = delete;
+    Tracer &operator=(const Tracer &) = delete;
 
     /// "M" process_name metadata for @p pid.
-    void processName(int pid, const std::string &name);
+    void processName(int pid, std::string_view name);
     /// "M" thread_name metadata for (@p pid, @p tid).
-    void threadName(int pid, int64_t tid, const std::string &name);
+    void threadName(int pid, int64_t tid, std::string_view name);
 
     /// "X" complete slice of @p dur at @p ts.
     void complete(int pid, int64_t tid, Seconds ts, Seconds dur,
-                  const std::string &name, const std::string &cat,
+                  std::string_view name, std::string_view cat,
                   Args args = {});
     /// "B" begin; every begin must be closed by end() on the same
     /// (pid, tid), nested like a call stack.
-    void begin(int pid, int64_t tid, Seconds ts, const std::string &name,
-               const std::string &cat, Args args = {});
+    void begin(int pid, int64_t tid, Seconds ts, std::string_view name,
+               std::string_view cat, Args args = {});
     /// "E" end of the innermost open begin() on (pid, tid).
     void end(int pid, int64_t tid, Seconds ts);
     /// "i" instant (thread scope).
-    void instant(int pid, int64_t tid, Seconds ts, const std::string &name,
-                 const std::string &cat, Args args = {});
+    void instant(int pid, int64_t tid, Seconds ts, std::string_view name,
+                 std::string_view cat, Args args = {});
     /// "C" counter sample; each @p name renders as a counter track.
-    void counter(int pid, Seconds ts, const std::string &name,
+    void counter(int pid, Seconds ts, std::string_view name,
                  double value);
 
     /// Events recorded so far (name metadata not counted).
-    size_t eventCount() const { return events.size(); }
+    size_t eventCount() const { return count; }
 
     /// The trace document: {"traceEvents": [...], "displayTimeUnit"}.
     /// Metadata first, then events stably sorted by timestamp.
     std::string renderJson() const;
 
-    /// renderJson() to @p path; false when the file cannot be written.
+    /// renderJson()'s bytes to @p path, streamed through a buffer of
+    /// about kFlushBytes; false when the file cannot be written.
     bool writeFile(const std::string &path) const;
+
+    /// Buffered output writeFile() hands to the file at a time.
+    static constexpr size_t kFlushBytes = size_t{1} << 20;
 
   private:
     struct Event
     {
-        char ph = 'X';
-        int pid = 0;
-        int64_t tid = 0;
         double tsUs = 0.0;  ///< microseconds of simulated time
         double durUs = 0.0; ///< "X" only
-        std::string name;
-        std::string cat;
-        std::string argsJson; ///< pre-rendered {"k":v,...}, may be empty
+        int64_t tid = 0;
+        int32_t pid = 0;
+        uint32_t name = 0; ///< interned; 0 renders no "name"
+        uint32_t cat = 0;  ///< interned; 0 renders no "cat"
+        uint32_t argKey[kMaxArgs] = {}; ///< interned
+        char ph = 'X';
+        uint8_t argCount = 0;
+        double argValue[kMaxArgs] = {};
+    };
+    static_assert(sizeof(Event) <= 80,
+                  "docs/observability.md quotes 80 bytes per event");
+
+    /// "M" process_name (tid unused) or thread_name record.
+    struct Metadata
+    {
+        int pid = 0;
+        int64_t tid = 0;
+        bool thread = false;
+        uint32_t name = 0; ///< interned label
     };
 
-    void push(Event e);
-    static std::string renderArgs(const Args &args);
+    /// Events per chunk; chunks are allocated as the trace grows and
+    /// never move, so growth copies nothing.
+    static constexpr size_t kChunkEvents = 4096;
 
-    std::vector<Event> events;   ///< non-metadata, insertion order
-    std::vector<Event> metadata; ///< "M" events
+    uint32_t intern(std::string_view s);
+    Event &push(char ph, int pid, int64_t tid, Seconds ts,
+                std::string_view name, std::string_view cat, Args args);
+    const Event &at(size_t i) const
+    {
+        return chunks[i / kChunkEvents][i % kChunkEvents];
+    }
+    /// Appends the document to @p out. With @p file, hands @p out to
+    /// it whenever it passes kFlushBytes (and clears it); returns
+    /// false when such a write fails.
+    bool emit(std::string &out, std::FILE *file) const;
+
+    std::vector<std::unique_ptr<Event[]>> chunks;
+    size_t count = 0; ///< events recorded (insertion order)
+    std::vector<Metadata> metadata;
+    /// Interned strings by id (id 0 is the empty string); a deque, so
+    /// the views @c ids keys on never move.
+    std::deque<std::string> texts = {std::string()};
+    std::unordered_map<std::string_view, uint32_t> ids;
 };
 
 } // namespace pimba

@@ -90,7 +90,7 @@ ServingEngine::attachObservers(const EngineObservers &o)
 
 void
 ServingEngine::tracePhaseSlices(Seconds start, const StepPhases &ph,
-                                const std::string &name)
+                                std::string_view name)
 {
     Tracer &t = *obs.tracer;
     const bool overlapped = costs->simulator().system().executionMode ==
@@ -842,22 +842,27 @@ ServingEngine::iterate()
 
     // Load counters and the periodic timeline sample, on the
     // post-retire state of this iteration. queueDepth() and
-    // outstandingTokens() walk the queues, so they run only with an
-    // observer attached.
-    if (obs.tracer) {
-        double liveUtil = blocks->utilization();
-        obs.tracer->counter(obs.pid, clock, "queue depth",
-                            static_cast<double>(queueDepth()));
-        obs.tracer->counter(obs.pid, clock, "outstanding tokens",
-                            static_cast<double>(outstandingTokens()));
-        obs.tracer->counter(obs.pid, clock, "running",
-                            static_cast<double>(running.size()));
-        obs.tracer->counter(obs.pid, clock, "block util", liveUtil);
+    // outstandingTokens() walk the queues, so they run once, and only
+    // when a tracer is attached or a timeline sample is due.
+    const bool sampleDue =
+        obs.timeline && obs.timeline->due(obs.timelineTrack, clock);
+    if (obs.tracer || sampleDue) {
+        const uint64_t depth = queueDepth();
+        const uint64_t outstanding = outstandingTokens();
+        const double liveUtil = blocks->utilization();
+        if (obs.tracer) {
+            obs.tracer->counter(obs.pid, clock, "queue depth",
+                                static_cast<double>(depth));
+            obs.tracer->counter(obs.pid, clock, "outstanding tokens",
+                                static_cast<double>(outstanding));
+            obs.tracer->counter(obs.pid, clock, "running",
+                                static_cast<double>(running.size()));
+            obs.tracer->counter(obs.pid, clock, "block util", liveUtil);
+        }
+        if (sampleDue)
+            obs.timeline->sample(obs.timelineTrack, clock, depth,
+                                 outstanding, running.size(), liveUtil);
     }
-    if (obs.timeline)
-        obs.timeline->sample(obs.timelineTrack, clock, queueDepth(),
-                             outstandingTokens(), running.size(),
-                             blocks->utilization());
     auditBlockLedger();
 }
 

@@ -322,7 +322,7 @@ class ServingEngine
     /// the phases run back-to-back, under Overlapped gpu and pim start
     /// together and sync follows the longer of the two.
     void tracePhaseSlices(Seconds start, const StepPhases &ph,
-                          const std::string &name);
+                          std::string_view name);
     /// The iteration slice plus its per-substep phase slices, emitted
     /// right after the clock advance (before token application, so the
     /// per-request prefill positions still match what the costing

@@ -47,6 +47,22 @@ TEST(TimelineSampler, CadenceGatesPerTrack)
     }
 }
 
+TEST(TimelineSampler, DueAnswersWhatSampleWouldDo)
+{
+    // Engines skip their queue walks unless a sample is due, so due()
+    // must agree with sample()'s gate at every offer.
+    TimelineSampler tl(Seconds(0.05));
+    int t = tl.registerTrack("engine");
+    for (int i = 0; i <= 40; ++i) {
+        const Seconds now(0.007 * i);
+        const size_t before = tl.rows().size();
+        const bool due = tl.due(t, now);
+        tl.sample(t, now, 1, 1, 1, 0.0);
+        EXPECT_EQ(due, tl.rows().size() > before) << "offer " << i;
+    }
+    EXPECT_GT(tl.rows().size(), 1u);
+}
+
 TEST(TimelineSampler, RecordBypassesTheCadence)
 {
     TimelineSampler tl(Seconds(10.0));

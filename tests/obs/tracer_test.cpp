@@ -1,19 +1,30 @@
 /**
  * @file
  * Event-tracer tests: trace-event structure (metadata first, globally
- * monotonic timestamps, nested B/E lanes), and the engine integration
- * — a traced run must emit the full request lifecycle and phase lanes
- * while leaving the simulated report bit-identical to an untraced run
- * (the zero-perturbation contract CI's trace-smoke job re-checks on
- * whole presets).
+ * monotonic timestamps, nested B/E lanes), the renderer's text contract
+ * (numbers as printf's %.9g, writeFile() streaming the exact bytes of
+ * renderJson(), labels escaped into valid JSON), and the engine
+ * integration — a traced run must emit the full request lifecycle and
+ * phase lanes while leaving the simulated report bit-identical to an
+ * untraced run (the zero-perturbation contract CI's trace-smoke job
+ * re-checks on whole presets).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "config/json.h"
+#include "config/runner.h"
+#include "core/lfsr.h"
+#include "obs/json_text.h"
 #include "obs/tracer.h"
 #include "serving/engine.h"
 #include "serving/trace.h"
@@ -89,6 +100,174 @@ TEST(Tracer, RequestLanesStayExactPastThirtyTwoBits)
     EXPECT_EQ(countOf(json, "\"tid\":2147483753,"), 2u);
     EXPECT_EQ(countOf(json, "\"tid\":1099511627876,"), 1u);
     EXPECT_EQ(countOf(json, "\"tid\":-"), 0u);
+}
+
+/// printf("%.9g", v), the format every rendered number must match.
+std::string
+printf9g(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.9g", v);
+    return buf;
+}
+
+std::string
+formatted(double v)
+{
+    std::string out;
+    appendNumber(out, v);
+    return out;
+}
+
+TEST(TraceText, NumbersMatchPrintfNineSignificantDigits)
+{
+    const double cases[] = {
+        0.0, -0.0, 5e-324, 1e-7, 0.1, 1.0 / 3.0, 123456789.125,
+        3.6e9, // one simulated hour in microseconds
+        1e21, 42.0, -42.0, 999999999.0, 1e9, 123456789.0, 2.5e-5,
+        -1.0 / 7.0, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity()};
+    for (double v : cases)
+        EXPECT_EQ(formatted(v), printf9g(v)) << "value " << v;
+
+    // A seeded sweep over magnitudes, whole numbers (the integer fast
+    // path) and their halves.
+    Lfsr32 rng(0x9e3779b9u);
+    for (int i = 0; i < 20000; ++i) {
+        const double mant =
+            rng.nextUnit() + rng.nextUnit() / 4294967296.0;
+        const double v = std::ldexp(mant, static_cast<int>(rng.next() %
+                                                          160) -
+                                              80);
+        const double whole = std::floor(v);
+        for (double x : {v, -v, whole, whole + 0.5, -whole})
+            ASSERT_EQ(formatted(x), printf9g(x)) << "value " << x;
+    }
+}
+
+TEST(TraceText, EscapesQuotesBackslashesAndControlBytes)
+{
+    std::string out;
+    // Includes an embedded NUL; DEL (0x7f) and above pass through.
+    appendJsonEscaped(out, std::string("q\"b\\t\tn\nr\r\x01\x1f\x7f") +
+                               std::string(1, '\0') + "z");
+    EXPECT_EQ(out, "q\\\"b\\\\t\\tn\\nr\\r\\u0001\\u001f\x7f\\u0000z");
+}
+
+TEST(Tracer, WriteFileStreamsTheRenderedBytes)
+{
+    // Large enough to pass the flush buffer several times.
+    Tracer t;
+    t.processName(1, "engine \"one\"");
+    for (int i = 0; i < 40000; ++i) {
+        const int64_t lane = requestLane(static_cast<uint64_t>(i % 97));
+        t.complete(1, kTraceIterTid, Seconds(1e-4 * (i % 1000)),
+                   Seconds(1e-5), "decode", "iteration",
+                   {{"batch", static_cast<double>(i % 13)}, {"decode_batch", 0.25 * i}});
+        t.instant(1, lane, Seconds(3e-4 * (i % 777)), "admitted",
+                  "request", {{"queueing", 1.0 / (i + 1)}});
+        t.counter(1, Seconds(2e-4 * (i % 500)), "queue depth",
+                  static_cast<double>(i));
+    }
+    const std::string json = t.renderJson();
+    ASSERT_GT(json.size(), 3 * Tracer::kFlushBytes);
+
+    const std::string path = testing::TempDir() + "tracer_stream.json";
+    ASSERT_TRUE(t.writeFile(path));
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    EXPECT_TRUE(buf.str() == json) << "writeFile wrote " << buf.str().size()
+                                   << " bytes, renderJson " << json.size();
+    std::remove(path.c_str());
+
+    // An empty tracer renders (and writes) the bare document.
+    Tracer empty;
+    EXPECT_EQ(empty.renderJson(), "{\n\"displayTimeUnit\": \"ms\",\n"
+                                  "\"traceEvents\": [\n\n]\n}\n");
+    EXPECT_FALSE(empty.writeFile(testing::TempDir() +
+                                 "no-such-dir/trace.json"));
+}
+
+TEST(TracerDeathTest, RejectsMoreThanThreeArgs)
+{
+    Tracer t;
+    EXPECT_DEATH(t.instant(1, kTraceIterTid, Seconds(0.0), "crowded",
+                           "request",
+                           {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}}),
+                 "trace event \"crowded\" has 4 args; an event holds at "
+                 "most 3");
+}
+
+/// Replace the first @p from in @p text with @p to.
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+TEST(TracerScenario, ControlCharactersInLabelsStayValidJson)
+{
+    // A fleet label with a tab and a newline lands in every replica's
+    // process name and timeline track label.
+    std::string preset =
+        readFile(std::string(PIMBA_SCENARIO_DIR) + "/cluster_routers.json");
+    Scenario sc = parseScenarioText(
+        replaced(preset, "\"label\": \"2x Pimba + 2x GPU\"",
+                 "\"label\": \"a\\tb\\nc\""),
+        /*smoke=*/true);
+    sc.obs.tracePath = testing::TempDir() + "ctrl_label.trace.json";
+    sc.obs.timelinePath = testing::TempDir() + "ctrl_label.timeline.json";
+    sc.obs.timelineFormat = TimelineFormat::Json;
+    runScenario(sc, /*quiet=*/true);
+
+    // Every label string parses back to the exact label.
+    auto labelsOf = [](const JsonValue &rows, const char *key) {
+        std::vector<std::string> out;
+        for (const JsonValue &row : rows.items()) {
+            const JsonValue *v = row.find(key);
+            if (v && v->isObject())
+                v = v->find("name");
+            if (v && v->isString())
+                out.push_back(v->asString());
+        }
+        return out;
+    };
+    const char *label = "a\tb\nc";
+    for (const std::string &path :
+         {sc.obs.tracePath, sc.obs.timelinePath}) {
+        const std::string text = readFile(path);
+        std::remove(path.c_str());
+        ASSERT_FALSE(text.empty()) << path;
+        // The only raw control byte is the layout's own newline, which
+        // never falls inside a label.
+        for (char c : text)
+            ASSERT_TRUE(static_cast<unsigned char>(c) >= 0x20 || c == '\n')
+                << path << " holds raw byte " << static_cast<int>(c);
+        JsonValue doc;
+        ASSERT_NO_THROW(doc = parseJson(text)) << path;
+        const bool isTrace = path == sc.obs.tracePath;
+        std::vector<std::string> labels =
+            isTrace ? labelsOf(*doc.find("traceEvents"), "args")
+                    : labelsOf(doc, "label");
+        size_t withLabel = 0;
+        for (const std::string &l : labels)
+            withLabel += l.find(label) != std::string::npos;
+        EXPECT_GE(withLabel, 4u) << path; // one per replica at least
+    }
 }
 
 TraceConfig
