@@ -142,7 +142,6 @@ Tracer::emit(std::string &out, std::FILE *file) const
         appendJsonEscaped(quoted[id], texts[id]);
         quoted[id].push_back('"');
     }
-    auto appendText = [&](uint32_t id) { out += quoted[id]; };
     auto head = [&](char ph, int pid, int64_t tid) {
         out += "{\"ph\":\"";
         out.push_back(ph);
@@ -161,7 +160,7 @@ Tracer::emit(std::string &out, std::FILE *file) const
         head('M', m.pid, m.tid);
         out += m.thread ? ",\"name\":\"thread_name\",\"args\":{\"name\":"
                         : ",\"name\":\"process_name\",\"args\":{\"name\":";
-        appendText(m.name);
+        out += quoted[m.name];
         out += "}}";
         flush();
     }
@@ -179,17 +178,17 @@ Tracer::emit(std::string &out, std::FILE *file) const
         }
         if (e.name) {
             out += ",\"name\":";
-            appendText(e.name);
+            out += quoted[e.name];
         }
         if (e.cat) {
             out += ",\"cat\":";
-            appendText(e.cat);
+            out += quoted[e.cat];
         }
         if (e.ph == 'i')
             out += ",\"s\":\"t\"";
         for (uint8_t a = 0; a < e.argCount; ++a) {
             out += a ? "," : ",\"args\":{";
-            appendText(e.argKey[a]);
+            out += quoted[e.argKey[a]];
             out.push_back(':');
             appendNumber(out, e.argValue[a]);
         }
