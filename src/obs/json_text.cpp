@@ -1,8 +1,6 @@
 #include "obs/json_text.h"
 
 #include <charconv>
-#include <cmath>
-#include <cstdint>
 
 namespace pimba {
 
@@ -51,17 +49,6 @@ void
 appendNumber(std::string &out, double v)
 {
     char buf[32];
-    // Whole numbers below 1e9 have at most nine digits, which %.9g
-    // prints as a plain integer; -0 keeps its sign through %g.
-    if (std::fabs(v) < 1e9) {
-        const auto whole = static_cast<int64_t>(v);
-        if (static_cast<double>(whole) == v &&
-            (whole != 0 || !std::signbit(v))) {
-            auto res = std::to_chars(buf, buf + sizeof buf, whole);
-            out.append(buf, res.ptr);
-            return;
-        }
-    }
     // The standard defines to_chars(general, precision) as printf's %g
     // at that precision; 9 significant digits fit in 32 characters.
     auto res = std::to_chars(buf, buf + sizeof buf, v,
