@@ -30,6 +30,12 @@
  * saturation and planner searches shared one step-cost store per
  * system kind across their probes.
  *
+ * disaggregation_stream_smoke.txt is `pimba run
+ * scenarios/cluster_disaggregation.json --smoke --stream-metrics`,
+ * captured while streamed disaggregated cases still ran the
+ * record-retaining fleet and folded its records into sketches
+ * afterwards.
+ *
  * trace_bytes.txt pins the trace and timeline files of two traced
  * smoke runs by length and FNV-1a-64 digest (the files are megabytes):
  * a serving study with a CSV timeline, and a disaggregated fleet with
@@ -131,6 +137,18 @@ TEST(GoldenOutput, DisaggregationFullMatchesCapture)
     // The only preset with prefill -> link -> decode hand-offs.
     EXPECT_EQ(runPreset("cluster_disaggregation.json", false),
               readFixture("disaggregation_full.txt"));
+}
+
+TEST(GoldenOutput, DisaggregationStreamSmokeMatchesCapture)
+{
+    // Streamed metrics over hand-offs: transfer-adjusted TTFTs folded
+    // into sketches, and the transfer breakdown of a streamed run.
+    Scenario sc = loadScenarioFile(
+        std::string(PIMBA_SCENARIO_DIR) + "/cluster_disaggregation.json",
+        true);
+    sc.obs.streamMetrics = true;
+    EXPECT_EQ(runScenario(sc, /*quiet=*/true).renderText(),
+              readFixture("disaggregation_stream_smoke.txt"));
 }
 
 TEST(GoldenOutput, PriorityTiersSmokeMatchesCapture)
