@@ -123,6 +123,17 @@ class AdvanceGate
     std::vector<ReplicaSnapshot> rows; ///< empty without cacheRows
 };
 
+/** Point @p e's completion sink at @p sink for one run (null detaches
+ *  it again); @p streamOnly drops the engine's own records. */
+void
+setSink(ServingEngine &e, CompletionSink *sink, bool streamOnly)
+{
+    EngineObservers eo = e.observers();
+    eo.stream = sink;
+    eo.streamOnly = streamOnly;
+    e.attachObservers(eo);
+}
+
 /** Completion instant of a fleet-level record. */
 Seconds
 finishTime(const CompletedRequest &c)
@@ -145,11 +156,12 @@ sortByCompletion(std::vector<CompletedRequest> &completed)
                      });
 }
 
-/** One prefill-complete request waiting for its blocks to land. */
+/** One request on its way from the prefill to the decode pool. */
 struct Handoff
 {
     Seconds ready{0.0};        ///< transfer completes on the link
     Request req;               ///< the original request
+    size_t assignment = 0;     ///< its routing-order slot
     Seconds prefillFinish{0.0};
     Seconds linkSeconds{0.0};
     Seconds prefillQueueing{0.0};
@@ -197,62 +209,52 @@ struct FleetEvent
 };
 
 /**
- * Shared fleet-report epilogue: order the fleet-level records, derive
- * the makespan from the last completion, and fill the aggregate
- * metrics and load stats. The caller has already populated
- * report.replicas and report.completed.
- */
-void
-finalizeReport(FleetReport &report, const SloConfig &slo)
-{
-    sortByCompletion(report.completed);
-    report.makespan = report.completed.empty()
-                          ? Seconds(0.0)
-                          : finishTime(report.completed.back());
-    report.metrics =
-        computeMetrics(report.completed, report.makespan, slo);
-    report.load = computeLoadStats(report.replicas);
-}
-
-/**
- * Fleet-level records of a colocated run: the merged replica records,
- * computed on directly (aggregateMetrics would merge the same vectors
- * a second time; it remains the API for callers holding only
- * per-replica reports).
- */
-void
-mergeReplicaRecords(FleetReport &report, const SloConfig &slo)
-{
-    for (const ServingReport &rep : report.replicas)
-        report.completed.insert(report.completed.end(),
-                                rep.completed.begin(),
-                                rep.completed.end());
-    finalizeReport(report, slo);
-}
-
-/**
- * Prefill -> decode hand-off bookkeeping of one disaggregated run,
- * shared by the calendar pump and the lockstep reference so both cost
- * transfers and synthesize records the same way. The first
+ * Prefill -> decode hand-off bookkeeping of one run, and the fleet's
+ * record path, shared by the calendar pump and the lockstep reference
+ * so both cost transfers and build records the same way. The first
  * @c prefillReplicas replicas form the prefill pool, the rest the
  * decode pool; constructed with 0 (a colocated fleet) the prefill pool
  * is empty and every prefill-side call is a no-op.
+ *
+ * Construction grafts the run's completion sinks onto the engines. A
+ * colocated engine reports to @c stream, if any. A prefill completion
+ * becomes a hand-off (or, for a single-token request, a finished
+ * record). A decode completion of a streamed run becomes its
+ * fleet-level record at once and goes to the stream, so a request
+ * holds state here only while in flight; a record-retaining run joins
+ * those records in finish() instead, through the same function.
  */
 class Disaggregation
 {
   public:
     Disaggregation(std::vector<ServingEngine> &engines_, AdvanceGate &gate_,
                    const ModelConfig &model_, const FleetConfig &cfg,
-                   const FleetObservers &obs_, size_t prefillReplicas)
+                   const FleetObservers &obs_, size_t prefillReplicas,
+                   StreamingMetrics *stream_)
         : engines(engines_), gate(gate_), model(model_), obs(obs_),
           // Decouple the two stages' sampling streams but keep both
           // seeded.
           decodeRouter(makeRouter(cfg.router, cfg.routerSeed ^ 0x9E3779B9u)),
-          link(cfg.link), polled(engines_.size(), 0)
+          link(cfg.link), stream(stream_)
     {
-        for (size_t i = 0; i < engines.size(); ++i)
+        sinks.reserve(engines.size());
+        for (size_t i = 0; i < engines.size(); ++i) {
             (i < prefillReplicas ? prefills : decodes).push_back(i);
+            sinks.emplace_back(this, i);
+        }
+        for (size_t i = 0; i < engines.size(); ++i) {
+            CompletionSink *sink = &sinks[i];
+            if (prefills.empty())
+                sink = stream;
+            else if (i >= prefills.size() && !stream)
+                sink = nullptr; // finish() joins its retained records
+            setSink(engines[i], sink, stream != nullptr);
+        }
     }
+
+    // The engines hold pointers into this object's sinks.
+    Disaggregation(const Disaggregation &) = delete;
+    Disaggregation &operator=(const Disaggregation &) = delete;
 
     const std::vector<size_t> &prefillPool() const { return prefills; }
 
@@ -270,75 +272,76 @@ class Disaggregation
     void
     admit(const Request &r, size_t pick, size_t assignment)
     {
-        PIMBA_ASSERT(originals.emplace(r.id, r).second,
+        Handoff h;
+        h.req = r;
+        h.assignment = assignment;
+        PIMBA_ASSERT(prefilling.emplace(r.id, h).second,
                      "duplicate request id ", r.id, " in trace");
-        assignmentIdx.emplace(r.id, assignment);
         Request pr = r;
         pr.outputLen = 1;
         engines[pick].submit(pr);
     }
 
     /**
-     * Advance the prefill pool to @p t (+inf runs it out) and turn its
-     * fresh completions into hand-offs, each passed to @p schedule. The
-     * shipped bytes are the request's cached state + KV at prompt + 1
-     * tokens, in the *prefill* replica's storage formats.
+     * Advance the prefill pool to @p t (+inf runs it out) and turn the
+     * completions it pushed into hand-offs, each passed to @p schedule
+     * in replica order once the whole pool has advanced (so a ship
+     * slice follows the prefill replicas' own trace events of its
+     * instant). The shipped bytes are the request's cached state + KV at
+     * prompt + 1 tokens, in the *prefill* replica's storage formats.
      */
     template <typename Schedule>
     void
-    poll(Seconds t, TransferStats &transfer, Schedule &&schedule)
+    advancePrefill(Seconds t, TransferStats &transfer, Schedule &&schedule)
     {
         gate.advancePool(prefills, t);
-        for (size_t i : prefills) {
-            const auto &done = engines[i].completedSoFar();
-            for (size_t k = polled[i]; k < done.size(); ++k) {
-                const CompletedRequest &c = done[k];
-                const Request &orig = originals.at(c.req.id);
-                if (orig.outputLen == 1) {
-                    // Fully served by the prefill stage; never ships.
-                    prefillOnly.push_back(c);
-                    continue;
-                }
-                MemoryUsage mem = engines[i].simulator().memoryUsage(
-                    model, 1, orig.inputLen + 1);
-                Bytes bytes = mem.state + mem.kvCache;
-                LinkCost cost = link.transfer(bytes);
-                Handoff h;
-                h.prefillFinish = finishTime(c);
-                h.ready = h.prefillFinish + cost.seconds;
-                h.req = orig;
-                h.linkSeconds = cost.seconds;
-                h.prefillQueueing = c.queueing;
-                h.prefillPreemptions = c.preemptions;
-                schedule(h);
-                if (obs.tracer)
-                    // Slice on the interconnect process, one lane per
-                    // source replica: blocks leave when the prefill
-                    // finishes and land cost.seconds later.
-                    obs.tracer->complete(
-                        obs.interconnectPid, static_cast<int64_t>(i) + 1,
-                        h.prefillFinish, cost.seconds,
-                        "ship req " + std::to_string(orig.id),
-                        "interconnect",
-                        {{"bytes", bytes.value()},
-                         {"seconds", cost.seconds.value()}});
-                // A request with no cached state or KV bytes (possible
-                // only for degenerate models) ships nothing: it is a
-                // hand-off, not a transfer, and must not count into the
-                // transfer-overhead breakdown.
-                if (bytes > Bytes(0.0)) {
-                    ++transfer.transfers;
-                    transfer.totalBytes += bytes;
-                    transfer.totalSeconds += cost.seconds;
-                    transfer.totalEnergyJ += cost.energyJ;
-                }
+        for (const auto &[i, c] : prefilled) {
+            auto node = prefilling.extract(c.req.id);
+            PIMBA_ASSERT(!node.empty(), "prefill completion of unknown "
+                                        "request ", c.req.id);
+            Handoff &h = node.mapped();
+            if (h.req.outputLen == 1) {
+                // Fully served by the prefill stage; never ships.
+                finished(c);
+                continue;
             }
-            polled[i] = done.size();
+            MemoryUsage mem = engines[i].simulator().memoryUsage(
+                model, 1, h.req.inputLen + 1);
+            Bytes bytes = mem.state + mem.kvCache;
+            LinkCost cost = link.transfer(bytes);
+            h.prefillFinish = finishTime(c);
+            h.ready = h.prefillFinish + cost.seconds;
+            h.linkSeconds = cost.seconds;
+            h.prefillQueueing = c.queueing;
+            h.prefillPreemptions = c.preemptions;
+            schedule(h);
+            if (obs.tracer)
+                // Slice on the interconnect process, one lane per
+                // source replica: blocks leave when the prefill
+                // finishes and land cost.seconds later.
+                obs.tracer->complete(
+                    obs.interconnectPid, static_cast<int64_t>(i) + 1,
+                    h.prefillFinish, cost.seconds,
+                    "ship req " + std::to_string(h.req.id), "interconnect",
+                    {{"bytes", bytes.value()},
+                     {"seconds", cost.seconds.value()}});
+            // A request with no cached state or KV bytes (possible
+            // only for degenerate models) ships nothing: it is a
+            // hand-off, not a transfer, and must not count into the
+            // transfer-overhead breakdown.
+            if (bytes > Bytes(0.0)) {
+                ++transfer.transfers;
+                transfer.totalBytes += bytes;
+                transfer.totalSeconds += cost.seconds;
+                transfer.totalEnergyJ += cost.energyJ;
+            }
         }
+        prefilled.clear();
     }
 
     /** @p h's blocks landed: route it onto the decode pool, whose clock
-     *  for the request starts at the landing instant. */
+     *  for the request starts at the landing instant. A streamed run
+     *  keeps no @p assignments. */
     void
     land(const Handoff &h, std::vector<Assignment> &assignments)
     {
@@ -347,68 +350,143 @@ class Disaggregation
         size_t pick = decodes[decodeRouter->route(snap, h.req)];
         Request dr = h.req;
         dr.arrival = h.ready;
+        decoding.emplace(h.req.id, h);
         engines[pick].submitPrefilled(dr);
         gate.refresh(pick);
-        assignments[assignmentIdx.at(h.req.id)].decodeReplica =
-            static_cast<int>(pick);
-        handoffMeta.emplace(h.req.id, h);
+        if (!stream)
+            assignments[h.assignment].decodeReplica =
+                static_cast<int>(pick);
     }
 
     /**
-     * Synthesize the fleet-level records from the finished replica
-     * reports: TTFT is prefill + transfer (the first token is not
-     * servable until its blocks land on the decode replica),
-     * decode-stage queueing and compute land in TPOT.
+     * The run's epilogue: drain every replica, detach the sinks, and
+     * fill the fleet-level metrics and transfer breakdown. Unless
+     * streamed, the fleet-level records come first: a colocated run's
+     * are its replicas' records; a disaggregated run's are joined from
+     * the decode replicas' reports in replica order, then completion
+     * order (the order the TTFT-share sum has always run in), followed
+     * by the single-token ones. They are then ordered by completion.
      */
     void
-    synthesize(FleetReport &report, const SloConfig &slo) const
+    finish(FleetReport &report, const SloConfig &slo)
     {
-        double shareSum = 0.0;
-        std::vector<double> transferSeconds;
-        transferSeconds.reserve(handoffMeta.size());
-        for (size_t i : decodes) {
-            for (const CompletedRequest &c :
-                 report.replicas[i].completed) {
-                const Handoff &h = handoffMeta.at(c.req.id);
-                const Request &orig = originals.at(c.req.id);
-                CompletedRequest out;
-                out.req = orig;
-                out.ttft = h.prefillFinish + h.linkSeconds - orig.arrival;
-                out.latency = finishTime(c) - orig.arrival;
-                out.tpot = (out.latency - out.ttft) /
-                           static_cast<double>(orig.outputLen - 1);
-                out.queueing = h.prefillQueueing;
-                out.preemptions = h.prefillPreemptions + c.preemptions;
-                report.completed.push_back(out);
-                shareSum += h.linkSeconds / out.ttft;
-                transferSeconds.push_back(h.linkSeconds.value());
-            }
+        for (ServingEngine &e : engines)
+            e.drain();
+        for (ServingEngine &e : engines) {
+            report.replicas.push_back(e.finish());
+            setSink(e, nullptr, false);
         }
-        report.completed.insert(report.completed.end(),
-                                prefillOnly.begin(), prefillOnly.end());
-        finalizeReport(report, slo);
-        report.transfer.perTransfer = summarizeLatency(transferSeconds);
+        report.load = computeLoadStats(report.replicas);
+        if (stream) {
+            // The collector saw every fleet-level completion; its
+            // last-finish instant is exactly the makespan the sorted
+            // completion list yields.
+            report.makespan = stream->lastFinishTime();
+            report.metrics = stream->finalize(report.makespan);
+        } else {
+            for (size_t i : decodes)
+                for (const CompletedRequest &c :
+                     report.replicas[i].completed)
+                    report.completed.push_back(prefills.empty() ? c
+                                                                : joined(c));
+            report.completed.insert(report.completed.end(),
+                                    prefillOnly.begin(), prefillOnly.end());
+            sortByCompletion(report.completed);
+            report.makespan = report.completed.empty()
+                                  ? Seconds(0.0)
+                                  : finishTime(report.completed.back());
+            report.metrics =
+                computeMetrics(report.completed, report.makespan, slo);
+        }
+        report.transfer.perTransfer = stream
+                                          ? summarizeSketch(linkSketch)
+                                          : summarizeLatency(linkSamples);
+        const uint64_t handoffs = report.transfer.perTransfer.count;
         report.transfer.meanTtftShare =
-            transferSeconds.empty()
-                ? 0.0
-                : shareSum / static_cast<double>(transferSeconds.size());
+            handoffs == 0 ? 0.0
+                          : shareSum / static_cast<double>(handoffs);
     }
 
   private:
+    /// Routes one replica's completions to its pool's handler.
+    struct ReplicaSink final : CompletionSink
+    {
+        ReplicaSink(Disaggregation *d, size_t i) : owner(d), replica(i) {}
+
+        void
+        observe(const CompletedRequest &c) override
+        {
+            if (replica < owner->prefills.size())
+                owner->prefilled.emplace_back(replica, c);
+            else
+                owner->finished(owner->joined(c));
+        }
+
+        Disaggregation *owner;
+        size_t replica;
+    };
+
+    /**
+     * The fleet-level record of decode completion @p c: TTFT is
+     * prefill + transfer (the first token is not servable until its
+     * blocks land on the decode replica), decode-stage queueing and
+     * compute land in TPOT. Its link time and TTFT share join the
+     * transfer breakdown; a streamed run then forgets the request.
+     */
+    CompletedRequest
+    joined(const CompletedRequest &c)
+    {
+        auto it = decoding.find(c.req.id);
+        PIMBA_ASSERT(it != decoding.end(), "decode completion of ",
+                     c.req.id, " without a hand-off");
+        const Handoff &h = it->second;
+        CompletedRequest out;
+        out.req = h.req;
+        out.ttft = h.prefillFinish + h.linkSeconds - h.req.arrival;
+        out.latency = finishTime(c) - h.req.arrival;
+        out.tpot = (out.latency - out.ttft) /
+                   static_cast<double>(h.req.outputLen - 1);
+        out.queueing = h.prefillQueueing;
+        out.preemptions = h.prefillPreemptions + c.preemptions;
+        shareSum += h.linkSeconds / out.ttft;
+        if (stream) {
+            linkSketch.add(h.linkSeconds.value());
+            decoding.erase(it);
+        } else {
+            linkSamples.push_back(h.linkSeconds.value());
+        }
+        return out;
+    }
+
+    /** A finished fleet-level record: streamed, or kept for finish(). */
+    void
+    finished(const CompletedRequest &c)
+    {
+        if (stream)
+            stream->observe(c);
+        else
+            prefillOnly.push_back(c);
+    }
+
     std::vector<ServingEngine> &engines;
     AdvanceGate &gate;
     const ModelConfig &model;
     const FleetObservers &obs;
     std::unique_ptr<Router> decodeRouter;
     const LinkModel link;
+    StreamingMetrics *stream; ///< null: records are retained
     std::vector<size_t> prefills, decodes;
+    std::vector<ReplicaSink> sinks; ///< one per replica
     std::vector<ReplicaSnapshot> snap;
+    /// Prefill completions pushed during the current pool advance.
+    std::vector<std::pair<size_t, CompletedRequest>> prefilled;
     // pimba-lint: allow(node-container) touched once per request, not per step
-    std::unordered_map<uint64_t, Request> originals;
-    std::unordered_map<uint64_t, size_t> assignmentIdx; // pimba-lint: allow(node-container) ditto
-    std::unordered_map<uint64_t, Handoff> handoffMeta; // pimba-lint: allow(node-container) ditto
+    std::unordered_map<uint64_t, Handoff> prefilling; ///< admitted, not prefilled
+    std::unordered_map<uint64_t, Handoff> decoding; // pimba-lint: allow(node-container) ditto; landed
     std::vector<CompletedRequest> prefillOnly; // single-token requests
-    std::vector<size_t> polled; ///< per replica: completions consumed
+    double shareSum = 0.0; ///< per hand-off: link seconds / TTFT
+    std::vector<double> linkSamples; ///< per hand-off link seconds
+    QuantileSketch linkSketch;       ///< the same, when streamed
 };
 
 } // namespace
@@ -564,11 +642,6 @@ Fleet::run(ArrivalSource &arrivals)
 FleetReport
 Fleet::runStreamed(ArrivalSource &arrivals, StreamingMetrics &stream)
 {
-    PIMBA_ASSERT(cfg.mode == FleetMode::Colocated,
-                 "runStreamed() needs a colocated fleet: hand-offs are "
-                 "found by polling the prefill replicas' per-request "
-                 "completion records, which the record-free streaming "
-                 "mode drops");
     return pump(arrivals, &stream);
 }
 
@@ -583,13 +656,13 @@ Fleet::runStreamed(ArrivalSource &arrivals, StreamingMetrics &stream)
  *  - the routing pool: the control plane's routable replicas (every
  *    replica when it is off), or the prefill pool when disaggregated;
  *  - before each pop the prefill pool is advanced to the event horizon
- *    and polled — a prefill completion inside (now, t] may ready a
- *    hand-off earlier than anything queued, so the poll schedules it
- *    and the pop dispatches the true minimum; an empty calendar with
- *    prefill work in flight runs that work out (a colocated fleet has
- *    no prefill pool, so this loops over nothing);
- *  - the fleet-level records: a disaggregated run synthesizes them from
- *    its hand-offs.
+ *    — a prefill completion inside (now, t] may ready a hand-off
+ *    earlier than anything queued, so the completions it pushes are
+ *    scheduled and the pop dispatches the true minimum; an empty
+ *    calendar with prefill work in flight runs that work out (a
+ *    colocated fleet has no prefill pool, so this loops over nothing);
+ *  - the fleet-level records: a disaggregated run joins them from its
+ *    hand-offs and decode completions.
  *
  * The control plane (docs/control-plane.md) adds its timers to the same
  * calendar: autoscaler ticks sampling queue depth / head-of-line wait,
@@ -602,10 +675,12 @@ Fleet::runStreamed(ArrivalSource &arrivals, StreamingMetrics &stream)
  * engine — no per-request lookup table, keeping the streamed-replay
  * memory bound intact.
  *
- * With @p stream set, the run is the bounded-memory replay shape:
- * engines fold completions into the collector instead of retaining
- * records, and the fleet skips its own O(requests) assignment and
- * completion lists.
+ * Engines push their completions through their observers' sink: a
+ * disaggregated fleet's into its hand-off bookkeeping, a colocated
+ * fleet's into @p stream when set. With @p stream set, the run is the
+ * bounded-memory replay shape: engines retain no records, every
+ * fleet-level record folds into the collector, and the fleet skips its
+ * own O(requests) assignment and completion lists.
  */
 FleetReport
 Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
@@ -613,20 +688,6 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     FleetReport report;
     report.mode = cfg.mode;
     report.router = cfg.router;
-
-    // Streamed runs temporarily graft the collector onto every
-    // replica's observers; the attach is restored before returning so
-    // the engines stay reusable for ordinary runs.
-    std::vector<EngineObservers> saved;
-    if (stream) {
-        for (ServingEngine &e : engines) {
-            saved.push_back(e.observers());
-            EngineObservers eo = e.observers();
-            eo.stream = stream;
-            eo.streamOnly = true;
-            e.attachObservers(eo);
-        }
-    }
 
     for (ServingEngine &e : engines)
         e.begin();
@@ -636,8 +697,6 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     ControlPlane cp(cpCfg, engines.size());
     auto router = makeRouter(cfg.router, cfg.routerSeed);
     AdvanceGate gate(engines, /*cacheRows=*/true);
-    Disaggregation disagg(engines, gate, model, cfg, obs,
-                          disaggregated ? cfg.prefillReplicas : 0);
     std::vector<ReplicaSnapshot> snap;
 
     EventQueue<FleetEvent> calendar;
@@ -646,6 +705,8 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
         ev.kind = kind;
         calendar.push(t, static_cast<uint32_t>(kind), tie, std::move(ev));
     };
+    Disaggregation disagg(engines, gate, model, cfg, obs,
+                          disaggregated ? cfg.prefillReplicas : 0, stream);
     auto scheduleHandoff = [&](const Handoff &h) {
         FleetEvent ev;
         ev.handoff = h;
@@ -676,7 +737,8 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
         // A prefill completion before the next event may ready an
         // earlier hand-off; on an empty calendar (+inf) this runs the
         // prefill work out.
-        disagg.poll(calendar.nextTime(), report.transfer, scheduleHandoff);
+        disagg.advancePrefill(calendar.nextTime(), report.transfer,
+                              scheduleHandoff);
         if (calendar.empty())
             continue;
         CalendarEntry<FleetEvent> e = calendar.pop();
@@ -780,24 +842,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
         }
     }
 
-    for (ServingEngine &e : engines)
-        e.drain();
-    for (ServingEngine &e : engines)
-        report.replicas.push_back(e.finish());
-
-    if (stream) {
-        // The collector saw every completion; its last-finish instant
-        // is exactly the makespan the sorted completion list yields.
-        report.makespan = stream->lastFinishTime();
-        report.metrics = stream->finalize(report.makespan);
-        report.load = computeLoadStats(report.replicas);
-        for (size_t i = 0; i < engines.size(); ++i)
-            engines[i].attachObservers(saved[i]);
-    } else if (disaggregated) {
-        disagg.synthesize(report, cfg.slo);
-    } else {
-        mergeReplicaRecords(report, cfg.slo);
-    }
+    disagg.finish(report, cfg.slo);
 
     if (!cpCfg.anyEnabled())
         return report;
@@ -846,7 +891,8 @@ Fleet::runLockstep(const std::vector<Request> &trace)
     AdvanceGate gate(engines, /*cacheRows=*/false);
     std::vector<ReplicaSnapshot> snap;
     Disaggregation disagg(engines, gate, model, cfg, obs,
-                          colocated ? 0 : cfg.prefillReplicas);
+                          colocated ? 0 : cfg.prefillReplicas,
+                          /*stream=*/nullptr);
 
     if (colocated) {
         std::vector<size_t> pool(engines.size());
@@ -873,7 +919,7 @@ Fleet::runLockstep(const std::vector<Request> &trace)
             Seconds t = std::min(ta, th);
             // At t = +inf this runs the prefill work out to discover
             // the remaining hand-offs.
-            disagg.poll(t, report.transfer, enqueue);
+            disagg.advancePrefill(t, report.transfer, enqueue);
             if (t == kInf)
                 continue;
             th = due.empty() ? kInf : due.top().ready;
@@ -893,14 +939,7 @@ Fleet::runLockstep(const std::vector<Request> &trace)
         }
     }
 
-    for (ServingEngine &e : engines)
-        e.drain();
-    for (ServingEngine &e : engines)
-        report.replicas.push_back(e.finish());
-    if (colocated)
-        mergeReplicaRecords(report, cfg.slo);
-    else
-        disagg.synthesize(report, cfg.slo);
+    disagg.finish(report, cfg.slo);
     return report;
 }
 

@@ -29,17 +29,13 @@
  *    request's TTFT. Single-token requests complete at the prefill
  *    stage and never cross the link.
  *
- * Two restrictions remain on disaggregated fleets, both because the
- * pump finds hand-offs by polling the prefill replicas' per-request
- * completion records (ServingEngine::completedSoFar()):
- *
- *  - no control plane — validateFleetConfig() rejects it, since the
- *    autoscaler, deadline timers and prefix stamping would need to
- *    warm, drain or cancel across both pools;
- *  - no runStreamed() — it asserts a colocated fleet, since the
- *    record-free streaming mode drops those records. The scenario
- *    runner streams disaggregated cases' fleet-level records through
- *    the sketches after a record-retaining run instead.
+ * Engines push each completion to the fleet through their observers'
+ * completion sink: a prefill completion becomes a hand-off, a decode
+ * completion the transfer-adjusted fleet-level record. One restriction
+ * remains on disaggregated fleets: no control plane —
+ * validateFleetConfig() rejects it, since the autoscaler, deadline
+ * timers and prefix stamping would need to warm, drain or cancel across
+ * both pools, which is not modeled.
  *
  * Runs are deterministic: engines are seeded-trace-driven, router ties
  * break by replica index, PowerOfTwoChoices randomness flows from the
@@ -186,9 +182,9 @@ class Fleet
     /// peak memory is O(in-flight requests + sketch buckets),
     /// independent of trace length. The report's completed /
     /// assignments vectors stay empty; metrics and makespan come from
-    /// the stream (percentiles are sketch estimates, counters exact).
-    /// Colocated fleets only — the pump polls a disaggregated fleet's
-    /// per-request completion records to build transfer hand-offs.
+    /// the stream (percentiles are sketch estimates, counters exact). A
+    /// disaggregated fleet streams its transfer-adjusted records and
+    /// takes the transfer p95 from a sketch too.
     FleetReport runStreamed(ArrivalSource &arrivals,
                             StreamingMetrics &stream);
 

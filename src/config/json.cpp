@@ -279,6 +279,13 @@ class JsonParser
         while (true) {
             if (atEnd())
                 fail("unterminated string");
+            if (static_cast<unsigned char>(peek()) < 0x20) {
+                char hex[7];
+                std::snprintf(hex, sizeof hex, "U+%04X",
+                              static_cast<unsigned>(peek()));
+                fail(std::string("raw control character ") + hex +
+                     " in a string; escape it (\\n, \\t, \\u00XX)");
+            }
             char c = advance();
             if (c == '"')
                 break;

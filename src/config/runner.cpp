@@ -1,5 +1,6 @@
 #include "config/runner.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "serving/step_cost_store.h"
@@ -63,14 +64,6 @@ ScenarioReport::renderCsv() const
 
 ServingReport
 runServingPoint(const ServingScenario &sc, SystemKind kind,
-                SchedulerPolicy policy, ExecutionMode mode, double rate)
-{
-    return runServingPoint(sc, kind, policy, mode, rate,
-                           EngineObservers{});
-}
-
-ServingReport
-runServingPoint(const ServingScenario &sc, SystemKind kind,
                 SchedulerPolicy policy, ExecutionMode mode, double rate,
                 const EngineObservers &eo)
 {
@@ -81,38 +74,22 @@ runServingPoint(const ServingScenario &sc, SystemKind kind,
 }
 
 FleetReport
-runFleetCase(const FleetScenario &sc, const FleetCase &c,
-             std::optional<RouterPolicy> router)
-{
-    StepCostStores stores(sc.model);
-    return runFleetCase(stores, sc, c, router, FleetObservers{});
-}
-
-FleetReport
 runFleetCase(StepCostStores &stores, const FleetScenario &sc,
              const FleetCase &c, std::optional<RouterPolicy> router,
-             const FleetObservers &fo)
+             const FleetObservers &fo, StreamingMetrics *stream)
 {
     FleetConfig cfg = c.fleet;
     if (router)
         cfg.router = *router;
     Fleet fleet(stores, cfg);
     fleet.attachObservers(fo);
-    return fleet.run(materializeTrace(sc.trace));
-}
-
-FleetReport
-runFleetCaseStreamed(StepCostStores &stores, const FleetScenario &sc,
-                     const FleetCase &c, std::optional<RouterPolicy> router,
-                     const FleetObservers &fo, StreamingMetrics &stream)
-{
-    FleetConfig cfg = c.fleet;
-    if (router)
-        cfg.router = *router;
-    Fleet fleet(stores, cfg);
-    fleet.attachObservers(fo);
+    if (!stream)
+        return fleet.run(materializeTrace(sc.trace));
+    // The bounded-memory shape: arrivals stream from the source and
+    // completions fold into sketches, so a million-request replay never
+    // materializes its trace or its per-request records.
     auto arrivals = openArrivalSource(sc.trace);
-    return fleet.runStreamed(*arrivals, stream);
+    return fleet.runStreamed(*arrivals, *stream);
 }
 
 namespace {
@@ -281,36 +258,28 @@ runServing(const Scenario &scenario, bool quiet)
             for (ExecutionMode mode : modesFor(sc, kind)) {
                 double knee_rate = 0.0, peak_tok = 0.0;
                 for (double rate : sc.rates) {
-                    ServingReport r;
-                    ServingMetrics m;
-                    if (oc.enabled()) {
-                        std::string label =
-                            systemName(kind) + " " + policyName(policy) +
-                            " " + executionModeName(mode) +
-                            " rate=" + fmt(rate, 0);
-                        EngineObservers eo;
-                        StreamingMetrics stream(sc.engine.slo);
-                        if (tracer) {
-                            eo.tracer = &*tracer;
-                            eo.pid = nextPid++;
-                            tracer->processName(eo.pid, label);
-                        }
-                        if (timeline) {
-                            eo.timeline = &*timeline;
-                            eo.timelineTrack =
-                                timeline->registerTrack(label);
-                        }
-                        if (oc.streamMetrics)
-                            eo.stream = &stream;
-                        r = runServingPoint(sc, kind, policy, mode,
-                                            rate, eo);
-                        m = oc.streamMetrics ? stream.finalize(r.makespan)
-                                             : r.metrics;
-                    } else {
-                        r = runServingPoint(sc, kind, policy, mode,
-                                            rate);
-                        m = r.metrics;
+                    const std::string label =
+                        systemName(kind) + " " + policyName(policy) +
+                        " " + executionModeName(mode) +
+                        " rate=" + fmt(rate, 0);
+                    EngineObservers eo;
+                    StreamingMetrics stream(sc.engine.slo);
+                    if (tracer) {
+                        eo.tracer = &*tracer;
+                        eo.pid = nextPid++;
+                        tracer->processName(eo.pid, label);
                     }
+                    if (timeline) {
+                        eo.timeline = &*timeline;
+                        eo.timelineTrack = timeline->registerTrack(label);
+                    }
+                    if (oc.streamMetrics)
+                        eo.stream = &stream;
+                    ServingReport r =
+                        runServingPoint(sc, kind, policy, mode, rate, eo);
+                    const ServingMetrics m =
+                        oc.streamMetrics ? stream.finalize(r.makespan)
+                                         : r.metrics;
                     t.addRow({systemName(kind), policyName(policy),
                               executionModeName(mode), fmt(rate, 0),
                               fmt(m.tokensPerSec.value(), 1),
@@ -343,22 +312,26 @@ runServing(const Scenario &scenario, bool quiet)
 }
 
 /**
- * Fleet study (scenario kinds `fleet` and `control`): one row per
- * (case, router). Both kinds share the first seven columns
- * (tools/check_replay.py reads goodput/TTFT/TPOT by index); `fleet`
- * adds queueing, load imbalance and the disaggregation transfer
- * breakdown, `control` the control-plane outcome — SLO attainment,
- * cancellations, wasted tokens, the provisioned replica range, and the
- * replica-second bill. Control-plane-off cases are the static
- * baselines: their bill is simply replicas x makespan, putting both
- * policies on one cost axis.
+ * Fleet study: one row per (case, router). Every study shares the
+ * first seven columns (tools/check_replay.py reads goodput/TTFT/TPOT by
+ * index). A study with a control plane on any case adds the
+ * control-plane outcome — SLO attainment, cancellations, wasted tokens,
+ * the provisioned replica range, and the replica-second bill; its
+ * control-plane-off cases are the static baselines, billed simply
+ * replicas x makespan, putting both policies on one cost axis. Any
+ * other study adds queueing, load imbalance and the disaggregation
+ * transfer breakdown.
  */
 ScenarioReport
 runFleetStudy(const Scenario &scenario, bool quiet)
 {
     const auto &sc = std::get<FleetScenario>(scenario.spec);
     const ObservabilityConfig &oc = scenario.obs;
-    const bool control = scenario.kind == ScenarioKind::ControlPlane;
+    const bool control =
+        std::any_of(sc.cases.begin(), sc.cases.end(),
+                    [](const FleetCase &c) {
+                        return c.fleet.controlPlane.anyEnabled();
+                    });
     ScenarioReport rep;
     std::vector<std::string> header = {"fleet", "router", "goodput",
                                        "TTFT p50", "TTFT p95",
@@ -385,48 +358,21 @@ runFleetStudy(const Scenario &scenario, bool quiet)
     StepCostStores stores(sc.model);
     auto addRow = [&](const FleetCase &c,
                       std::optional<RouterPolicy> router) {
-        FleetReport r;
-        ServingMetrics m;
-        if (oc.enabled()) {
-            FleetObservers fo;
-            fo.labelPrefix =
-                c.label + " [" +
-                routerName(router ? *router : c.fleet.router) + "] ";
-            fo.tracer = tracer ? &*tracer : nullptr;
-            fo.timeline = timeline ? &*timeline : nullptr;
-            fo.pidBase = nextPid;
-            fo.interconnectPid =
-                nextPid + static_cast<int>(c.fleet.replicas.size());
-            nextPid += static_cast<int>(c.fleet.replicas.size()) + 1;
-            if (oc.streamMetrics &&
-                c.fleet.mode == FleetMode::Colocated) {
-                // The true bounded-memory shape: arrivals stream from
-                // the source and completions fold into sketches, so a
-                // million-request replay never materializes its trace
-                // or its per-request records.
-                StreamingMetrics stream(c.fleet.slo);
-                r = runFleetCaseStreamed(stores, sc, c, router, fo,
-                                         stream);
-                m = r.metrics;
-            } else {
-                r = runFleetCase(stores, sc, c, router, fo);
-                if (oc.streamMetrics) {
-                    // Disaggregated cases must retain records (the
-                    // pump polls them for hand-offs); stream the
-                    // fleet-level records (transfer-adjusted TTFTs)
-                    // through sketch collectors after the fact.
-                    StreamingMetrics stream(c.fleet.slo);
-                    for (const CompletedRequest &cr : r.completed)
-                        stream.observe(cr);
-                    m = stream.finalize(r.makespan);
-                } else {
-                    m = r.metrics;
-                }
-            }
-        } else {
-            r = runFleetCase(stores, sc, c, router, FleetObservers{});
-            m = r.metrics;
-        }
+        FleetObservers fo;
+        fo.labelPrefix = c.label + " [" +
+                         routerName(router ? *router : c.fleet.router) +
+                         "] ";
+        fo.tracer = tracer ? &*tracer : nullptr;
+        fo.timeline = timeline ? &*timeline : nullptr;
+        fo.pidBase = nextPid;
+        fo.interconnectPid =
+            nextPid + static_cast<int>(c.fleet.replicas.size());
+        nextPid += static_cast<int>(c.fleet.replicas.size()) + 1;
+        StreamingMetrics stream(c.fleet.slo);
+        const FleetReport r =
+            runFleetCase(stores, sc, c, router, fo,
+                         oc.streamMetrics ? &stream : nullptr);
+        const ServingMetrics &m = r.metrics;
         std::vector<std::string> row = {
             c.label, routerName(router ? *router : c.fleet.router),
             fmt(m.goodput.value(), 2), fmt(m.ttft.p50, 3),
@@ -690,7 +636,6 @@ runScenario(const Scenario &sc, bool quiet)
         rep = runServing(sc, quiet);
         break;
       case ScenarioKind::Fleet:
-      case ScenarioKind::ControlPlane:
         rep = runFleetStudy(sc, quiet);
         break;
       case ScenarioKind::Saturation:

@@ -57,48 +57,29 @@ ScenarioReport runScenario(const Scenario &sc, bool quiet = false);
 /**
  * One serving-engine run of a serving scenario: @p kind under
  * (@p policy, @p mode) at Poisson/fixed rate @p rate over the
- * scenario's seeded trace template.
+ * scenario's seeded trace template, with @p eo attached to the engine
+ * before the run.
  */
-ServingReport runServingPoint(const ServingScenario &sc,
-                              SystemKind kind, SchedulerPolicy policy,
-                              ExecutionMode mode, double rate);
-
-/// runServingPoint with observability sinks attached to the engine
-/// before the run (the scenario runner's tracing/streaming path).
 ServingReport runServingPoint(const ServingScenario &sc,
                               SystemKind kind, SchedulerPolicy policy,
                               ExecutionMode mode, double rate,
-                              const EngineObservers &eo);
+                              const EngineObservers &eo = {});
 
 /**
- * One fleet run of a fleet scenario. @p router overrides the case's
- * configured router when set (router-shootout expansion).
+ * One fleet run of a fleet scenario, costing its steps in @p stores
+ * (shared by every row of a fleet study), with @p fo attached to the
+ * fleet before the run. @p router overrides the case's configured
+ * router when set (router-shootout expansion). With @p stream set it is
+ * the bounded-memory run (Fleet::runStreamed): arrivals stream straight
+ * from the scenario's trace config (generator or replay file, never
+ * materialized) and completions fold into @p stream, so peak memory is
+ * independent of trace length — the shape million-request replays need.
  */
-FleetReport runFleetCase(const FleetScenario &sc, const FleetCase &c,
-                         std::optional<RouterPolicy> router = {});
-
-/// runFleetCase costing its steps in @p stores (shared by every row of
-/// a fleet study), with observability sinks attached to the fleet
-/// before the run.
 FleetReport runFleetCase(StepCostStores &stores, const FleetScenario &sc,
                          const FleetCase &c,
-                         std::optional<RouterPolicy> router,
-                         const FleetObservers &fo);
-
-/**
- * Bounded-memory fleet run: arrivals stream straight from the
- * scenario's trace config (generator or replay file, never
- * materialized) and completions fold into @p stream, so peak memory is
- * independent of trace length — the shape million-request replays
- * need. Colocated cases only (Fleet::runStreamed); the runner falls
- * back to the record-retaining path for disaggregated cases.
- */
-FleetReport runFleetCaseStreamed(StepCostStores &stores,
-                                 const FleetScenario &sc,
-                                 const FleetCase &c,
-                                 std::optional<RouterPolicy> router,
-                                 const FleetObservers &fo,
-                                 StreamingMetrics &stream);
+                         std::optional<RouterPolicy> router = {},
+                         const FleetObservers &fo = {},
+                         StreamingMetrics *stream = nullptr);
 
 } // namespace pimba
 

@@ -16,7 +16,6 @@ scenarioKindName(ScenarioKind kind)
       case ScenarioKind::Fleet: return "fleet";
       case ScenarioKind::Saturation: return "saturation";
       case ScenarioKind::Planner: return "planner";
-      case ScenarioKind::ControlPlane: return "control";
     }
     return "unknown";
 }
@@ -900,9 +899,6 @@ parseScenario(const JsonValue &root, bool smoke)
         /* planner */
         {"name", "description", "kind", "smoke", "systems", "model",
          "engine", "trace", "router", "sloFraction", "maxReplicas"},
-        /* control (fleet schema; control-plane keys live per fleet) */
-        {"name", "description", "kind", "smoke", "model", "trace",
-         "routers", "fleet", "fleets", "observability"},
     };
 
     Scenario sc;
@@ -911,7 +907,7 @@ parseScenario(const JsonValue &root, bool smoke)
     const JsonValue *kind = doc.find("kind");
     if (!kind)
         failAt(doc, "missing required key \"kind\" (throughput, "
-                    "serving, fleet, saturation, planner, control)");
+                    "serving, fleet, saturation, planner)");
     std::string kind_name = lowered(kind->asString());
     if (kind_name == "throughput")
         sc.kind = ScenarioKind::Throughput;
@@ -923,12 +919,10 @@ parseScenario(const JsonValue &root, bool smoke)
         sc.kind = ScenarioKind::Saturation;
     else if (kind_name == "planner")
         sc.kind = ScenarioKind::Planner;
-    else if (kind_name == "control")
-        sc.kind = ScenarioKind::ControlPlane;
     else
         failAt(*kind, "unknown scenario kind \"" + kind->asString() +
                           "\" (expected throughput, serving, fleet, "
-                          "saturation, planner, control)");
+                          "saturation, planner)");
     checkKeys(doc, kByKind[static_cast<size_t>(sc.kind)]);
     switch (sc.kind) {
       case ScenarioKind::Throughput:
@@ -947,10 +941,6 @@ parseScenario(const JsonValue &root, bool smoke)
         break;
       case ScenarioKind::Planner:
         sc.spec = parsePlanner(doc);
-        break;
-      case ScenarioKind::ControlPlane:
-        sc.spec = parseFleet(doc);
-        sc.obs = parseObservability(doc);
         break;
     }
     return sc;

@@ -8,23 +8,23 @@
  * and fleet-capacity planning — loaded from JSON with located schema
  * errors. The checked-in studies are the JSON presets in scenarios/.
  *
- * Six scenario kinds:
+ * Five scenario kinds:
  *
  *  - `throughput`: generationThroughput over grids of (model, batch),
  *    one column per system, normalized to the first system.
  *  - `serving`: one ServingEngine run per (system x policy x mode x
  *    rate) combination on a shared seeded trace.
  *  - `fleet`: one Fleet run per labelled fleet case (optionally
- *    expanded across a router list).
+ *    expanded across a router list). A case may carry the SLO-aware
+ *    control plane (autoscaling, priority tiers, deadlines, prefix
+ *    affinity; see docs/control-plane.md) in its per-fleet
+ *    "controlPlane" / "priorities" / "deadlines" blocks; a study with
+ *    one on any case is reported with cancellation and replica-second
+ *    columns.
  *  - `saturation`: per (system x policy), bisect the highest Poisson
  *    rate that still meets the SLO-attainment fraction.
  *  - `planner`: per system, bisect the minimum replica count whose
  *    homogeneous fleet meets the SLO-attainment fraction.
- *  - `control`: fleet cases with the SLO-aware control plane enabled
- *    (autoscaling, priority tiers, deadlines, prefix affinity; see
- *    docs/control-plane.md) — same schema as `fleet` plus the
- *    per-fleet "controlPlane" / "priorities" / "deadlines" blocks,
- *    reported with cancellation and replica-second columns.
  *
  * A scenario file may carry a `"smoke"` member: a partial overlay
  * deep-merged over the document when the caller asks for smoke mode
@@ -58,11 +58,6 @@ enum class ScenarioKind
     Fleet,      ///< multi-replica fleet cases on one trace
     Saturation, ///< highest SLO-sustaining Poisson rate per config
     Planner,    ///< minimum replica count per system at a target rate
-    /// Control-plane fleet study (autoscaler / tiers / deadlines /
-    /// prefix affinity). Shares FleetScenario as its spec type —
-    /// appended at the enum's end so every existing kind keeps its
-    /// parse-table index.
-    ControlPlane,
 };
 
 /// Lower-case kind name ("throughput", "serving", ...).

@@ -7,15 +7,20 @@ namespace pimba {
 
 namespace {
 
+/// @p s as one RFC 4180 field: quoted, with inner quotes doubled, when
+/// it holds a comma, a quote, CR or LF; verbatim otherwise.
 std::string
 csvEscape(const std::string &s)
 {
-    // Track labels are simple run descriptions; commas are the only
-    // character that could break the column structure.
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s)
-        out.push_back(c == ',' ? ';' : c);
+    if (s.find_first_of(",\"\r\n") == std::string::npos)
+        return s;
+    std::string out = "\"";
+    for (char c : s) {
+        if (c == '"')
+            out.push_back('"');
+        out.push_back(c);
+    }
+    out.push_back('"');
     return out;
 }
 

@@ -79,8 +79,10 @@ ServingEngine::ServingEngine(std::shared_ptr<StepCostStore> costs_,
 void
 ServingEngine::attachObservers(const EngineObservers &o)
 {
+    const bool newTracks =
+        o.tracer && (o.tracer != obs.tracer || o.pid != obs.pid);
     obs = o;
-    if (obs.tracer) {
+    if (newTracks) {
         obs.tracer->threadName(obs.pid, kTraceIterTid, "iterations");
         obs.tracer->threadName(obs.pid, kTraceGpuTid, "gpu");
         obs.tracer->threadName(obs.pid, kTracePimTid, "pim");

@@ -76,16 +76,17 @@ struct EngineObservers
     int pid = 1;                ///< trace "process" of this engine
     TimelineSampler *timeline = nullptr; ///< periodic load sampler
     int timelineTrack = 0;      ///< registered track id on @c timeline
-    /// Streaming metrics collector fed one CompletedRequest at a time
-    /// (the sample-vector-free aggregation path).
-    StreamingMetrics *stream = nullptr;
+    /// Sink fed one CompletedRequest per retired request: a
+    /// StreamingMetrics collector (the sample-vector-free aggregation
+    /// path), or the fleet's hand-off bookkeeping.
+    CompletionSink *stream = nullptr;
     /// With @c stream attached: drop per-request record retention too —
     /// ServingReport::completed stays empty and the engine's memory is
     /// bounded by the in-flight set, independent of trace length (the
     /// million-request replay shape). Counters and aggregate metrics
-    /// stay exact; percentile summaries come from the stream's
-    /// sketches. Ignored without a stream (silently dropping records
-    /// with no collector would lose them entirely).
+    /// stay exact; percentile summaries come from the sink. Ignored
+    /// without a sink (silently dropping records with nobody to
+    /// receive them would lose them entirely).
     bool streamOnly = false;
 };
 
@@ -288,14 +289,6 @@ class ServingEngine
     Seconds oldestQueuedArrival() const;
     /// Requests completed so far in the open session.
     size_t completedCount() const { return report.completedRequests; }
-    /// Completion records so far (the fleet polls for hand-offs).
-    /// Empty under streamOnly — the disaggregated fleet, which needs
-    /// these records to build transfer hand-offs, rejects the
-    /// record-free mode up front.
-    const std::vector<CompletedRequest> &completedSoFar() const
-    {
-        return report.completed;
-    }
 
     const EngineConfig &config() const { return cfg; }
     /// The replica's simulator (footprint math for transfer sizing).
@@ -309,10 +302,11 @@ class ServingEngine
     // ------------------------------------------------ observability
     /// Attach (or with a default-constructed argument, detach) the
     /// observability sinks. Persists across begin()/finish() cycles so
-    /// a fleet attaches once per replica. When a tracer is attached,
-    /// its fixed engine tracks (iterations, gpu, pim, sync) are named
-    /// immediately; the caller names the process (pid) itself, since
-    /// only it knows the run's label.
+    /// a fleet attaches once per replica. When a tracer is newly
+    /// attached (or moved to another pid), its fixed engine tracks
+    /// (iterations, gpu, pim, sync) are named immediately; swapping
+    /// only the completion sink names nothing again. The caller names
+    /// the process (pid) itself, since only it knows the run's label.
     void attachObservers(const EngineObservers &o);
     const EngineObservers &observers() const { return obs; }
 

@@ -143,12 +143,8 @@ StreamingMetrics::merge(const StreamingMetrics &other)
     lastFinish = std::max(lastFinish, other.lastFinish);
 }
 
-namespace {
-
-/** LatencySummary fields out of one sketch: percentiles estimated,
- *  count/mean/min/max exact. */
 LatencySummary
-sketchSummary(const QuantileSketch &s)
+summarizeSketch(const QuantileSketch &s)
 {
     LatencySummary out;
     out.count = s.count();
@@ -161,8 +157,6 @@ sketchSummary(const QuantileSketch &s)
     return out;
 }
 
-} // namespace
-
 ServingMetrics
 StreamingMetrics::finalize(Seconds makespan) const
 {
@@ -171,11 +165,11 @@ StreamingMetrics::finalize(Seconds makespan) const
     m.generatedTokens = generatedTokens;
     m.makespan = makespan;
     m.sloViolations = requests - good;
-    m.ttft = sketchSummary(ttft);
-    m.tpot = sketchSummary(tpot);
-    m.latency = sketchSummary(latency);
-    m.queueing = sketchSummary(queueing);
-    m.preemptions = sketchSummary(preemptions);
+    m.ttft = summarizeSketch(ttft);
+    m.tpot = summarizeSketch(tpot);
+    m.latency = summarizeSketch(latency);
+    m.queueing = summarizeSketch(queueing);
+    m.preemptions = summarizeSketch(preemptions);
     if (makespan > Seconds(0.0)) {
         m.tokensPerSec = Tokens(m.generatedTokens) / makespan;
         m.requestsPerSec = RequestsPerSecond(

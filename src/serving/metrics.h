@@ -45,6 +45,10 @@ struct LatencySummary
  *  nothing) yields the all-zero summary, never UB. */
 LatencySummary summarizeLatency(const std::vector<double> &samples);
 
+/** The same summary out of a sketch: percentiles are estimates,
+ *  count/mean/min/max exact. */
+LatencySummary summarizeSketch(const QuantileSketch &s);
+
 /** Fleet metrics over one engine run. */
 struct ServingMetrics
 {
@@ -85,6 +89,21 @@ ServingMetrics computeMetrics(const std::vector<CompletedRequest> &done,
                               Seconds makespan, const SloConfig &slo);
 
 /**
+ * Receiver of retired requests: an engine calls observe() once per
+ * completion (EngineObservers::stream). StreamingMetrics folds them into
+ * sketches; a disaggregated fleet turns them into hand-offs and
+ * fleet-level records.
+ */
+class CompletionSink
+{
+  public:
+    virtual void observe(const CompletedRequest &c) = 0;
+
+  protected:
+    ~CompletionSink() = default;
+};
+
+/**
  * Streaming alternative to computeMetrics(): per-request records are
  * folded into mergeable quantile sketches (core/sketch.h) one at a
  * time, so the collector's memory footprint is O(sketch buckets)
@@ -96,7 +115,7 @@ ServingMetrics computeMetrics(const std::vector<CompletedRequest> &done,
  * Collectors merge: per-replica collectors fold into one fleet-wide
  * collector without ever materializing the combined sample set.
  */
-class StreamingMetrics
+class StreamingMetrics final : public CompletionSink
 {
   public:
     explicit StreamingMetrics(
@@ -104,7 +123,7 @@ class StreamingMetrics
         double accuracy = QuantileSketch::kDefaultAccuracy);
 
     /** Fold one completion record in. */
-    void observe(const CompletedRequest &c);
+    void observe(const CompletedRequest &c) override;
 
     /** Fold another collector in (same SLO and accuracy expected). */
     void merge(const StreamingMetrics &other);

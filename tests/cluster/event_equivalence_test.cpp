@@ -101,8 +101,10 @@ checkCase(const FleetScenario &sc, const FleetCase &c,
 TEST(EventEquivalence, EveryFleetPresetIsByteIdenticalToLockstep)
 {
     // Sweep every scenarios/*.json under the smoke overlay (full-size
-    // presets are CI-hostile); non-fleet kinds are skipped. Guard that
-    // the sweep saw real work so a filtering bug can't pass vacuously.
+    // presets are CI-hostile); non-fleet kinds are skipped, and so are
+    // control-plane cases, which the lockstep reference predates.
+    // Guard that the sweep saw real work so a filtering bug can't pass
+    // vacuously.
     size_t fleetPresets = 0, casesChecked = 0;
     std::vector<std::string> files;
     for (const auto &entry : std::filesystem::directory_iterator(
@@ -120,6 +122,8 @@ TEST(EventEquivalence, EveryFleetPresetIsByteIdenticalToLockstep)
         const auto &sc = std::get<FleetScenario>(scenario.spec);
         auto trace = materializeTrace(sc.trace);
         for (const FleetCase &c : sc.cases) {
+            if (c.fleet.controlPlane.anyEnabled())
+                continue;
             std::vector<std::optional<RouterPolicy>> routers;
             if (sc.routers.empty()) {
                 routers.push_back(std::nullopt);

@@ -2,10 +2,10 @@
  * @file
  * Bounded-memory replay tests: Fleet::runStreamed must agree with the
  * record-retaining run on everything exact (counts, tokens, goodput,
- * makespan), keep its sketch percentiles within the 1% agreement bound
- * ISSUE 9 pins, retain no per-request state in the report, leave the
- * fleet reusable, and refuse disaggregated fleets (whose driver polls
- * per-request completion records).
+ * makespan, transfers), keep its sketch percentiles within the 1%
+ * agreement bound, retain no per-request state in the report, and
+ * leave the fleet reusable — on colocated and disaggregated fleets
+ * alike.
  */
 
 #include <gtest/gtest.h>
@@ -48,48 +48,66 @@ TEST(FleetReplay, StreamedRunMatchesExactRun)
 {
     TraceConfig tc = replayTraceConfig(600);
     ModelConfig model = mamba2_2p7b();
-    FleetConfig fc = colocatedPimbaFleet(2);
+    for (const FleetConfig &fc :
+         {colocatedPimbaFleet(2), disaggregatedPimbaFleet()}) {
+        const bool disaggregated = fc.mode == FleetMode::Disaggregated;
+        SCOPED_TRACE(disaggregated ? "disaggregated" : "colocated");
+        FleetReport exact = Fleet(model, fc).run(generateTrace(tc));
 
-    FleetReport exact = Fleet(model, fc).run(generateTrace(tc));
+        Fleet fleet(model, fc);
+        StreamingMetrics stream(fc.slo);
+        ArrivalStream arrivals(tc);
+        FleetReport streamed = fleet.runStreamed(arrivals, stream);
 
-    Fleet fleet(model, fc);
-    StreamingMetrics stream(fc.slo);
-    ArrivalStream arrivals(tc);
-    FleetReport streamed = fleet.runStreamed(arrivals, stream);
+        // Exact fields agree exactly.
+        EXPECT_EQ(streamed.metrics.requests, exact.metrics.requests);
+        EXPECT_EQ(streamed.metrics.generatedTokens,
+                  exact.metrics.generatedTokens);
+        EXPECT_EQ(streamed.metrics.sloViolations,
+                  exact.metrics.sloViolations);
+        EXPECT_DOUBLE_EQ(streamed.makespan.value(),
+                         exact.makespan.value());
+        EXPECT_DOUBLE_EQ(streamed.metrics.goodput.value(),
+                         exact.metrics.goodput.value());
+        EXPECT_DOUBLE_EQ(streamed.metrics.tokensPerSec.value(),
+                         exact.metrics.tokensPerSec.value());
+        EXPECT_EQ(streamed.load.requestsPerReplica,
+                  exact.load.requestsPerReplica);
+        EXPECT_EQ(streamed.transfer.transfers, exact.transfer.transfers);
+        EXPECT_EQ(streamed.transfer.totalBytes.value(),
+                  exact.transfer.totalBytes.value());
+        EXPECT_EQ(streamed.transfer.perTransfer.count,
+                  exact.transfer.perTransfer.count);
+        EXPECT_EQ(disaggregated, exact.transfer.transfers > 0);
 
-    // Exact fields agree exactly.
-    EXPECT_EQ(streamed.metrics.requests, exact.metrics.requests);
-    EXPECT_EQ(streamed.metrics.generatedTokens,
-              exact.metrics.generatedTokens);
-    EXPECT_EQ(streamed.metrics.sloViolations,
-              exact.metrics.sloViolations);
-    EXPECT_DOUBLE_EQ(streamed.makespan.value(), exact.makespan.value());
-    EXPECT_DOUBLE_EQ(streamed.metrics.goodput.value(),
-                     exact.metrics.goodput.value());
-    EXPECT_DOUBLE_EQ(streamed.metrics.tokensPerSec.value(),
-                     exact.metrics.tokensPerSec.value());
-    EXPECT_EQ(streamed.load.requestsPerReplica,
-              exact.load.requestsPerReplica);
+        // Sketch percentiles stay within the pinned 1% agreement bound.
+        EXPECT_LE(
+            relDiff(streamed.metrics.ttft.p50, exact.metrics.ttft.p50),
+            0.01);
+        EXPECT_LE(
+            relDiff(streamed.metrics.ttft.p95, exact.metrics.ttft.p95),
+            0.01);
+        EXPECT_LE(
+            relDiff(streamed.metrics.tpot.p95, exact.metrics.tpot.p95),
+            0.01);
+        EXPECT_LE(relDiff(streamed.metrics.latency.p99,
+                          exact.metrics.latency.p99),
+                  0.01);
+        EXPECT_LE(relDiff(streamed.transfer.perTransfer.p95,
+                          exact.transfer.perTransfer.p95),
+                  0.01);
+        EXPECT_NEAR(streamed.transfer.meanTtftShare,
+                    exact.transfer.meanTtftShare, 1e-12);
 
-    // Sketch percentiles stay within the pinned 1% agreement bound.
-    EXPECT_LE(relDiff(streamed.metrics.ttft.p50, exact.metrics.ttft.p50),
-              0.01);
-    EXPECT_LE(relDiff(streamed.metrics.ttft.p95, exact.metrics.ttft.p95),
-              0.01);
-    EXPECT_LE(relDiff(streamed.metrics.tpot.p95, exact.metrics.tpot.p95),
-              0.01);
-    EXPECT_LE(relDiff(streamed.metrics.latency.p99,
-                      exact.metrics.latency.p99),
-              0.01);
-
-    // Bounded memory means no per-request retention anywhere.
-    EXPECT_TRUE(streamed.completed.empty());
-    EXPECT_TRUE(streamed.assignments.empty());
-    for (const ServingReport &r : streamed.replicas) {
-        EXPECT_TRUE(r.completed.empty());
-        EXPECT_GT(r.completedRequests, 0u);
+        // Bounded memory means no per-request retention anywhere.
+        EXPECT_TRUE(streamed.completed.empty());
+        EXPECT_TRUE(streamed.assignments.empty());
+        for (const ServingReport &r : streamed.replicas) {
+            EXPECT_TRUE(r.completed.empty());
+            EXPECT_GT(r.completedRequests, 0u);
+        }
+        EXPECT_EQ(stream.observed(), exact.metrics.requests);
     }
-    EXPECT_EQ(stream.observed(), exact.metrics.requests);
 }
 
 TEST(FleetReplay, FleetIsReusableAfterStreamedRun)
@@ -138,19 +156,6 @@ TEST(FleetReplay, StreamedCountersAreExactUnderLoad)
     for (const ServingReport &r : rep.replicas)
         perReplica += r.completedRequests;
     EXPECT_EQ(perReplica, 400u);
-}
-
-using FleetReplayDeathTest = ::testing::Test;
-
-TEST(FleetReplayDeathTest, DisaggregatedStreamingIsFatal)
-{
-    // The disaggregated driver polls per-request completion records to
-    // build hand-offs, so bounded-memory streaming cannot apply there.
-    TraceConfig tc = replayTraceConfig(8);
-    Fleet fleet(mamba2_2p7b(), disaggregatedPimbaFleet());
-    StreamingMetrics stream;
-    ArrivalStream arrivals(tc);
-    EXPECT_DEATH(fleet.runStreamed(arrivals, stream), "olocated");
 }
 
 } // namespace

@@ -99,6 +99,31 @@ TEST(JsonParse, MalformedInputsFail)
     expectError("[#]", "unexpected character");
 }
 
+TEST(JsonParse, RawControlCharactersInStringsRejected)
+{
+    // JSON strings may hold U+0000..U+001F only escaped; the raw byte
+    // is reported where it sits.
+    for (int c = 0; c < 0x20; ++c) {
+        std::string text = "{\n  \"k\": \"a";
+        text += static_cast<char>(c);
+        text += "b\"\n}";
+        expectError(text, "raw control character", 2);
+    }
+    try {
+        parseJson("{\"k\": \"a\tb\"}");
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("U+0009"), std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.line(), 1);
+        EXPECT_EQ(e.column(), 9);
+    }
+    // Outside strings, tabs and newlines stay whitespace; escaped
+    // inside, they stay valid.
+    JsonValue v = parseJson("{\t\"k\":\n\"a\\tb\\nc\"}");
+    EXPECT_EQ(v.find("k")->asString(), "a\tb\nc");
+}
+
 TEST(JsonParse, ErrorsCarrySourceLine)
 {
     // The bad token sits on line 3.

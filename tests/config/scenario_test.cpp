@@ -104,7 +104,8 @@ TEST(ScenarioRoundTrip, FleetMatchesHandConstructedRun)
     ASSERT_EQ(sc.kind, ScenarioKind::Fleet);
     const auto &fs = std::get<FleetScenario>(sc.spec);
     ASSERT_EQ(fs.cases.size(), 1u);
-    FleetReport via_scenario = runFleetCase(fs, fs.cases[0]);
+    StepCostStores stores(fs.model);
+    FleetReport via_scenario = runFleetCase(stores, fs, fs.cases[0]);
 
     TraceConfig tc;
     tc.arrivals = ArrivalProcess::Poisson;

@@ -94,8 +94,9 @@ TEST(TimelineSampler, CsvHasHeaderAndEscapesLabelCommas)
     EXPECT_EQ(csv.find("time_s,track,label,queue_depth,"
                        "outstanding_tokens,running,block_util"),
               0u);
-    // The label's comma must not add a CSV column.
-    EXPECT_NE(csv.find("(Pimba x1; prefill)"), std::string::npos);
+    // The label's comma must not add a CSV column: RFC 4180 quotes it.
+    EXPECT_NE(csv.find(",\"replica 0 (Pimba x1, prefill)\","),
+              std::string::npos);
     EXPECT_NE(csv.find("0.25"), std::string::npos);
     EXPECT_NE(csv.find(",4,128,3,"), std::string::npos);
 }

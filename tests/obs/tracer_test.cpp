@@ -219,6 +219,40 @@ readFile(const std::string &path)
     return buf.str();
 }
 
+/// RFC 4180 records of @p text: fields split at commas outside quotes,
+/// records at CRLF or LF outside quotes, doubled quotes unescaped.
+std::vector<std::vector<std::string>>
+csvRecords(const std::string &text)
+{
+    std::vector<std::vector<std::string>> records;
+    std::vector<std::string> fields(1);
+    bool quoted = false;
+    for (size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        if (quoted) {
+            if (c == '"' && i + 1 < text.size() && text[i + 1] == '"')
+                fields.back().push_back(text[++i]);
+            else if (c == '"')
+                quoted = false;
+            else
+                fields.back().push_back(c);
+        } else if (c == '"') {
+            quoted = true;
+        } else if (c == ',') {
+            fields.emplace_back();
+        } else if (c == '\n') {
+            records.push_back(std::move(fields));
+            fields.assign(1, std::string());
+        } else if (c != '\r') {
+            fields.back().push_back(c);
+        }
+    }
+    EXPECT_FALSE(quoted) << "unterminated quoted field";
+    if (fields.size() > 1 || !fields[0].empty())
+        records.push_back(std::move(fields));
+    return records;
+}
+
 TEST(TracerScenario, ControlCharactersInLabelsStayValidJson)
 {
     // A fleet label with a tab and a newline lands in every replica's
@@ -268,6 +302,22 @@ TEST(TracerScenario, ControlCharactersInLabelsStayValidJson)
             withLabel += l.find(label) != std::string::npos;
         EXPECT_GE(withLabel, 4u) << path; // one per replica at least
     }
+
+    // The CSV timeline quotes the label (RFC 4180), so a reader splits
+    // every record into the header's 7 fields.
+    sc.obs.timelinePath = testing::TempDir() + "ctrl_label.timeline.csv";
+    sc.obs.timelineFormat = TimelineFormat::Csv;
+    runScenario(sc, /*quiet=*/true);
+    const std::string csv = readFile(sc.obs.timelinePath);
+    std::remove(sc.obs.timelinePath.c_str());
+    std::vector<std::vector<std::string>> records = csvRecords(csv);
+    ASSERT_GT(records.size(), 1u);
+    size_t withLabel = 0;
+    for (const std::vector<std::string> &fields : records) {
+        ASSERT_EQ(fields.size(), 7u) << "record " << fields[0];
+        withLabel += fields[2].find(label) != std::string::npos;
+    }
+    EXPECT_GE(withLabel, 4u);
 }
 
 TraceConfig

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Validate the bounded-memory replay path (docs/trace-format.md).
 
-CI's replay-smoke job runs this against a Release `pimba` binary and
-the fleet_replay preset. Two claims are checked, both from ISSUE 9's
-acceptance list:
+CI's replay-smoke job runs this against a Release `pimba` binary, on
+the fleet_replay preset and on tests/golden/disagg_replay.json (the
+same trace on a disaggregated fleet). Two claims are checked:
 
  1. Peak RSS is independent of trace length: a streamed replay of the
     full preset (2M requests) may not use more than --rss-ratio times

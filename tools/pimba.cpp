@@ -14,7 +14,7 @@
  * `run` executes any scenario kind; `sweep` fans one grid axis across
  * a thread pool (same scenario + seed => byte-identical report at any
  * thread count); `fleet` insists on the cluster kinds
- * (fleet/planner/control);
+ * (fleet/planner);
  * `validate` parses and type-checks without running. Schema errors
  * print as `file: line L, column C: message`.
  */
@@ -42,8 +42,7 @@ printTopLevelHelp()
         "commands:\n"
         "  run       execute a scenario and print its report\n"
         "  sweep     run a scenario once per grid point, in parallel\n"
-        "  fleet     execute a cluster scenario (fleet/planner/control "
-        "kinds)\n"
+        "  fleet     execute a cluster scenario (fleet/planner kinds)\n"
         "  trace     save a scenario's arrival trace as a "
         "pimba-trace-v1 file\n"
         "  replay    run a fleet scenario with bounded-memory "
@@ -135,11 +134,10 @@ runCommand(const std::string &command, int argc, char **argv)
         if (streamMetrics)
             sc.obs.streamMetrics = true;
         if (sc.obs.enabled() && sc.kind != ScenarioKind::Serving &&
-            sc.kind != ScenarioKind::Fleet &&
-            sc.kind != ScenarioKind::ControlPlane) {
+            sc.kind != ScenarioKind::Fleet) {
             fprintf(stderr,
-                    "pimba %s: observability applies to serving, fleet "
-                    "and control scenarios; %s is a %s scenario\n",
+                    "pimba %s: observability applies to serving and "
+                    "fleet scenarios; %s is a %s scenario\n",
                     command.c_str(), path.c_str(),
                     scenarioKindName(sc.kind).c_str());
             return 1;
@@ -154,11 +152,10 @@ runCommand(const std::string &command, int argc, char **argv)
             return 0;
         }
         if (command == "fleet" && sc.kind != ScenarioKind::Fleet &&
-            sc.kind != ScenarioKind::Planner &&
-            sc.kind != ScenarioKind::ControlPlane) {
+            sc.kind != ScenarioKind::Planner) {
             fprintf(stderr,
                     "pimba fleet: %s is a %s scenario; expected kind "
-                    "fleet, planner or control (use `pimba run`)\n",
+                    "fleet or planner (use `pimba run`)\n",
                     path.c_str(), scenarioKindName(sc.kind).c_str());
             return 1;
         }
@@ -191,7 +188,6 @@ scenarioTrace(Scenario &sc)
       case ScenarioKind::Serving:
         return &std::get<ServingScenario>(sc.spec).trace;
       case ScenarioKind::Fleet:
-      case ScenarioKind::ControlPlane:
         return &std::get<FleetScenario>(sc.spec).trace;
       case ScenarioKind::Saturation:
         return &std::get<SaturationScenario>(sc.spec).trace;
@@ -296,11 +292,10 @@ replayCommand(int argc, char **argv)
 
     try {
         Scenario sc = loadScenarioFile(path, smoke);
-        if (sc.kind != ScenarioKind::Fleet &&
-            sc.kind != ScenarioKind::ControlPlane) {
+        if (sc.kind != ScenarioKind::Fleet) {
             fprintf(stderr,
                     "pimba replay: %s is a %s scenario; replay needs "
-                    "kind fleet or control\n",
+                    "kind fleet\n",
                     path.c_str(), scenarioKindName(sc.kind).c_str());
             return 1;
         }
