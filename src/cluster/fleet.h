@@ -195,7 +195,6 @@ class Fleet
     FleetReport runLockstep(const std::vector<Request> &trace);
 
     const FleetConfig &config() const { return cfg; }
-    size_t replicaCount() const { return engines.size(); }
     /// Replica @p i's engine.
     const ServingEngine &replica(size_t i) const { return engines[i]; }
 

@@ -4,38 +4,6 @@
 
 namespace pimba {
 
-ServingMetrics
-aggregateMetrics(const std::vector<ServingReport> &replicas,
-                 Seconds makespan, const SloConfig &slo)
-{
-    std::vector<CompletedRequest> merged;
-    size_t total = 0;
-    for (const ServingReport &r : replicas)
-        total += r.completed.size();
-    merged.reserve(total);
-    for (const ServingReport &r : replicas)
-        merged.insert(merged.end(), r.completed.begin(),
-                      r.completed.end());
-    // computeMetrics handles the empty record set (a fleet that served
-    // nothing) and a zero makespan without dividing by nothing.
-    return computeMetrics(merged, makespan, slo);
-}
-
-ServingMetrics
-aggregateMetricsStreaming(const std::vector<ServingReport> &replicas,
-                          Seconds makespan, const SloConfig &slo,
-                          double accuracy)
-{
-    StreamingMetrics fleet(slo, accuracy);
-    for (const ServingReport &r : replicas) {
-        StreamingMetrics local(slo, accuracy);
-        for (const CompletedRequest &c : r.completed)
-            local.observe(c);
-        fleet.merge(local);
-    }
-    return fleet.finalize(makespan);
-}
-
 LoadStats
 computeLoadStats(const std::vector<ServingReport> &replicas)
 {

@@ -1,11 +1,11 @@
 /**
  * @file
- * Fleet-level metric aggregation: merge per-replica serving reports
- * into one fleet metrics record, quantify how (un)evenly the router
- * spread the load, and break down what cross-replica block transfers
- * cost a disaggregated fleet. Every aggregator tolerates degenerate
- * inputs — an empty fleet, or a saturated replica that completed zero
- * requests, reports zeros rather than dividing by nothing.
+ * Fleet-level load and transfer statistics: how (un)evenly the router
+ * spread the load over the replicas, and what cross-replica block
+ * transfers cost a disaggregated fleet. An empty fleet, or a saturated
+ * replica that completed zero requests, reports zeros rather than
+ * dividing by nothing. The fleet's latency metrics come from its own
+ * records or completion stream (cluster/fleet.h).
  */
 
 #ifndef PIMBA_CLUSTER_FLEET_METRICS_H
@@ -17,28 +17,6 @@
 #include "serving/metrics.h"
 
 namespace pimba {
-
-/**
- * Merge the per-replica completion records of @p replicas into one
- * fleet ServingMetrics over a shared @p makespan. Replicas that
- * completed nothing contribute nothing; an entirely empty fleet yields
- * the all-zero metrics record.
- */
-ServingMetrics aggregateMetrics(const std::vector<ServingReport> &replicas,
-                                Seconds makespan, const SloConfig &slo);
-
-/**
- * aggregateMetrics without materializing the merged sample vector:
- * each replica's records stream through a local quantile-sketch
- * collector and the collectors merge (the mergeability that lets a
- * distributed deployment aggregate without shipping samples).
- * Count/mean/min/max/rates are exact; percentiles carry the sketch's
- * relative-error bound @p accuracy.
- */
-ServingMetrics
-aggregateMetricsStreaming(const std::vector<ServingReport> &replicas,
-                          Seconds makespan, const SloConfig &slo,
-                          double accuracy = QuantileSketch::kDefaultAccuracy);
 
 /** How evenly the router spread requests/tokens over the replicas. */
 struct LoadStats

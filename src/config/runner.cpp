@@ -5,7 +5,6 @@
 
 #include "serving/step_cost_store.h"
 #include "serving/trace_io.h"
-#include "serving/workload.h"
 #include "sim/serving_sim.h"
 
 namespace pimba {

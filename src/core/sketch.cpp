@@ -59,47 +59,6 @@ QuantileSketch::add(double x)
     ++counts[static_cast<size_t>(idx - base)];
 }
 
-void
-QuantileSketch::merge(const QuantileSketch &other)
-{
-    PIMBA_ASSERT(alpha == other.alpha,
-                 "merging sketches of different accuracy (", alpha,
-                 " vs ", other.alpha, ")");
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        lo = other.lo;
-        hi = other.hi;
-    } else {
-        lo = std::min(lo, other.lo);
-        hi = std::max(hi, other.hi);
-    }
-    n += other.n;
-    total += other.total;
-    zeroCount += other.zeroCount;
-    if (other.counts.empty())
-        return;
-    if (counts.empty()) {
-        counts = other.counts;
-        base = other.base;
-        return;
-    }
-    int32_t newBase = std::min(base, other.base);
-    int32_t newEnd =
-        std::max(base + static_cast<int32_t>(counts.size()),
-                 other.base + static_cast<int32_t>(other.counts.size()));
-    if (newBase < base) {
-        counts.insert(counts.begin(),
-                      static_cast<size_t>(base - newBase), 0);
-        base = newBase;
-    }
-    if (newEnd > base + static_cast<int32_t>(counts.size()))
-        counts.resize(static_cast<size_t>(newEnd - base), 0);
-    for (size_t i = 0; i < other.counts.size(); ++i)
-        counts[static_cast<size_t>(other.base - base) + i] +=
-            other.counts[i];
-}
-
 double
 QuantileSketch::quantile(double q) const
 {

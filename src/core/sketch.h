@@ -1,19 +1,16 @@
 /**
  * @file
- * Mergeable streaming quantile sketch (DDSketch-style logarithmic
- * buckets) for the observability layer: percentile estimates with a
- * bounded *relative* error guarantee in O(buckets) memory, so metric
- * pipelines can stream per-request samples instead of buffering every
- * one of them (ROADMAP: million-request replays).
+ * Streaming quantile sketch (DDSketch-style logarithmic buckets) for
+ * the observability layer: percentile estimates with a bounded
+ * *relative* error guarantee in O(buckets) memory, so metric pipelines
+ * can stream per-request samples instead of buffering every one of
+ * them (million-request replays).
  *
  * Guarantees, for a sketch built with relative accuracy alpha:
  *
  *  - quantile(q) returns a value within alpha relative error of some
  *    sample whose rank matches q's (rounded) order statistic — the
  *    same rank convention percentileSorted() interpolates around.
- *  - merge() is exact: merging sketches bucket-wise is associative and
- *    commutative, and the merged sketch is identical to the sketch of
- *    the concatenated sample streams (same alpha required).
  *  - count/min/max/sum/mean are exact, not estimates.
  *  - Non-positive samples land in a dedicated zero bucket (per-request
  *    preemption counts are frequently zero) and report as 0.0.
@@ -24,7 +21,6 @@
 #ifndef PIMBA_CORE_SKETCH_H
 #define PIMBA_CORE_SKETCH_H
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -44,10 +40,6 @@ class QuantileSketch
      *  bucket (they have no logarithm) and surface as 0.0. */
     void add(double x);
 
-    /** Fold @p other into this sketch (bucket-wise, exact). Both
-     *  sketches must share the same relative accuracy. */
-    void merge(const QuantileSketch &other);
-
     /**
      * Estimate the @p q-th percentile, @p q in [0, 100]. The estimate
      * targets the order statistic percentileSorted() interpolates
@@ -63,9 +55,6 @@ class QuantileSketch
     double mean() const { return n ? total / static_cast<double>(n) : 0.0; }
     double relativeAccuracy() const { return alpha; }
     bool empty() const { return n == 0; }
-
-    /** Log-buckets currently allocated (memory-footprint telemetry). */
-    size_t bucketCount() const { return counts.size(); }
 
   private:
     int32_t bucketIndex(double x) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <sstream>
 
 namespace pimba {
 
@@ -105,20 +104,6 @@ Breakdown::fraction(std::string_view name) const
     return t > 0.0 ? get(name) / t : 0.0;
 }
 
-void
-Breakdown::scale(double s)
-{
-    for (BreakdownKey key : keys())
-        values[index(key)] *= s;
-}
-
-void
-Breakdown::merge(const Breakdown &other)
-{
-    for (BreakdownKey key : other.keys())
-        add(key, other.get(key));
-}
-
 double
 percentile(std::vector<double> samples, double q)
 {
@@ -141,113 +126,6 @@ percentileSorted(const std::vector<double> &sorted, double q)
     if (lo + 1 >= sorted.size())
         return sorted.back();
     return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
-}
-
-MetricRegistry::Entry &
-MetricRegistry::entry(const std::string &name, bool gauge)
-{
-    auto it = index.find(name);
-    if (it == index.end()) {
-        index.emplace(name, entries.size());
-        order.push_back(name);
-        entries.push_back(Entry{0.0, gauge});
-        return entries.back();
-    }
-    return entries[it->second];
-}
-
-void
-MetricRegistry::count(const std::string &name, double delta)
-{
-    entry(name, /*gauge=*/false).value += delta;
-}
-
-void
-MetricRegistry::gauge(const std::string &name, double value)
-{
-    entry(name, /*gauge=*/true).value = value;
-}
-
-double
-MetricRegistry::value(const std::string &name) const
-{
-    auto it = index.find(name);
-    return it == index.end() ? 0.0 : entries[it->second].value;
-}
-
-bool
-MetricRegistry::isGauge(const std::string &name) const
-{
-    auto it = index.find(name);
-    return it != index.end() && entries[it->second].gauge;
-}
-
-void
-MetricRegistry::merge(const MetricRegistry &other)
-{
-    for (size_t i = 0; i < other.order.size(); ++i) {
-        const std::string &name = other.order[i];
-        const Entry &theirs = other.entries[i];
-        Entry &ours = entry(name, theirs.gauge);
-        if (ours.gauge != theirs.gauge) {
-            // Kind conflict: the incoming registry's kind wins
-            // wholesale rather than mixing sum and max semantics.
-            ours.gauge = theirs.gauge;
-            ours.value = theirs.value;
-            continue;
-        }
-        if (theirs.gauge)
-            ours.value = std::max(ours.value, theirs.value);
-        else
-            ours.value += theirs.value;
-    }
-}
-
-std::string
-MetricRegistry::render() const
-{
-    std::ostringstream oss;
-    for (size_t i = 0; i < order.size(); ++i) {
-        oss << order[i] << " = " << entries[i].value;
-        if (entries[i].gauge)
-            oss << " (gauge)";
-        oss << "\n";
-    }
-    return oss.str();
-}
-
-void
-StatSet::inc(const std::string &name, double v)
-{
-    counters[name] += v;
-}
-
-void
-StatSet::set(const std::string &name, double v)
-{
-    counters[name] = v;
-}
-
-double
-StatSet::get(const std::string &name) const
-{
-    auto it = counters.find(name);
-    return it == counters.end() ? 0.0 : it->second;
-}
-
-std::string
-StatSet::dump() const
-{
-    std::ostringstream oss;
-    for (const auto &kv : counters)
-        oss << kv.first << " = " << kv.second << "\n";
-    return oss.str();
-}
-
-void
-StatSet::clear()
-{
-    counters.clear();
 }
 
 } // namespace pimba

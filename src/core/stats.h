@@ -1,8 +1,8 @@
 /**
  * @file
- * Lightweight statistics collection: named scalar counters, running
- * accumulators, and the breakdowns used by the simulators to report the
- * per-operation latency/energy splits the paper's figures show.
+ * Lightweight statistics: running accumulators, percentiles, and the
+ * breakdowns used by the simulators to report the per-operation
+ * latency/energy splits the paper's figures show.
  */
 
 #ifndef PIMBA_CORE_STATS_H
@@ -11,9 +11,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -107,12 +105,6 @@ class Breakdown
         return {order.data(), count};
     }
 
-    /** Scale every category by @p s (e.g. per-token normalization). */
-    void scale(double s);
-
-    /** Merge another breakdown into this one. */
-    void merge(const Breakdown &other);
-
     bool empty() const { return count == 0; }
 
   private:
@@ -140,80 +132,6 @@ double percentile(std::vector<double> samples, double q);
 
 /** percentile() for samples already sorted ascending (no copy/sort). */
 double percentileSorted(const std::vector<double> &sorted, double q);
-
-/**
- * Mergeable counter/gauge registry for the streaming-metrics layer.
- *
- * Counters are monotonic sums (merge adds), gauges are
- * last-write-wins samples of instantaneous state (merge keeps the
- * larger magnitude as the fleet-wide high-water mark). Names keep
- * insertion order so rendered registries diff cleanly across runs.
- * Unlike StatSet this is built to be carried per-replica and folded
- * into one fleet-wide registry without re-walking sample vectors.
- */
-class MetricRegistry
-{
-  public:
-    /** Add @p delta to the named counter, creating it at 0. */
-    void count(const std::string &name, double delta = 1.0);
-
-    /** Overwrite the named gauge (instantaneous sample). */
-    void gauge(const std::string &name, double value);
-
-    /** Current value of a counter or gauge (0 if never touched). */
-    double value(const std::string &name) const;
-
-    /** True when @p name was registered as a gauge. */
-    bool isGauge(const std::string &name) const;
-
-    /** Fold @p other in: counters sum, gauges keep the max. A name
-     *  must not be a counter in one registry and a gauge in the
-     *  other. */
-    void merge(const MetricRegistry &other);
-
-    /** "name = value" lines, insertion order, gauges marked. */
-    std::string render() const;
-
-    /** Registered names in insertion order. */
-    const std::vector<std::string> &names() const { return order; }
-
-    bool empty() const { return order.empty(); }
-
-  private:
-    struct Entry
-    {
-        double value = 0.0;
-        bool gauge = false;
-    };
-    Entry &entry(const std::string &name, bool gauge);
-
-    std::map<std::string, size_t> index;
-    std::vector<std::string> order;
-    std::vector<Entry> entries;
-};
-
-/** Registry of named scalar statistics with dump support. */
-class StatSet
-{
-  public:
-    /** Add @p v to the named counter. */
-    void inc(const std::string &name, double v = 1.0);
-
-    /** Overwrite the named counter. */
-    void set(const std::string &name, double v);
-
-    /** Read a counter (0 if never touched). */
-    double get(const std::string &name) const;
-
-    /** Render "name = value" lines. */
-    std::string dump() const;
-
-    /** Reset all counters to zero. */
-    void clear();
-
-  private:
-    std::map<std::string, double> counters;
-};
 
 } // namespace pimba
 

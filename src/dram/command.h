@@ -53,21 +53,6 @@ commandName(DramCommand cmd)
     return "?";
 }
 
-/** True for commands that occupy the shared data bus. */
-inline bool
-usesDataBus(DramCommand cmd)
-{
-    switch (cmd) {
-      case DramCommand::RD:
-      case DramCommand::WR:
-      case DramCommand::REG_WRITE:
-      case DramCommand::RESULT_READ:
-        return true;
-      default:
-        return false;
-    }
-}
-
 /** One issued command with its timestamp, for traces and tests. */
 struct CommandRecord
 {

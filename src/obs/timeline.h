@@ -66,12 +66,7 @@ class TimelineSampler
                 double blockUtil);
 
     const std::vector<TimelineRow> &rows() const { return samples; }
-    const std::string &trackLabel(int track) const
-    {
-        return labels[static_cast<size_t>(track)];
-    }
     size_t trackCount() const { return labels.size(); }
-    Seconds sampleInterval() const { return interval; }
 
     /** time_s,track,label,queue_depth,outstanding_tokens,running,
      *  block_util — one row per sample, recording order. */

@@ -168,49 +168,6 @@ PimAreaModel::groupGates(NumberFormat fmt)
     PIMBA_PANIC("no hardware group logic for format");
 }
 
-double
-PimAreaModel::pipelinedUnitGates(NumberFormat fmt, bool stochastic)
-{
-    int lanes = lanesPerColumn(fmt);
-    double lane_bits = bitsPerValue(fmt);
-    double gates = lanes * laneGates(fmt) + groupGates(fmt);
-    // Operand registers (d, q, k: one column each; v element + control)
-    // and four pipeline latch stages over a 256-bit datapath.
-    gates += 3.0 * regGates(256) + regGates(32);
-    gates += kSpuPipelineStages * regGates(
-        static_cast<int>(lanes * (lane_bits + 4)));
-    // Accumulator for the dot-product drain.
-    gates += regGates(64);
-    if (stochastic)
-        gates += lfsrGates() + lanes * intAddGates(4);
-    return gates;
-}
-
-double
-PimAreaModel::timeMuxUnitGates(NumberFormat fmt)
-{
-    // HBM-PIM style: a single element-wise MAC column (multiply OR add
-    // per slot, shared), minimal registers, no pipeline latches.
-    int lanes = lanesPerColumn(fmt);
-    double gates = 0.0;
-    if (fmt == NumberFormat::FP16) {
-        gates = lanes * fpMacGates(5, 10);
-    } else {
-        gates = lanes * (laneGates(fmt) * 0.45);
-    }
-    gates += 2.0 * regGates(256) + regGates(64);
-    return gates;
-}
-
-double
-PimAreaModel::mm2PerGate()
-{
-    // Calibrated so the Pimba pseudo-channel compute area matches
-    // Table 3 (0.053 mm² for 8 interleaved MX8 SPUs). DRAM processes are
-    // ~10x less dense than logic at the same node (Section 6.1).
-    return 1.66e-7;
-}
-
 namespace {
 
 /**

@@ -3,9 +3,8 @@
  * Gate-level area and power model of the PIM processing units.
  *
  * The paper synthesizes RTL with Synopsys DC on FreePDK45 and scales to
- * 10 nm with DeepScaleTool (Section 6.1); we substitute a parametric
- * gate-count model (NAND2-equivalents) with one technology constant
- * calibrated against the paper's published endpoints:
+ * 10 nm with DeepScaleTool (Section 6.1); we substitute per-unit areas
+ * anchored to the paper's published endpoints:
  *
  *   - Table 3: Pimba compute 0.053 mm² / total 0.092 mm² / 13.4 %
  *              overhead; HBM-PIM 0.042 / 0.081 / 11.8 %.
@@ -15,9 +14,9 @@
  *             penalized by dequantize/requantize + max-search logic,
  *             fp16 far to the right; SR adds only an LFSR and adders.
  *
- * Relative ordering between formats emerges from the gate counts
- * (multipliers ~ n^2, shifters ~ n log p, etc.); only the absolute scale
- * is calibrated.
+ * The areas of the formats between those endpoints follow the ratios of
+ * a parametric gate-count model (NAND2-equivalents: multipliers ~ n^2,
+ * shifters ~ n log p, etc.) of each format's lanes.
  */
 
 #ifndef PIMBA_PIM_AREA_MODEL_H
@@ -77,11 +76,6 @@ class PimAreaModel
     /** Lanes per 256-bit (one DRAM column) operand group. */
     static int lanesPerColumn(NumberFormat fmt);
 
-    /** Gates of one full pipelined SPE (256-bit operands + latches). */
-    static double pipelinedUnitGates(NumberFormat fmt, bool stochastic);
-    /** Gates of one time-multiplexed basic ALU (fp16 MAC + registers). */
-    static double timeMuxUnitGates(NumberFormat fmt);
-
     // --- Design-level results ---
 
     /**
@@ -100,9 +94,6 @@ class PimAreaModel
 
     /** Dynamic compute power (mW) at @p freq_hz (Table 3 methodology). */
     static double computePowerMw(double compute_area_mm2, double freq_hz);
-
-    /** mm² per NAND2-equivalent gate in the 10 nm DRAM process. */
-    static double mm2PerGate();
 };
 
 } // namespace pimba

@@ -444,6 +444,48 @@ ServingEngine::oldestQueuedArrival() const
     return oldest;
 }
 
+namespace {
+
+/// What a resident leaving the batch early (evicted or cancelled) did
+/// on this replica.
+struct LocalWork
+{
+    uint64_t delivered = 0; ///< tokens that leave the delivered counter
+    uint64_t computed = 0;  ///< recompute debt on eviction, waste on cancel
+};
+
+/**
+ * The local work of @p rs, checked against the engine's @p delivered
+ * counter; @p on names the path for the underflow asserts. A preloaded
+ * request's prompt and first token were produced (and counted) on its
+ * prefill replica, so only local decode steps are this replica's —
+ * clamped: a preloaded resident sits at generated == 1 until its first
+ * local step, and an unclamped `generated - 1` would wrap the unsigned
+ * counters if a zero-generated state ever reached here. Prefix-cache-
+ * skipped prompt tokens were never computed here, so they are not local
+ * work (an evicted request skips them again from the still-warm cache
+ * on re-admission).
+ */
+LocalWork
+localWork(const RequestState &rs, uint64_t delivered, const char *on)
+{
+    LocalWork w;
+    if (rs.preloaded) {
+        w.delivered = rs.generated > 0 ? rs.generated - 1 : 0;
+        w.computed = w.delivered;
+    } else {
+        PIMBA_ASSERT(rs.prefilled >= rs.prefixSkipped,
+                     "prefix-skip accounting underflow on ", on);
+        w.delivered = rs.generated;
+        w.computed = (rs.prefilled - rs.prefixSkipped) + rs.generated;
+    }
+    PIMBA_ASSERT(delivered >= w.delivered,
+                 "delivered-token counter underflow on ", on);
+    return w;
+}
+
+} // namespace
+
 bool
 ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
 {
@@ -482,26 +524,11 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
         if (onlyIfNoFirstToken && rs.firstToken >= Seconds(0.0))
             return false; // TTFT deadline already met
         // Locally computed work becomes waste and leaves the delivered
-        // counter. A preloaded request's prompt and first token were
-        // produced (and counted) on its prefill replica; only local
-        // decode steps are this replica's to un-count — with the same
-        // wrap clamp the eviction path needs. Prefix-cache-skipped
-        // prompt tokens were never computed, so they are not waste.
-        uint64_t undelivered = 0;
-        uint64_t wasted = 0;
-        if (rs.preloaded) {
-            undelivered = rs.generated > 0 ? rs.generated - 1 : 0;
-            wasted = undelivered;
-        } else {
-            PIMBA_ASSERT(rs.prefilled >= rs.prefixSkipped,
-                         "prefix-skip accounting underflow on cancel");
-            undelivered = rs.generated;
-            wasted = (rs.prefilled - rs.prefixSkipped) + rs.generated;
-        }
-        PIMBA_ASSERT(report.generatedTokens >= undelivered,
-                     "delivered-token counter underflow on cancel");
-        report.generatedTokens -= undelivered;
-        report.wastedTokens += wasted;
+        // counter.
+        const LocalWork w =
+            localWork(rs, report.generatedTokens, "cancel");
+        report.generatedTokens -= w.delivered;
+        report.wastedTokens += w.computed;
         ++report.cancelledRequests;
         blocks->release(rs.heldBlocks);
         life.erase(id);
@@ -673,40 +700,15 @@ ServingEngine::iterate()
                 "request",
                 {{"prefilled", static_cast<double>(victim.prefilled)},
                  {"generated", static_cast<double>(victim.generated)}});
-        // A preloaded victim's prompt and first token were produced
-        // (and counted) by its prefill replica, not here: only locally
-        // decoded tokens net out of the delivered count and become
-        // recompute debt. The shipped blocks themselves are assumed to
-        // be retained in the transfer staging buffer until completion,
-        // so re-admission re-materializes them without a second link
-        // transfer (re-fetch cost is not modeled).
-        if (victim.preloaded) {
-            // Clamp: a preloaded victim evicted before its first local
-            // decode step still sits at generated == 1 (the imported
-            // first token) — and must never go below. Subtracting an
-            // unclamped `generated - 1` would wrap the unsigned counter
-            // if a zero-generated state ever reached here, corrupting
-            // both counters for the rest of the run.
-            uint64_t locallyDecoded =
-                victim.generated > 0 ? victim.generated - 1 : 0;
-            PIMBA_ASSERT(report.generatedTokens >= locallyDecoded,
-                         "delivered-token counter underflow on "
-                         "preloaded eviction");
-            report.recomputedTokens += locallyDecoded;
-            report.generatedTokens -= locallyDecoded;
-        } else {
-            // Prefix-cache-skipped prompt tokens were never computed
-            // here, so they are not recompute debt — re-admission will
-            // skip them again from the still-warm cache.
-            PIMBA_ASSERT(victim.prefilled >= victim.prefixSkipped,
-                         "prefix-skip accounting underflow on eviction");
-            PIMBA_ASSERT(report.generatedTokens >= victim.generated,
-                         "delivered-token counter underflow on eviction");
-            report.recomputedTokens +=
-                (victim.prefilled - victim.prefixSkipped) +
-                victim.generated;
-            report.generatedTokens -= victim.generated;
-        }
+        // Locally computed work becomes recompute debt and leaves the
+        // delivered counter. A preloaded victim's shipped blocks are
+        // assumed to be retained in the transfer staging buffer until
+        // completion, so re-admission re-materializes them without a
+        // second link transfer (re-fetch cost is not modeled).
+        const LocalWork w =
+            localWork(victim, report.generatedTokens, "eviction");
+        report.generatedTokens -= w.delivered;
+        report.recomputedTokens += w.computed;
         enqueueWaiting(victim.req, /*atSegmentFront=*/true);
     }
 

@@ -82,27 +82,14 @@ computeMetrics(const std::vector<CompletedRequest> &done, Seconds makespan,
     return m;
 }
 
-std::vector<std::string>
-metricsHeader()
+bool
+sustainsSlo(const ServingMetrics &m, double fraction)
 {
-    return {"",          "n",        "tok/s",    "req/s",
-            "goodput",   "TTFT min", "TTFT p50", "TTFT p95",
-            "TPOT p95",  "lat p99"};
-}
-
-std::vector<std::string>
-metricsRow(const std::string &label, const ServingMetrics &m)
-{
-    return {label,
-            std::to_string(m.ttft.count),
-            fmt(m.tokensPerSec.value(), 1),
-            fmt(m.requestsPerSec.value(), 2),
-            fmt(m.goodput.value(), 2),
-            fmt(m.ttft.min, 3),
-            fmt(m.ttft.p50, 3),
-            fmt(m.ttft.p95, 3),
-            fmt(m.tpot.p95, 4),
-            fmt(m.latency.p99, 2)};
+    if (m.requests == 0)
+        return false;
+    uint64_t good = m.requests - m.sloViolations;
+    return static_cast<double>(good) >=
+           fraction * static_cast<double>(m.requests);
 }
 
 StreamingMetrics::StreamingMetrics(SloConfig slo_, double accuracy)
@@ -127,20 +114,6 @@ StreamingMetrics::observe(const CompletedRequest &c)
     if (c.ttft <= slo.ttft && tpotOk)
         ++good;
     lastFinish = std::max(lastFinish, c.req.arrival + c.latency);
-}
-
-void
-StreamingMetrics::merge(const StreamingMetrics &other)
-{
-    requests += other.requests;
-    generatedTokens += other.generatedTokens;
-    good += other.good;
-    ttft.merge(other.ttft);
-    tpot.merge(other.tpot);
-    latency.merge(other.latency);
-    queueing.merge(other.queueing);
-    preemptions.merge(other.preemptions);
-    lastFinish = std::max(lastFinish, other.lastFinish);
 }
 
 LatencySummary

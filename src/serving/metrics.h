@@ -4,17 +4,16 @@
  * summaries, sustained token throughput, and goodput under a per-request
  * SLO (a request counts toward goodput only if both its TTFT and its
  * TPOT meet the target, the criterion used by request-level serving
- * studies). Rendered through the core Table infrastructure.
+ * studies). Computed from retained records (computeMetrics) or folded
+ * in one completion at a time (StreamingMetrics).
  */
 
 #ifndef PIMBA_SERVING_METRICS_H
 #define PIMBA_SERVING_METRICS_H
 
-#include <string>
 #include <vector>
 
 #include "core/sketch.h"
-#include "core/table.h"
 #include "serving/request.h"
 
 namespace pimba {
@@ -89,6 +88,15 @@ ServingMetrics computeMetrics(const std::vector<CompletedRequest> &done,
                               Seconds makespan, const SloConfig &slo);
 
 /**
+ * True if at least @p fraction of the completed requests met the SLO:
+ * the criterion the saturation and planner searches test against.
+ * Judged on the per-request compliance fraction, not on goodput vs the
+ * offered rate, whose makespan denominator includes the post-arrival
+ * drain of the final batch. False when nothing completed.
+ */
+bool sustainsSlo(const ServingMetrics &m, double fraction = 0.95);
+
+/**
  * Receiver of retired requests: an engine calls observe() once per
  * completion (EngineObservers::stream). StreamingMetrics folds them into
  * sketches; a disaggregated fleet turns them into hand-offs and
@@ -105,15 +113,12 @@ class CompletionSink
 
 /**
  * Streaming alternative to computeMetrics(): per-request records are
- * folded into mergeable quantile sketches (core/sketch.h) one at a
- * time, so the collector's memory footprint is O(sketch buckets)
- * instead of O(requests) sample vectors — the shape the roadmap's
- * million-request replays need. Percentiles come out within the
- * sketch's relative accuracy of the exact summaries; count, mean, min,
- * max, throughput, goodput and SLO-violation counts are exact.
- *
- * Collectors merge: per-replica collectors fold into one fleet-wide
- * collector without ever materializing the combined sample set.
+ * folded into quantile sketches (core/sketch.h) one at a time, so the
+ * collector's memory footprint is O(sketch buckets) instead of
+ * O(requests) sample vectors — the shape million-request replays need.
+ * Percentiles come out within the sketch's relative accuracy of the
+ * exact summaries; count, mean, min, max, throughput, goodput and
+ * SLO-violation counts are exact.
  */
 class StreamingMetrics final : public CompletionSink
 {
@@ -124,9 +129,6 @@ class StreamingMetrics final : public CompletionSink
 
     /** Fold one completion record in. */
     void observe(const CompletedRequest &c) override;
-
-    /** Fold another collector in (same SLO and accuracy expected). */
-    void merge(const StreamingMetrics &other);
 
     /** Completions observed so far. */
     uint64_t observed() const { return requests; }
@@ -154,13 +156,6 @@ class StreamingMetrics final : public CompletionSink
     QuantileSketch queueing;
     QuantileSketch preemptions;
 };
-
-/** Header matching metricsRow() for rate/system sweep tables. */
-std::vector<std::string> metricsHeader();
-
-/** One sweep-table row: label column followed by the key metrics. */
-std::vector<std::string> metricsRow(const std::string &label,
-                                    const ServingMetrics &m);
 
 } // namespace pimba
 

@@ -14,7 +14,7 @@
 #include <algorithm>
 #include <map>
 
-#include "cluster/workload.h"
+#include "presets.h"
 #include "serving/trace.h"
 
 namespace pimba {
@@ -82,7 +82,7 @@ FleetConfig
 fleetFor(const PolicyCase &pc, uint32_t seed)
 {
     const size_t n = 2 + seed % 2;
-    FleetConfig fc = colocatedPimbaFleet(n);
+    FleetConfig fc = pimbaJsqFleet(n);
     constexpr RouterPolicy kRouters[] = {
         RouterPolicy::JoinShortestQueue, RouterPolicy::RoundRobin,
         RouterPolicy::CacheAffinity};

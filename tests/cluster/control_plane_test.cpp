@@ -17,11 +17,18 @@
 #include <cmath>
 #include <map>
 
-#include "cluster/workload.h"
-#include "serving/workload.h"
+#include "presets.h"
 
 namespace pimba {
 namespace {
+
+/// The fleet of cluster_disaggregation.json's case @p label.
+FleetConfig
+disaggCase(const std::string &label)
+{
+    return presetCase(preset<FleetScenario>("cluster_disaggregation.json"),
+                      label);
+}
 
 ControlPlaneConfig
 autoscalerOn(size_t minR, size_t maxR, size_t initial, double interval,
@@ -114,10 +121,10 @@ TEST(ControlPlaneConfigTest, ValidationCatchesBadConfigs)
 
     // The fleet validator folds the same checks in, plus the
     // colocated-only restriction.
-    FleetConfig fc = disaggregatedPimbaFleet();
+    FleetConfig fc = disaggCase("2p+2d NVLink (A100)");
     fc.controlPlane = ok;
     EXPECT_NE(validateFleetConfig(fc), "");
-    FleetConfig good = colocatedPimbaFleet(4);
+    FleetConfig good = disaggCase("colocated 4");
     good.controlPlane = ok;
     EXPECT_EQ(validateFleetConfig(good), "");
 }
@@ -196,15 +203,16 @@ TEST(ControlPlaneRegression, NeutralControlPlaneMatchesClassicRun)
     // byte-for-byte. This pins the control-plane branches of the one
     // fleet pump (prefix stamping, deadline timers) as inert when they
     // cannot change a decision.
-    auto trace = clusterTrace(32.0, 96);
+    auto trace = presetTrace(
+        preset<FleetScenario>("cluster_routers.json"), 32.0, 96);
     ModelConfig model = mamba2_2p7b();
 
     for (bool farDeadlines : {false, true}) {
-        FleetConfig plainCfg = colocatedPimbaFleet(3);
+        FleetConfig plainCfg = pimbaJsqFleet(3);
         FleetReport plain = Fleet(model, plainCfg).run(trace);
         EXPECT_FALSE(plain.controlPlane.enabled);
 
-        FleetConfig neutralCfg = colocatedPimbaFleet(3);
+        FleetConfig neutralCfg = pimbaJsqFleet(3);
         neutralCfg.controlPlane.prefixTokensByClass = {0};
         if (farDeadlines) {
             neutralCfg.controlPlane.deadlines.resize(1);
@@ -260,7 +268,7 @@ TEST(ControlPlaneDeadlines, CancellationIsAccountedAndConserved)
     tc.seed = 0xCA9CE11Eu;
     auto trace = generateTrace(tc);
 
-    FleetConfig fc = colocatedPimbaFleet(2);
+    FleetConfig fc = pimbaJsqFleet(2);
     fc.controlPlane.deadlines.resize(1);
     fc.controlPlane.deadlines[0].ttft = Seconds(0.5);
     FleetReport rep = Fleet(mamba2_2p7b(), fc).run(trace);
@@ -329,7 +337,7 @@ TEST(ControlPlaneSuperiority, AutoscalerBeatsBestStaticOnReplicaSeconds)
     size_t bestStatic = 0;
     Seconds bestStaticBill{0.0};
     for (size_t n = 1; n <= 4; ++n) {
-        FleetConfig fc = colocatedPimbaFleet(n);
+        FleetConfig fc = pimbaJsqFleet(n);
         fc.slo = slo;
         FleetReport rep = Fleet(model, fc).run(trace);
         if (sustainsSlo(rep.metrics, kAttainment)) {
@@ -343,7 +351,7 @@ TEST(ControlPlaneSuperiority, AutoscalerBeatsBestStaticOnReplicaSeconds)
     // above is tuned so it does not.
     ASSERT_GE(bestStatic, 2u);
 
-    FleetConfig fc = colocatedPimbaFleet(4);
+    FleetConfig fc = pimbaJsqFleet(4);
     fc.slo = slo;
     fc.controlPlane = autoscalerOn(1, 4, 1, 0.5, 4.0, 1.0, 0.5);
     fc.controlPlane.autoscaler.scaleUpWait = Seconds(0.5);
@@ -389,7 +397,7 @@ TEST(ControlPlaneSuperiority, CacheAffinityBeatsJsqOnPrefixHeavyLoad)
     ModelConfig model = mamba2_2p7b();
 
     auto runWith = [&](RouterPolicy router) {
-        FleetConfig fc = colocatedPimbaFleet(4);
+        FleetConfig fc = disaggCase("colocated 4");
         fc.router = router;
         fc.controlPlane.prefixTokensByClass.assign(kClasses, 256);
         return Fleet(model, fc).run(trace);
@@ -435,12 +443,12 @@ TEST(ControlPlaneSuperiority, HighTierTtftSurvivesLowTierFlood)
     auto trace = generateTrace(tc);
     ModelConfig model = mamba2_2p7b();
 
-    FleetConfig tiered = colocatedPimbaFleet(2);
+    FleetConfig tiered = pimbaJsqFleet(2);
     tiered.controlPlane.tierByClass = {1, 0};
     FleetReport protectedRun = Fleet(model, tiered).run(trace);
 
     FleetReport floodedRun =
-        Fleet(model, colocatedPimbaFleet(2)).run(trace);
+        Fleet(model, pimbaJsqFleet(2)).run(trace);
 
     double protectedP95 = classP95Ttft(protectedRun, 0);
     double floodedP95 = classP95Ttft(floodedRun, 0);

@@ -13,16 +13,44 @@
 
 #include <set>
 
-#include "cluster/workload.h"
-#include "serving/trace.h"
+#include "cluster/fleet.h"
+#include "presets.h"
 
 namespace pimba {
 namespace {
 
+/// cluster_disaggregation.json: colocated 4x Pimba vs 2 prefill +
+/// 2 decode over NVLink or InfiniBand, Mamba-2 2.7B.
+const FleetScenario &
+disaggPreset()
+{
+    static const FleetScenario sc =
+        preset<FleetScenario>("cluster_disaggregation.json");
+    return sc;
+}
+
+FleetConfig
+colocatedFleet()
+{
+    return presetCase(disaggPreset(), "colocated 4");
+}
+
+FleetConfig
+nvlinkFleet()
+{
+    return presetCase(disaggPreset(), "2p+2d NVLink (A100)");
+}
+
+FleetConfig
+infinibandFleet()
+{
+    return presetCase(disaggPreset(), "2p+2d InfiniBand NDR");
+}
+
 TEST(ClusterDisagg, CompletenessTokenConservationAndStageSplit)
 {
-    auto trace = clusterTrace(24.0, 96);
-    Fleet fleet(mamba2_2p7b(), disaggregatedPimbaFleet());
+    auto trace = presetTrace(disaggPreset(), 24.0, 96);
+    Fleet fleet(mamba2_2p7b(), nvlinkFleet());
     FleetReport rep = fleet.run(trace);
 
     ASSERT_EQ(rep.completed.size(), trace.size());
@@ -76,7 +104,7 @@ TEST(ClusterDisagg, TransferBytesFollowFootprintMath)
     auto trace = generateTrace(tc);
 
     ModelConfig model = opt2p7b();
-    Fleet fleet(model, disaggregatedPimbaFleet());
+    Fleet fleet(model, nvlinkFleet());
     FleetReport rep = fleet.run(trace);
 
     ServingSimulator sim(makeSystem(SystemKind::PIMBA));
@@ -94,13 +122,11 @@ TEST(ClusterDisagg, TransferBytesFollowFootprintMath)
 
 TEST(ClusterDisagg, TransferIsChargedIntoTtft)
 {
-    auto trace = clusterTrace(24.0, 96);
+    auto trace = presetTrace(disaggPreset(), 24.0, 96);
     ModelConfig model = mamba2_2p7b();
 
-    FleetReport nvlink = Fleet(model, disaggregatedPimbaFleet(nvlinkLink()))
-                             .run(trace);
-    FleetReport ib = Fleet(model, disaggregatedPimbaFleet(infinibandLink()))
-                         .run(trace);
+    FleetReport nvlink = Fleet(model, nvlinkFleet()).run(trace);
+    FleetReport ib = Fleet(model, infinibandFleet()).run(trace);
 
     // The prefill stage is identical in both runs; only the link
     // differs, and every hand-off pays strictly more on InfiniBand —
@@ -129,11 +155,11 @@ TEST(ClusterDisagg, DisaggregationCutsTailTpotAgainstColocated)
     // The transfer-inclusive TTFT is reported against the colocated
     // baseline by cluster_disaggregation.json; here both sides are
     // pinned.
-    auto trace = clusterTrace(24.0, 192);
+    auto trace = presetTrace(disaggPreset(), 24.0, 192);
     ModelConfig model = mamba2_2p7b();
 
-    FleetReport coloRep = Fleet(model, colocatedPimbaFleet()).run(trace);
-    FleetReport disRep = Fleet(model, disaggregatedPimbaFleet()).run(trace);
+    FleetReport coloRep = Fleet(model, colocatedFleet()).run(trace);
+    FleetReport disRep = Fleet(model, nvlinkFleet()).run(trace);
 
     EXPECT_LT(disRep.metrics.tpot.p95, coloRep.metrics.tpot.p95);
     // Both fleets must be healthy for the comparison to mean anything.
@@ -152,7 +178,7 @@ TEST(ClusterDisagg, SingleTokenRequestsCompleteAtPrefillStage)
     tc.outputLen = 1;
     auto trace = generateTrace(tc);
 
-    Fleet fleet(mamba2_2p7b(), disaggregatedPimbaFleet());
+    Fleet fleet(mamba2_2p7b(), nvlinkFleet());
     FleetReport rep = fleet.run(trace);
     ASSERT_EQ(rep.completed.size(), trace.size());
     EXPECT_EQ(rep.transfer.transfers, 0u);
@@ -175,7 +201,7 @@ TEST(ClusterDisagg, DecodeSidePreemptionConservesTokens)
     ServingSimulator sim(makeSystem(SystemKind::PIMBA));
     Bytes weights = sim.weightFootprint(model);
 
-    FleetConfig cfg = disaggregatedPimbaFleet();
+    FleetConfig cfg = nvlinkFleet();
     for (size_t i = cfg.prefillReplicas; i < cfg.replicas.size(); ++i)
         cfg.replicas[i].engine.memoryBudget =
             weights + 3.0 * sim.requestFootprint(model, 256 + 192);
@@ -213,10 +239,10 @@ TEST(ClusterDisagg, DecodeSidePreemptionConservesTokens)
 
 TEST(ClusterDisagg, DeterministicReplayForEveryRouterPolicy)
 {
-    auto trace = clusterTrace(24.0, 48);
+    auto trace = presetTrace(disaggPreset(), 24.0, 48);
     ModelConfig model = mamba2_2p7b();
     for (RouterPolicy policy : allRouterPolicies()) {
-        FleetConfig cfg = disaggregatedPimbaFleet();
+        FleetConfig cfg = nvlinkFleet();
         cfg.router = policy;
         FleetReport a = Fleet(model, cfg).run(trace);
         FleetReport b = Fleet(model, cfg).run(trace);

@@ -11,11 +11,29 @@
 
 #include <set>
 
-#include "cluster/workload.h"
-#include "serving/trace.h"
+#include "cluster/fleet.h"
+#include "presets.h"
 
 namespace pimba {
 namespace {
+
+/// cluster_routers.json: 2x Pimba + 2x GPU on Mamba-2 2.7B.
+const FleetScenario &
+routers()
+{
+    static const FleetScenario sc =
+        preset<FleetScenario>("cluster_routers.json");
+    return sc;
+}
+
+/// The routers preset's fleet behind @p policy.
+FleetConfig
+shootoutFleet(RouterPolicy policy)
+{
+    FleetConfig fc = routers().cases[0].fleet;
+    fc.router = policy;
+    return fc;
+}
 
 uint64_t
 outputTokens(const std::vector<Request> &trace)
@@ -28,13 +46,13 @@ outputTokens(const std::vector<Request> &trace)
 
 TEST(ClusterFleet, DeterministicReplayForEveryRouterPolicy)
 {
-    auto trace = clusterTrace(32.0, 64);
+    auto trace = presetTrace(routers(), 32.0, 64);
     ModelConfig model = mamba2_2p7b();
     for (RouterPolicy policy : allRouterPolicies()) {
         FleetReport a =
-            Fleet(model, heterogeneousFleet(policy)).run(trace);
+            Fleet(model, shootoutFleet(policy)).run(trace);
         // A fresh Fleet and a reused Fleet must both replay bit-exactly.
-        Fleet reused(model, heterogeneousFleet(policy));
+        Fleet reused(model, shootoutFleet(policy));
         FleetReport b = reused.run(trace);
         FleetReport c = reused.run(trace);
 
@@ -64,9 +82,9 @@ TEST(ClusterFleet, DeterministicReplayForEveryRouterPolicy)
 
 TEST(ClusterFleet, TokenConservationAndCompleteness)
 {
-    auto trace = clusterTrace(32.0, 96);
+    auto trace = presetTrace(routers(), 32.0, 96);
     Fleet fleet(mamba2_2p7b(),
-                heterogeneousFleet(RouterPolicy::JoinShortestQueue));
+                shootoutFleet(RouterPolicy::JoinShortestQueue));
     FleetReport rep = fleet.run(trace);
 
     ASSERT_EQ(rep.completed.size(), trace.size());
@@ -93,7 +111,7 @@ TEST(ClusterFleet, TokenConservationAndCompleteness)
 
 TEST(ClusterFleet, SingleReplicaFleetMatchesPlainEngine)
 {
-    auto trace = clusterTrace(16.0, 48);
+    auto trace = presetTrace(routers(), 16.0, 48);
     ModelConfig model = mamba2_2p7b();
 
     FleetReport fleet =
@@ -119,17 +137,17 @@ TEST(ClusterFleet, LoadAwareRoutersBeatRoundRobinAtSaturation)
     // theirs; the load-aware policies divert the overflow, so their
     // tail TTFT must be strictly lower. This is the cluster layer's
     // core claim — pinned, not just printed by cluster_routers.json.
-    auto trace = clusterTrace(48.0, 192);
+    auto trace = presetTrace(routers(), 48.0, 192);
     ModelConfig model = mamba2_2p7b();
 
     FleetReport rr =
-        Fleet(model, heterogeneousFleet(RouterPolicy::RoundRobin))
+        Fleet(model, shootoutFleet(RouterPolicy::RoundRobin))
             .run(trace);
     for (RouterPolicy policy : {RouterPolicy::JoinShortestQueue,
                                 RouterPolicy::LeastOutstandingTokens,
                                 RouterPolicy::PowerOfTwoChoices}) {
         FleetReport aware =
-            Fleet(model, heterogeneousFleet(policy)).run(trace);
+            Fleet(model, shootoutFleet(policy)).run(trace);
         EXPECT_LT(aware.metrics.ttft.p95, rr.metrics.ttft.p95)
             << routerName(policy);
         EXPECT_GE(aware.metrics.goodput, rr.metrics.goodput)
@@ -139,9 +157,9 @@ TEST(ClusterFleet, LoadAwareRoutersBeatRoundRobinAtSaturation)
 
 TEST(ClusterFleet, RoundRobinSpreadsRequestsEvenly)
 {
-    auto trace = clusterTrace(48.0, 192); // 192 = 4 x 48, exact split
+    auto trace = presetTrace(routers(), 48.0, 192); // 192 = 4 x 48, exact split
     Fleet fleet(mamba2_2p7b(),
-                heterogeneousFleet(RouterPolicy::RoundRobin));
+                shootoutFleet(RouterPolicy::RoundRobin));
     FleetReport rep = fleet.run(trace);
     for (uint64_t n : rep.load.requestsPerReplica)
         EXPECT_EQ(n, trace.size() / rep.replicas.size());
@@ -150,23 +168,25 @@ TEST(ClusterFleet, RoundRobinSpreadsRequestsEvenly)
 
 TEST(ClusterFleet, AggregateMetricsMatchesFleetRecords)
 {
-    // aggregateMetrics is the API for callers holding only per-replica
-    // reports; on a colocated run it must reproduce the fleet metrics
-    // computed from the merged records, and tolerate an empty fleet.
-    auto trace = clusterTrace(32.0, 64);
+    // On a colocated run the fleet metrics are computeMetrics over the
+    // replicas' merged records, and an empty record set yields zeros.
+    auto trace = presetTrace(routers(), 32.0, 64);
     Fleet fleet(mamba2_2p7b(),
-                heterogeneousFleet(RouterPolicy::JoinShortestQueue));
+                shootoutFleet(RouterPolicy::JoinShortestQueue));
     FleetReport rep = fleet.run(trace);
 
+    std::vector<CompletedRequest> merged;
+    for (const ServingReport &r : rep.replicas)
+        merged.insert(merged.end(), r.completed.begin(), r.completed.end());
     ServingMetrics agg =
-        aggregateMetrics(rep.replicas, rep.makespan, fleet.config().slo);
+        computeMetrics(merged, rep.makespan, fleet.config().slo);
     EXPECT_EQ(agg.requests, rep.metrics.requests);
     EXPECT_EQ(agg.generatedTokens, rep.metrics.generatedTokens);
     EXPECT_DOUBLE_EQ(agg.goodput.value(), rep.metrics.goodput.value());
     EXPECT_DOUBLE_EQ(agg.ttft.p95, rep.metrics.ttft.p95);
     EXPECT_DOUBLE_EQ(agg.tpot.p95, rep.metrics.tpot.p95);
 
-    ServingMetrics empty = aggregateMetrics({}, Seconds(0.0), SloConfig{});
+    ServingMetrics empty = computeMetrics({}, Seconds(0.0), SloConfig{});
     EXPECT_EQ(empty.requests, 0u);
     EXPECT_DOUBLE_EQ(empty.goodput.value(), 0.0);
 }
@@ -189,9 +209,9 @@ TEST(ClusterFleet, EmptyTraceYieldsZeroedFleetMetrics)
 
 TEST(ClusterFleet, QueueingDelayIsSurfacedPerRequest)
 {
-    auto trace = clusterTrace(48.0, 96);
+    auto trace = presetTrace(routers(), 48.0, 96);
     Fleet fleet(mamba2_2p7b(),
-                heterogeneousFleet(RouterPolicy::RoundRobin));
+                shootoutFleet(RouterPolicy::RoundRobin));
     FleetReport rep = fleet.run(trace);
     for (const CompletedRequest &c : rep.completed) {
         EXPECT_GE(c.queueing, Seconds(0.0));

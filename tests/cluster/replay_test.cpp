@@ -12,8 +12,8 @@
 
 #include <cmath>
 
-#include "cluster/workload.h"
-#include "serving/trace.h"
+#include "cluster/fleet.h"
+#include "presets.h"
 
 namespace pimba {
 namespace {
@@ -48,8 +48,10 @@ TEST(FleetReplay, StreamedRunMatchesExactRun)
 {
     TraceConfig tc = replayTraceConfig(600);
     ModelConfig model = mamba2_2p7b();
-    for (const FleetConfig &fc :
-         {colocatedPimbaFleet(2), disaggregatedPimbaFleet()}) {
+    const FleetConfig disaggregatedFleet =
+        presetCase(preset<FleetScenario>("cluster_disaggregation.json"),
+                   "2p+2d NVLink (A100)");
+    for (const FleetConfig &fc : {pimbaJsqFleet(2), disaggregatedFleet}) {
         const bool disaggregated = fc.mode == FleetMode::Disaggregated;
         SCOPED_TRACE(disaggregated ? "disaggregated" : "colocated");
         FleetReport exact = Fleet(model, fc).run(generateTrace(tc));
@@ -116,7 +118,7 @@ TEST(FleetReplay, FleetIsReusableAfterStreamedRun)
     // they must be restored so a later exact run retains records again.
     TraceConfig tc = replayTraceConfig(200);
     ModelConfig model = mamba2_2p7b();
-    FleetConfig fc = colocatedPimbaFleet(2);
+    FleetConfig fc = pimbaJsqFleet(2);
     auto trace = generateTrace(tc);
 
     Fleet fleet(model, fc);
@@ -144,7 +146,7 @@ TEST(FleetReplay, StreamedCountersAreExactUnderLoad)
     tc.mmpp.burstMean = Seconds(2.0);
     tc.mmpp.idleMean = Seconds(8.0);
     ModelConfig model = mamba2_2p7b();
-    FleetConfig fc = colocatedPimbaFleet(2);
+    FleetConfig fc = pimbaJsqFleet(2);
 
     Fleet fleet(model, fc);
     StreamingMetrics stream(fc.slo);

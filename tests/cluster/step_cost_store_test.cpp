@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/workload.h"
-#include "serving/trace.h"
+#include "cluster/fleet.h"
+#include "presets.h"
 
 namespace pimba {
 namespace {
@@ -194,7 +194,10 @@ TEST(StepCostStore, RoundRobinSplitEqualsStandaloneEngines)
 TEST(StepCostStore, ReplicasShareOnlyStoresOfTheSameKindAndMode)
 {
     // Half blocked, half overlapped: two stores, one per mode.
-    Fleet modes(mamba2_2p7b(), mixedModePimbaFleet(4));
+    Fleet modes(mamba2_2p7b(),
+                presetCase(preset<FleetScenario>(
+                               "cluster_execution_modes.json"),
+                           "mixed 2+2"));
     EXPECT_EQ(&modes.replica(0).costStore(), &modes.replica(1).costStore());
     EXPECT_EQ(&modes.replica(2).costStore(), &modes.replica(3).costStore());
     EXPECT_NE(&modes.replica(0).costStore(), &modes.replica(2).costStore());
@@ -204,7 +207,8 @@ TEST(StepCostStore, ReplicasShareOnlyStoresOfTheSameKindAndMode)
               ExecutionMode::Overlapped);
 
     // 2x Pimba + 2x GPU: one store per kind.
-    Fleet kinds(mamba2_2p7b(), heterogeneousFleet());
+    Fleet kinds(mamba2_2p7b(),
+                preset<FleetScenario>("cluster_routers.json").cases[0].fleet);
     EXPECT_EQ(&kinds.replica(0).costStore(), &kinds.replica(1).costStore());
     EXPECT_EQ(&kinds.replica(2).costStore(), &kinds.replica(3).costStore());
     EXPECT_NE(&kinds.replica(0).costStore(), &kinds.replica(2).costStore());

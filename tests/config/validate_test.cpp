@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/workload.h"
+#include "presets.h"
 #include "serving/trace.h"
 
 using namespace pimba;
@@ -72,9 +72,12 @@ TEST(ValidateFleet, CanonicalFleetsPass)
 {
     EXPECT_EQ(validateFleetConfig(homogeneousFleet(SystemKind::GPU, 2)),
               "");
-    EXPECT_EQ(validateFleetConfig(heterogeneousFleet()), "");
-    EXPECT_EQ(validateFleetConfig(disaggregatedPimbaFleet()), "");
-    EXPECT_EQ(validateFleetConfig(mixedModePimbaFleet()), "");
+    for (const char *file :
+         {"cluster_routers.json", "cluster_disaggregation.json",
+          "cluster_execution_modes.json"})
+        for (const FleetCase &c : preset<FleetScenario>(file).cases)
+            EXPECT_EQ(validateFleetConfig(c.fleet), "")
+                << file << ": " << c.label;
 }
 
 TEST(ValidateFleet, RejectsNonsense)
@@ -105,7 +108,9 @@ TEST(ValidateFleet, RejectsNonsense)
     EXPECT_NE(validateFleetConfig(disagg).find(">= 1 prefill"),
               std::string::npos);
 
-    FleetConfig dead_link = disaggregatedPimbaFleet();
+    FleetConfig dead_link =
+        presetCase(preset<FleetScenario>("cluster_disaggregation.json"),
+                   "2p+2d NVLink (A100)");
     dead_link.link.bandwidth = BytesPerSecond(0.0);
     EXPECT_NE(validateFleetConfig(dead_link).find("bandwidth"),
               std::string::npos);

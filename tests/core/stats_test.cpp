@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for accumulators, breakdowns and stat sets.
+ * Unit tests for accumulators, breakdowns and percentiles.
  */
 
 #include <gtest/gtest.h>
@@ -93,23 +93,6 @@ TEST(Breakdown, Fraction)
     EXPECT_DOUBLE_EQ(empty.fraction(BreakdownKey::Attention), 0.0);
 }
 
-TEST(Breakdown, ScaleAndMerge)
-{
-    Breakdown a;
-    a.add(BreakdownKey::GEMM, 2.0);
-    a.scale(0.5);
-    EXPECT_DOUBLE_EQ(a.get(BreakdownKey::GEMM), 1.0);
-
-    Breakdown b;
-    b.add(BreakdownKey::GEMM, 1.0);
-    b.add(BreakdownKey::Others, 5.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.get(BreakdownKey::GEMM), 2.0);
-    EXPECT_DOUBLE_EQ(a.get(BreakdownKey::Others), 5.0);
-    ASSERT_EQ(a.keys().size(), 2u);
-    EXPECT_EQ(a.keys()[1], BreakdownKey::Others);
-}
-
 TEST(Breakdown, TotalSumsInNameOrderNotInsertionOrder)
 {
     // total() sums the categories in byte-wise name order, whatever
@@ -136,28 +119,6 @@ TEST(Breakdown, TotalSumsInNameOrderNotInsertionOrder)
     }
     ASSERT_NE(insertion_sum, 0x1.faa6a0d4d52c6p-1);
     EXPECT_EQ(all.total(), 0x1.faa6a0d4d52c6p-1);
-}
-
-TEST(StatSet, IncSetGet)
-{
-    StatSet s;
-    s.inc("counter");
-    s.inc("counter", 4.0);
-    EXPECT_DOUBLE_EQ(s.get("counter"), 5.0);
-    s.set("counter", 1.0);
-    EXPECT_DOUBLE_EQ(s.get("counter"), 1.0);
-    EXPECT_DOUBLE_EQ(s.get("missing"), 0.0);
-    s.clear();
-    EXPECT_DOUBLE_EQ(s.get("counter"), 0.0);
-}
-
-TEST(StatSet, DumpContainsEntries)
-{
-    StatSet s;
-    s.set("alpha", 1.5);
-    std::string dump = s.dump();
-    EXPECT_NE(dump.find("alpha"), std::string::npos);
-    EXPECT_NE(dump.find("1.5"), std::string::npos);
 }
 
 TEST(Percentile, EmptyAndSingleSample)

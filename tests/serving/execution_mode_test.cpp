@@ -10,11 +10,21 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/workload.h"
-#include "serving/workload.h"
+#include "config/runner.h"
+#include "presets.h"
 
 namespace pimba {
 namespace {
+
+/// cluster_execution_modes.json: 4x Pimba blocked, overlapped, and
+/// mixed 2+2 behind JSQ, Mamba-2 2.7B.
+const FleetScenario &
+modesPreset()
+{
+    static const FleetScenario sc =
+        preset<FleetScenario>("cluster_execution_modes.json");
+    return sc;
+}
 
 uint64_t
 outputTokens(const std::vector<Request> &trace)
@@ -28,11 +38,10 @@ outputTokens(const std::vector<Request> &trace)
 ServingReport
 runMode(ExecutionMode mode, SchedulerPolicy policy = SchedulerPolicy::FCFS)
 {
-    OpenLoopWorkload w;
-    w.numRequests = 48;
-    w.policy = policy;
-    w.executionMode = mode;
-    return servePoissonReport(SystemKind::PIMBA, zamba2_7b(), 16.0, w);
+    ServingScenario sc = preset<ServingScenario>("serving_rate_sweep.json");
+    sc.model = zamba2_7b();
+    sc.trace.numRequests = 48;
+    return runServingPoint(sc, SystemKind::PIMBA, policy, mode, 16.0);
 }
 
 TEST(EngineExecutionMode, ReportCarriesTheMode)
@@ -85,8 +94,8 @@ TEST(EngineExecutionMode, ConfigOverridesSystemMode)
 
 TEST(FleetExecutionMode, MixedModeFleetConservesTokens)
 {
-    auto trace = clusterTrace(24.0, 64);
-    Fleet fleet(mamba2_2p7b(), mixedModePimbaFleet(4));
+    auto trace = presetTrace(modesPreset(), 24.0, 64);
+    Fleet fleet(mamba2_2p7b(), presetCase(modesPreset(), "mixed 2+2"));
     FleetReport rep = fleet.run(trace);
 
     ASSERT_EQ(rep.completed.size(), trace.size());
@@ -107,8 +116,8 @@ TEST(FleetExecutionMode, MixedModeFleetConservesTokens)
 
 TEST(FleetExecutionMode, MixedModeFleetReplaysDeterministically)
 {
-    auto trace = clusterTrace(24.0, 64);
-    Fleet fleet(mamba2_2p7b(), mixedModePimbaFleet(4));
+    auto trace = presetTrace(modesPreset(), 24.0, 64);
+    Fleet fleet(mamba2_2p7b(), presetCase(modesPreset(), "mixed 2+2"));
     FleetReport a = fleet.run(trace);
     FleetReport b = fleet.run(trace);
     EXPECT_EQ(a.assignments, b.assignments);
@@ -118,14 +127,12 @@ TEST(FleetExecutionMode, MixedModeFleetReplaysDeterministically)
 
 TEST(FleetExecutionMode, OverlappedFleetNoSlowerThanBlocked)
 {
-    auto trace = clusterTrace(24.0, 64);
+    auto trace = presetTrace(modesPreset(), 24.0, 64);
     FleetReport blk =
-        Fleet(mamba2_2p7b(),
-              colocatedPimbaFleet(4, ExecutionMode::Blocked))
+        Fleet(mamba2_2p7b(), presetCase(modesPreset(), "blocked x4"))
             .run(trace);
     FleetReport ovl =
-        Fleet(mamba2_2p7b(),
-              colocatedPimbaFleet(4, ExecutionMode::Overlapped))
+        Fleet(mamba2_2p7b(), presetCase(modesPreset(), "overlapped x4"))
             .run(trace);
     EXPECT_EQ(blk.metrics.generatedTokens, ovl.metrics.generatedTokens);
     EXPECT_LE(ovl.metrics.tpot.p95, blk.metrics.tpot.p95);

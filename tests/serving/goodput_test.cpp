@@ -8,15 +8,21 @@
 
 #include <gtest/gtest.h>
 
-#include "serving/workload.h"
+#include "config/runner.h"
+#include "presets.h"
 
 namespace pimba {
 namespace {
 
+/// One FCFS point of serving_rate_sweep.json (Mamba-2 2.7B, 64
+/// requests) on @p kind at Poisson @p rate.
 ServingMetrics
 serveAtRate(SystemKind kind, double rate)
 {
-    return servePoisson(kind, mamba2_2p7b(), rate);
+    return runServingPoint(
+               preset<ServingScenario>("serving_rate_sweep.json"), kind,
+               SchedulerPolicy::FCFS, ExecutionMode::Blocked, rate)
+        .metrics;
 }
 
 TEST(ServingGoodput, PimbaSustainsHigherGoodputThanGpuAtSaturation)

@@ -9,8 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include "config/runner.h"
+#include "presets.h"
 #include "serving/scheduler.h"
-#include "serving/workload.h"
 
 namespace pimba {
 namespace {
@@ -218,10 +219,10 @@ TEST(SchedulerPolicy, SjfFinishesShortJobsFirstUnderBurst)
 }
 
 /**
- * Pinned acceptance claim: on the canonical seeded Poisson workload at
- * a saturating arrival rate, the Sarathi-style policy achieves strictly
- * better p95 TTFT than FCFS at equal-or-better goodput, on both an
- * attention model and an SSM.
+ * Pinned acceptance claim: on serving_rate_sweep.json's seeded Poisson
+ * workload at a saturating arrival rate, the Sarathi-style policy
+ * achieves strictly better p95 TTFT than FCFS at equal-or-better
+ * goodput, on both an attention model and an SSM.
  */
 TEST(SchedulerPolicy, SarathiBeatsFcfsTailTtftAtSaturation)
 {
@@ -233,13 +234,16 @@ TEST(SchedulerPolicy, SarathiBeatsFcfsTailTtftAtSaturation)
     const Case cases[] = {{SystemKind::GPU, opt2p7b()},
                           {SystemKind::PIMBA, mamba2_2p7b()}};
     for (const Case &c : cases) {
-        OpenLoopWorkload fcfsW;
-        fcfsW.policy = SchedulerPolicy::FCFS;
-        OpenLoopWorkload sarathiW;
-        sarathiW.policy = SchedulerPolicy::Sarathi;
-        ServingMetrics fcfs = servePoisson(c.kind, c.model, 32.0, fcfsW);
-        ServingMetrics sarathi =
-            servePoisson(c.kind, c.model, 32.0, sarathiW);
+        ServingScenario sc =
+            preset<ServingScenario>("serving_rate_sweep.json");
+        sc.model = c.model;
+        auto serve = [&](SchedulerPolicy policy) {
+            return runServingPoint(sc, c.kind, policy,
+                                   ExecutionMode::Blocked, 32.0)
+                .metrics;
+        };
+        ServingMetrics fcfs = serve(SchedulerPolicy::FCFS);
+        ServingMetrics sarathi = serve(SchedulerPolicy::Sarathi);
         EXPECT_LT(sarathi.ttft.p95, fcfs.ttft.p95)
             << systemName(c.kind) << " " << c.model.name;
         EXPECT_GE(sarathi.goodput, fcfs.goodput)

@@ -3,8 +3,7 @@
  * Streaming-metrics equivalence tests: the quantile-sketch pipeline
  * must reproduce the exact (vector-based) computeMetrics() output on a
  * real engine run — exact counts/means/rates, percentiles within 1% —
- * and the mergeable per-replica aggregation must match the
- * sample-vector fleet aggregation under the same budget. These pin the
+ * and an empty collector must finalize to zeros. These pin the
  * acceptance bound `--stream-metrics` is documented to hold
  * (docs/observability.md).
  */
@@ -14,7 +13,6 @@
 #include <cmath>
 #include <vector>
 
-#include "cluster/fleet_metrics.h"
 #include "serving/engine.h"
 #include "serving/metrics.h"
 #include "serving/trace.h"
@@ -108,55 +106,6 @@ TEST(StreamingMetrics, MatchesExactPipelineOnARealServingRun)
                               "preemptions");
 }
 
-TEST(StreamingMetrics, CollectorsMergeAcrossReplicaShards)
-{
-    std::vector<CompletedRequest> done = servingRun();
-    Seconds makespan(20.0);
-    SloConfig slo;
-
-    StreamingMetrics whole(slo);
-    StreamingMetrics shard_a(slo), shard_b(slo);
-    for (size_t i = 0; i < done.size(); ++i) {
-        whole.observe(done[i]);
-        (i % 2 ? shard_a : shard_b).observe(done[i]);
-    }
-    shard_a.merge(shard_b);
-
-    ServingMetrics merged = shard_a.finalize(makespan);
-    ServingMetrics direct = whole.finalize(makespan);
-    EXPECT_EQ(merged.requests, direct.requests);
-    EXPECT_DOUBLE_EQ(merged.goodput.value(), direct.goodput.value());
-    // Sketch merge is exact bucket arithmetic: the merged collector
-    // answers identically to one that saw the whole stream.
-    EXPECT_DOUBLE_EQ(merged.ttft.p50, direct.ttft.p50);
-    EXPECT_DOUBLE_EQ(merged.ttft.p99, direct.ttft.p99);
-    EXPECT_DOUBLE_EQ(merged.latency.p95, direct.latency.p95);
-}
-
-TEST(StreamingMetrics, FleetAggregationMatchesVectorAggregation)
-{
-    std::vector<CompletedRequest> done = servingRun();
-    Seconds makespan(20.0);
-    SloConfig slo;
-
-    // Split the run into two synthetic "replicas".
-    std::vector<ServingReport> replicas(2);
-    for (size_t i = 0; i < done.size(); ++i)
-        replicas[i % 2].completed.push_back(done[i]);
-
-    ServingMetrics exact = aggregateMetrics(replicas, makespan, slo);
-    ServingMetrics streamed =
-        aggregateMetricsStreaming(replicas, makespan, slo);
-
-    EXPECT_EQ(streamed.requests, exact.requests);
-    EXPECT_EQ(streamed.generatedTokens, exact.generatedTokens);
-    EXPECT_DOUBLE_EQ(streamed.goodput.value(), exact.goodput.value());
-    expectSummariesEquivalent(streamed.ttft, exact.ttft, "fleet ttft");
-    expectSummariesEquivalent(streamed.tpot, exact.tpot, "fleet tpot");
-    expectSummariesEquivalent(streamed.latency, exact.latency,
-                              "fleet latency");
-}
-
 TEST(StreamingMetrics, EmptyCollectorFinalizesToZeros)
 {
     StreamingMetrics collector;
@@ -165,10 +114,6 @@ TEST(StreamingMetrics, EmptyCollectorFinalizesToZeros)
     EXPECT_DOUBLE_EQ(m.tokensPerSec.value(), 0.0);
     EXPECT_DOUBLE_EQ(m.ttft.p99, 0.0);
     EXPECT_EQ(m.ttft.count, 0u);
-
-    ServingMetrics fleet = aggregateMetricsStreaming({}, Seconds(5.0),
-                                                     SloConfig{});
-    EXPECT_EQ(fleet.requests, 0u);
 }
 
 } // namespace
