@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
+#include "config/json.h"
 #include "core/units.h"
 #include "serving/engine.h"
 #include "serving/trace.h"
@@ -212,6 +215,85 @@ TEST(ServingEngine, PreemptionCountsSurfacePerRequest)
         perRequest += c.preemptions;
     EXPECT_EQ(perRequest, rep.preemptions);
     EXPECT_GT(rep.metrics.preemptions.max, 0.0);
+}
+
+TEST(ServingEngine, RepeatedEvictionsKeepCountAndFirstAdmissionWait)
+{
+    // The per-request lifecycle must survive every eviction: a request
+    // evicted k times reports preemptions == k, and its queueing is
+    // the wait to its *first* admission, not to a later re-admission.
+    // The trace's lifecycle lane observes both independently: one
+    // "evicted" instant per eviction, and the first admission instant
+    // carries the wait it saw.
+    ModelConfig model = opt2p7b();
+    ServingSimulator sim(makeSystem(SystemKind::GPU));
+    EngineConfig ec;
+    ec.memoryBudget = sim.weightFootprint(model) +
+                      3.0 * sim.requestFootprint(model, 320);
+    TraceConfig tc;
+    tc.arrivals = ArrivalProcess::Fixed;
+    tc.ratePerSec = 1000.0;
+    tc.numRequests = 10;
+    tc.inputLen = 64;
+    tc.outputLen = 256;
+
+    ServingEngine engine(sim, model, ec);
+    Tracer tracer;
+    EngineObservers eo;
+    eo.tracer = &tracer;
+    engine.attachObservers(eo);
+    ServingReport rep = engine.run(generateTrace(tc));
+    ASSERT_EQ(rep.completed.size(), 10u);
+
+    // Per request: evictions seen, the first admission's wait, and the
+    // latest admission's wait.
+    struct Lane
+    {
+        uint64_t evictions = 0;
+        double firstWait = -1.0;
+        double lastWait = -1.0;
+    };
+    std::map<uint64_t, Lane> lanes;
+    const JsonValue doc = parseJson(tracer.renderJson());
+    for (const JsonValue &e : doc.find("traceEvents")->items()) {
+        const JsonValue *cat = e.find("cat");
+        if (e.find("ph")->asString() != "i" || !cat ||
+            cat->asString() != "request")
+            continue;
+        const uint64_t id = static_cast<uint64_t>(
+            e.find("tid")->asInt() - kRequestLaneBase);
+        const std::string &name = e.find("name")->asString();
+        Lane &lane = lanes[id];
+        if (name == "evicted") {
+            ++lane.evictions;
+        } else if (name.find("admitted") != std::string::npos) {
+            const double wait =
+                e.find("args")->find("queueing")->asNumber();
+            if (lane.firstWait < 0.0) {
+                EXPECT_EQ(name, "admitted") << "request " << id;
+                lane.firstWait = wait;
+            }
+            lane.lastWait = wait;
+        }
+    }
+
+    uint64_t mostEvicted = 0;
+    for (const CompletedRequest &c : rep.completed) {
+        const Lane &lane = lanes.at(c.req.id);
+        EXPECT_EQ(c.preemptions, lane.evictions) << "request " << c.req.id;
+        // The trace prints nine significant digits.
+        EXPECT_NEAR(c.queueing.value(), lane.firstWait,
+                    1e-8 * std::max(1.0, lane.firstWait))
+            << "request " << c.req.id;
+        if (lane.evictions > 0) {
+            EXPECT_LT(c.queueing.value(), lane.lastWait)
+                << "request " << c.req.id;
+        }
+        mostEvicted = std::max(mostEvicted, lane.evictions);
+    }
+    // Some request was evicted more than once, so "first admission"
+    // and "previous admission" differ.
+    EXPECT_GE(mostEvicted, 2u);
 }
 
 TEST(ServingEngine, PreloadedVictimBeforeFirstLocalDecodeKeepsCounts)
