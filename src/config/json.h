@@ -66,9 +66,7 @@ class JsonValue
 
     bool isNull() const { return k == Kind::Null; }
     bool isObject() const { return k == Kind::Object; }
-    bool isArray() const { return k == Kind::Array; }
     bool isString() const { return k == Kind::String; }
-    bool isNumber() const { return k == Kind::Number; }
 
     /// The boolean payload; throws ConfigError when not a bool.
     bool asBool() const;

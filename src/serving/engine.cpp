@@ -91,7 +91,7 @@ ServingEngine::attachObservers(const EngineObservers &o)
 }
 
 void
-ServingEngine::tracePhaseSlices(Seconds start, const StepPhases &ph,
+ServingEngine::tracePhaseSlices(Seconds start, const StepCost &ph,
                                 std::string_view name)
 {
     Tracer &t = *obs.tracer;
@@ -100,25 +100,21 @@ ServingEngine::tracePhaseSlices(Seconds start, const StepPhases &ph,
     // Blocked mode runs gpu -> pim -> sync back-to-back; overlapped
     // mode launches gpu and pim together and syncs after the longer
     // one — matching StepResult::blockedSeconds/overlappedSeconds.
-    Seconds pimStart = overlapped ? start : start + Seconds(ph.gpu);
-    Seconds syncStart = overlapped
-                            ? start + Seconds(std::max(ph.gpu, ph.pim))
-                            : start + Seconds(ph.gpu + ph.pim);
-    if (ph.gpu > 0.0)
-        t.complete(obs.pid, kTraceGpuTid, start, Seconds(ph.gpu), name,
-                   "gpu");
-    if (ph.pim > 0.0)
-        t.complete(obs.pid, kTracePimTid, pimStart, Seconds(ph.pim),
-                   name, "pim");
-    if (ph.sync > 0.0)
-        t.complete(obs.pid, kTraceSyncTid, syncStart, Seconds(ph.sync),
-                   name, "sync");
+    Seconds pimStart = overlapped ? start : start + ph.gpu;
+    Seconds syncStart = overlapped ? start + std::max(ph.gpu, ph.pim)
+                                   : start + (ph.gpu + ph.pim);
+    if (ph.gpu > Seconds(0.0))
+        t.complete(obs.pid, kTraceGpuTid, start, ph.gpu, name, "gpu");
+    if (ph.pim > Seconds(0.0))
+        t.complete(obs.pid, kTracePimTid, pimStart, ph.pim, name, "pim");
+    if (ph.sync > Seconds(0.0))
+        t.complete(obs.pid, kTraceSyncTid, syncStart, ph.sync, name,
+                   "sync");
 }
 
 void
 ServingEngine::traceIteration(Seconds start, Seconds dur, int decodeBatch,
-                              uint64_t decodeMean, uint64_t prefillTokens,
-                              uint64_t prefillMean)
+                              uint64_t prefillTokens)
 {
     const char *kind = plan.fused ? "fused"
                        : decodeBatch > 0
@@ -130,28 +126,16 @@ ServingEngine::traceIteration(Seconds start, Seconds dur, int decodeBatch,
         {{"batch", static_cast<double>(running.size())},
          {"decode_batch", static_cast<double>(decodeBatch)},
          {"prefill_tokens", static_cast<double>(prefillTokens)}});
-    if (plan.fused) {
-        tracePhaseSlices(start,
-                         costs->mixedPhases(decodeBatch, decodeMean,
-                                            prefillTokens, prefillMean),
-                         "fused");
-        return;
-    }
-    // Unfused substeps run sequentially (seed behavior): the decode
-    // step first, then each prefill chunk, each internally split into
-    // its gpu/pim/sync phases.
+    // Substeps run sequentially (seed behavior): the one fused step,
+    // or the decode step first and then each prefill chunk, each
+    // internally split into its gpu/pim/sync phases.
     Seconds cursor = start;
-    if (decodeBatch > 0) {
-        tracePhaseSlices(cursor,
-                         costs->decodePhases(decodeBatch, decodeMean),
-                         "decode");
-        cursor += Seconds(costs->decodeSeconds(decodeBatch, decodeMean));
-    }
-    for (const PrefillSlice &s : plan.prefill) {
-        uint64_t pos = running[s.idx].prefilled;
-        tracePhaseSlices(cursor, costs->prefillPhases(s.tokens.value(), pos),
-                         "prefill");
-        cursor += Seconds(costs->prefillSeconds(s.tokens.value(), pos));
+    for (size_t k = 0; k < substeps.size(); ++k) {
+        const char *name = plan.fused                  ? "fused"
+                           : k == 0 && decodeBatch > 0 ? "decode"
+                                                       : "prefill";
+        tracePhaseSlices(cursor, substeps[k], name);
+        cursor += substeps[k].seconds;
     }
 }
 
@@ -194,8 +178,6 @@ ServingEngine::begin()
     pendingArrivals.clear();
     waiting.clear();
     running.clear();
-    preloadedIds.clear();
-    life.clear();
     prefixCache.clear();
     active = true;
 }
@@ -207,9 +189,9 @@ ServingEngine::submit(const Request &r)
     PIMBA_ASSERT(r.inputLen >= 1 && r.outputLen >= 1, "request ", r.id,
                  " has empty prompt or output");
     PIMBA_ASSERT(pendingArrivals.empty() ||
-                     r.arrival >= pendingArrivals.back().arrival,
+                     r.arrival >= pendingArrivals.back().req.arrival,
                  "arrivals must be submitted in non-decreasing order");
-    pendingArrivals.push_back(r);
+    pendingArrivals.push_back(RequestState{.req = r});
     ++submitted;
     if (obs.tracer) {
         // One lane per request: open its span at arrival time; the
@@ -232,7 +214,7 @@ ServingEngine::submitPrefilled(const Request &r)
                  " has nothing left to decode — single-token requests "
                  "complete at the prefill stage");
     submit(r);
-    preloadedIds.insert(r.id);
+    pendingArrivals.back().preloaded = true;
 }
 
 int
@@ -243,15 +225,15 @@ ServingEngine::tierOf(uint32_t classId) const
 }
 
 void
-ServingEngine::enqueueWaiting(const Request &r, bool atSegmentFront)
+ServingEngine::enqueueWaiting(const RequestState &rs, bool atSegmentFront)
 {
     if (cfg.tierByClass.empty()) {
         // Untiered: the exact FIFO (and eviction push_front) the
         // engine has always had, byte-identical.
         if (atSegmentFront)
-            waiting.push_front(r);
+            waiting.push_front(rs);
         else
-            waiting.push_back(r);
+            waiting.push_back(rs);
         return;
     }
     // The queue is kept ordered by tier, highest first, FIFO within a
@@ -259,26 +241,26 @@ ServingEngine::enqueueWaiting(const Request &r, bool atSegmentFront)
     // evicted request rejoins the *front* of its segment (it keeps its
     // recompute-next priority among peers but never jumps a higher
     // tier).
-    const int tier = tierOf(r.classId);
+    const int tier = tierOf(rs.req.classId);
     size_t pos = 0;
     if (atSegmentFront) {
         while (pos < waiting.size() &&
-               tierOf(waiting[pos].classId) > tier)
+               tierOf(waiting[pos].req.classId) > tier)
             ++pos;
     } else {
         while (pos < waiting.size() &&
-               tierOf(waiting[pos].classId) >= tier)
+               tierOf(waiting[pos].req.classId) >= tier)
             ++pos;
     }
     waiting.insert(waiting.begin() + static_cast<std::ptrdiff_t>(pos),
-                   r);
+                   rs);
 }
 
 void
 ServingEngine::revealArrivals()
 {
     while (!pendingArrivals.empty() &&
-           pendingArrivals.front().arrival <= clock) {
+           pendingArrivals.front().req.arrival <= clock) {
         enqueueWaiting(pendingArrivals.front(), /*atSegmentFront=*/false);
         pendingArrivals.pop_front();
     }
@@ -293,8 +275,8 @@ ServingEngine::advanceTo(Seconds t)
         if (running.empty() && waiting.empty()) {
             // Idle: jump to the next arrival if it is due by t.
             if (!pendingArrivals.empty() &&
-                pendingArrivals.front().arrival <= t) {
-                clock = std::max(clock, pendingArrivals.front().arrival);
+                pendingArrivals.front().req.arrival <= t) {
+                clock = std::max(clock, pendingArrivals.front().req.arrival);
                 continue;
             }
             break;
@@ -378,7 +360,7 @@ ServingEngine::nextEventTime() const
     if (!running.empty() || !waiting.empty())
         return clock; // resident or revealed work: actionable now
     if (!pendingArrivals.empty())
-        return pendingArrivals.front().arrival;
+        return pendingArrivals.front().req.arrival;
     return Seconds(std::numeric_limits<double>::infinity());
 }
 
@@ -392,16 +374,16 @@ uint64_t
 ServingEngine::outstandingTokens() const
 {
     uint64_t total = 0;
-    auto queued = [&](const Request &r) {
+    auto queued = [&](const RequestState &rs) {
         // A preloaded prompt is already computed; only its remaining
         // decode steps are outstanding work.
-        total += preloadedIds.count(r.id) ? r.outputLen - 1
-                                          : r.inputLen + r.outputLen;
+        total += rs.preloaded ? rs.req.outputLen - 1
+                              : rs.req.inputLen + rs.req.outputLen;
     };
-    for (const Request &r : waiting)
-        queued(r);
-    for (const Request &r : pendingArrivals)
-        queued(r);
+    for (const RequestState &rs : waiting)
+        queued(rs);
+    for (const RequestState &rs : pendingArrivals)
+        queued(rs);
     for (const RequestState &rs : running)
         total += (rs.req.inputLen - rs.prefilled) +
                  (rs.req.outputLen - rs.generated);
@@ -417,10 +399,10 @@ ServingEngine::tierPressure() const
     auto weight = [&](uint32_t classId) {
         total += static_cast<uint64_t>(tierOf(classId)) + 1;
     };
-    for (const Request &r : waiting)
-        weight(r.classId);
-    for (const Request &r : pendingArrivals)
-        weight(r.classId);
+    for (const RequestState &rs : waiting)
+        weight(rs.req.classId);
+    for (const RequestState &rs : pendingArrivals)
+        weight(rs.req.classId);
     for (const RequestState &rs : running)
         weight(rs.req.classId);
     return total;
@@ -439,8 +421,8 @@ Seconds
 ServingEngine::oldestQueuedArrival() const
 {
     Seconds oldest{std::numeric_limits<double>::infinity()};
-    for (const Request &r : waiting)
-        oldest = std::min(oldest, r.arrival);
+    for (const RequestState &rs : waiting)
+        oldest = std::min(oldest, rs.req.arrival);
     return oldest;
 }
 
@@ -498,15 +480,13 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
     // Queued (never admitted, or evicted back to the queue): nothing
     // was computed since the last eviction — the eviction path already
     // billed any discarded work as recompute debt — so only the
-    // bookkeeping goes.
-    auto dropQueued = [&](std::deque<Request> &q) {
+    // record goes.
+    auto dropQueued = [&](std::deque<RequestState> &q) {
         for (auto it = q.begin(); it != q.end(); ++it) {
-            if (it->id != id)
+            if (it->req.id != id)
                 continue;
             q.erase(it);
             ++report.cancelledRequests;
-            life.erase(id);
-            preloadedIds.erase(id);
             closeLane();
             return true;
         }
@@ -531,8 +511,6 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
         report.wastedTokens += w.computed;
         ++report.cancelledRequests;
         blocks->release(rs.heldBlocks);
-        life.erase(id);
-        preloadedIds.erase(id);
         closeLane();
         running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
         auditBlockLedger();
@@ -559,65 +537,55 @@ ServingEngine::iterate()
     while (!waiting.empty() &&
            running.size() < static_cast<size_t>(cfg.maxBatch)) {
         size_t pick = sched->pickAdmission(waiting);
-        const Request &r = waiting[pick];
         Blocks outstanding{0};
         for (const RequestState &rs : running)
             if (rs.pledgedBlocks > rs.heldBlocks)
                 outstanding += rs.pledgedBlocks - rs.heldBlocks;
-        const bool preloaded = preloadedIds.count(r.id) > 0;
-        Blocks pledge = mapper.blocksFor(Tokens(r.inputLen + 1));
+        Blocks pledge =
+            mapper.blocksFor(Tokens(waiting[pick].req.inputLen + 1));
         if (outstanding + pledge > blocks->freeBlocks())
             break;
+        RequestState rs = waiting[pick];
+        const Request &r = rs.req;
         const Blocks initial =
-            preloaded ? pledge : mapper.blocksFor(Tokens(0));
+            rs.preloaded ? pledge : mapper.blocksFor(Tokens(0));
         bool ok = blocks->allocate(initial);
         PIMBA_ASSERT(ok, "admission allocation failed");
-        RequestState rs;
-        rs.req = r;
-        rs.preloaded = preloaded;
         rs.pledgedBlocks = pledge;
         rs.heldBlocks = initial;
-        rs.admitted = clock;
-        if (preloaded) {
+        if (rs.firstAdmitted < Seconds(0.0))
+            rs.firstAdmitted = clock;
+        if (rs.preloaded) {
             // Prompt cached elsewhere and shipped in; first token was
             // already delivered by the prefill replica.
-            rs.phase = RequestPhase::Decode;
             rs.prefilled = r.inputLen;
             rs.generated = 1;
             rs.firstToken = clock;
-        } else {
-            rs.phase = RequestPhase::Prefill;
-            if (r.prefixLen > 0 && r.classId < prefixCache.size()) {
-                // Warm per-class prefix cache: skip the shared leading
-                // tokens, capped so at least one prompt token is
-                // prefilled locally (the final chunk is what emits the
-                // first output token).
-                uint64_t hit = std::min(
-                    {prefixCache[r.classId], r.prefixLen,
-                     r.inputLen - 1});
-                rs.prefilled = hit;
-                rs.prefixSkipped = hit;
-            }
+        } else if (r.prefixLen > 0 && r.classId < prefixCache.size()) {
+            // Warm per-class prefix cache: skip the shared leading
+            // tokens, capped so at least one prompt token is prefilled
+            // locally (the final chunk is what emits the first output
+            // token).
+            uint64_t hit = std::min(
+                {prefixCache[r.classId], r.prefixLen, r.inputLen - 1});
+            rs.prefilled = hit;
+            rs.prefixSkipped = hit;
         }
-        Lifecycle &lc = life[r.id];
-        if (lc.firstAdmitted < Seconds(0.0))
-            lc.firstAdmitted = clock;
         if (obs.tracer)
             obs.tracer->instant(
-                obs.pid, requestLane(rs.req.id), clock,
-                lc.preemptions > 0 ? "readmitted (recompute)"
-                : preloaded        ? "admitted (preloaded)"
+                obs.pid, requestLane(r.id), clock,
+                rs.preemptions > 0 ? "readmitted (recompute)"
+                : rs.preloaded     ? "admitted (preloaded)"
                                    : "admitted",
                 "request",
-                {{"queueing", (clock - rs.req.arrival).value()},
-                 {"preemptions",
-                  static_cast<double>(lc.preemptions)}});
+                {{"queueing", (clock - r.arrival).value()},
+                 {"preemptions", static_cast<double>(rs.preemptions)}});
         running.push_back(rs);
         waiting.erase(waiting.begin() +
                       static_cast<std::ptrdiff_t>(pick));
     }
     if (running.empty()) {
-        const Request &r = waiting[sched->pickAdmission(waiting)];
+        const Request &r = waiting[sched->pickAdmission(waiting)].req;
         PIMBA_FATAL("request ", r.id, " needs ",
                     mapper.blocksFor(Tokens(r.inputLen + 1)).value(),
                     " blocks and can never fit the pool of ",
@@ -657,8 +625,8 @@ ServingEngine::iterate()
                 cached = rs.req.inputLen + 1; // first output token
             demand(s.idx, cached);
         }
-        // Decode and prefill residents are disjoint (by phase), so each
-        // resident appears at most once and the growth is one grant.
+        // Decode and prefill residents are disjoint, so each resident
+        // appears at most once and the growth is one grant.
         if (blocks->grow(extra)) {
             for (const auto &[i, target] : growScratch)
                 running[i].heldBlocks = target;
@@ -693,7 +661,6 @@ ServingEngine::iterate()
                       static_cast<std::ptrdiff_t>(victimIdx));
         blocks->release(victim.heldBlocks);
         ++report.preemptions;
-        ++life[victim.req.id].preemptions;
         if (obs.tracer)
             obs.tracer->instant(
                 obs.pid, requestLane(victim.req.id), clock, "evicted",
@@ -709,7 +676,12 @@ ServingEngine::iterate()
             localWork(victim, report.generatedTokens, "eviction");
         report.generatedTokens -= w.delivered;
         report.recomputedTokens += w.computed;
-        enqueueWaiting(victim.req, /*atSegmentFront=*/true);
+        // Re-queue a fresh record: only the lifecycle survives.
+        enqueueWaiting(RequestState{.req = victim.req,
+                                    .preloaded = victim.preloaded,
+                                    .firstAdmitted = victim.firstAdmitted,
+                                    .preemptions = victim.preemptions + 1},
+                       /*atSegmentFront=*/true);
     }
 
     // Cost the iteration: either a fused step (Sarathi) or decode and
@@ -734,19 +706,22 @@ ServingEngine::iterate()
                               tokens * (tokens - 1) / 2;
     }
 
-    double iterSeconds = 0.0;
+    substeps.clear();
     if (plan.fused) {
         uint64_t prefillMean =
             prefillTokens > 0 ? prefillPosWeighted / prefillTokens : 0;
-        iterSeconds = costs->mixedSeconds(decodeBatch, decodeMean,
-                                          prefillTokens, prefillMean);
+        substeps.push_back(costs->mixedStep(decodeBatch, decodeMean,
+                                            prefillTokens, prefillMean));
     } else {
         if (decodeBatch > 0)
-            iterSeconds += costs->decodeSeconds(decodeBatch, decodeMean);
+            substeps.push_back(costs->decodeStep(decodeBatch, decodeMean));
         for (const PrefillSlice &s : plan.prefill)
-            iterSeconds += costs->prefillSeconds(s.tokens.value(),
-                                                 running[s.idx].prefilled);
+            substeps.push_back(costs->prefillStep(
+                s.tokens.value(), running[s.idx].prefilled));
     }
+    double iterSeconds = 0.0;
+    for (const StepCost &c : substeps)
+        iterSeconds += c.seconds.value();
     report.prefillChunks += plan.prefill.size();
 
     PIMBA_ASSERT(iterSeconds > 0.0, "iteration made no progress");
@@ -754,10 +729,7 @@ ServingEngine::iterate()
     ++report.iterations;
     if (obs.tracer)
         traceIteration(clock - Seconds(iterSeconds), Seconds(iterSeconds),
-                       decodeBatch, decodeMean, prefillTokens,
-                       prefillTokens > 0
-                           ? prefillPosWeighted / prefillTokens
-                           : 0);
+                       decodeBatch, prefillTokens);
 
     // Apply the iteration's token production.
     for (size_t i : plan.decodeIdx) {
@@ -777,7 +749,6 @@ ServingEngine::iterate()
             // The final prefill chunk emits the first output token.
             rs.generated = 1;
             rs.firstToken = clock;
-            rs.phase = RequestPhase::Decode;
             ++report.generatedTokens;
             if (rs.req.prefixLen > 0) {
                 // This class's shared prefix is now cached here: later
@@ -816,18 +787,16 @@ ServingEngine::iterate()
             ++i;
             continue;
         }
-        rs.finished = clock;
-        Lifecycle &lc = life[rs.req.id];
         CompletedRequest done;
         done.req = rs.req;
         done.ttft = rs.firstToken - rs.req.arrival;
-        done.latency = rs.finished - rs.req.arrival;
+        done.latency = clock - rs.req.arrival;
         done.tpot = rs.req.outputLen > 1
-                        ? (rs.finished - rs.firstToken) /
+                        ? (clock - rs.firstToken) /
                               static_cast<double>(rs.req.outputLen - 1)
                         : Seconds(0.0);
-        done.queueing = lc.firstAdmitted - rs.req.arrival;
-        done.preemptions = lc.preemptions;
+        done.queueing = rs.firstAdmitted - rs.req.arrival;
+        done.preemptions = rs.preemptions;
         if (obs.tracer)
             obs.tracer->end(obs.pid, requestLane(rs.req.id), clock);
         if (obs.stream)
@@ -837,8 +806,6 @@ ServingEngine::iterate()
         // floor; keep it unless someone is actually aggregating.
         if (!(obs.streamOnly && obs.stream))
             report.completed.push_back(done);
-        life.erase(rs.req.id);
-        preloadedIds.erase(rs.req.id);
         blocks->release(rs.heldBlocks);
         running.erase(running.begin() +
                       static_cast<std::ptrdiff_t>(i));

@@ -30,11 +30,19 @@
  * heldBlocks to the pool. Debug builds check after every iteration and
  * cancel that the residents' heldBlocks sum to the pool's count.
  *
+ * Each request has one RequestState from submit() to retire or cancel:
+ * it moves from the pending queue to the waiting queue to the running
+ * batch, and carries its preloaded flag and the lifecycle (first
+ * admission, preemptions) that survives eviction. A resident's phase
+ * is derived (RequestState::prefillDone()), never stored.
+ *
  * Step costs come from a StepCostStore (serving/step_cost_store.h),
  * which also holds the engine's simulator and model. Engines of the
  * same (system kind, nGpus, execution mode) — a fleet's replicas, a
  * search's probes — share one store, so each distinct step is costed
- * once for all of them.
+ * once for all of them. One memo entry holds a step's seconds and its
+ * GPU/PIM/sync split, so the tracer cuts its phase slices from the
+ * entries the costing copied and never re-walks the cost model.
  *
  * Two driving modes share the same iteration loop:
  *  - run() serves a whole trace to completion (single-replica studies);
@@ -52,8 +60,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map> // pimba-lint: allow(node-container) lifecycle map
-#include <unordered_set> // pimba-lint: allow(node-container) preload set
 #include <utility>
 #include <vector>
 
@@ -263,8 +269,6 @@ class ServingEngine
     Seconds nextEventTime() const;
     /// Submitted requests not yet admitted (queued work).
     size_t waitingCount() const;
-    /// Requests currently resident in the batch.
-    size_t runningCount() const { return running.size(); }
     /// Blocks of the pool the residents hold (the sum of their
     /// RequestState::heldBlocks); zero once a session is drained.
     Blocks usedBlocks() const { return blocks->usedBlocks(); }
@@ -287,8 +291,6 @@ class ServingEngine
     /// when the queue is empty. The autoscaler's head-of-line-wait SLO
     /// signal.
     Seconds oldestQueuedArrival() const;
-    /// Requests completed so far in the open session.
-    size_t completedCount() const { return report.completedRequests; }
 
     const EngineConfig &config() const { return cfg; }
     /// The replica's simulator (footprint math for transfer sizing).
@@ -315,16 +317,12 @@ class ServingEngine
     /// @p start is the substep's start time; under Blocked execution
     /// the phases run back-to-back, under Overlapped gpu and pim start
     /// together and sync follows the longer of the two.
-    void tracePhaseSlices(Seconds start, const StepPhases &ph,
+    void tracePhaseSlices(Seconds start, const StepCost &step,
                           std::string_view name);
-    /// The iteration slice plus its per-substep phase slices, emitted
-    /// right after the clock advance (before token application, so the
-    /// per-request prefill positions still match what the costing
-    /// read). @p prefillMean is the fused step's mean prefill cache
-    /// position (ignored for unfused iterations).
+    /// The iteration slice plus its per-substep phase slices, cut from
+    /// the memo entries the costing copied into @c substeps.
     void traceIteration(Seconds start, Seconds dur, int decodeBatch,
-                        uint64_t decodeMean, uint64_t prefillTokens,
-                        uint64_t prefillMean);
+                        uint64_t prefillTokens);
 
     /// Move pending arrivals with arrival <= clock into the queue.
     void revealArrivals();
@@ -337,10 +335,10 @@ class ServingEngine
     /// the blocks its locally cached tokens need. Compiled out under
     /// NDEBUG.
     void auditBlockLedger() const;
-    /// Queue @p r respecting tier order (plain push_back when
+    /// Queue @p rs respecting tier order (plain push_back when
     /// untiered; see EngineConfig::tierByClass). Evicted requests
     /// re-queue at the *front* of their tier segment instead.
-    void enqueueWaiting(const Request &r, bool atSegmentFront);
+    void enqueueWaiting(const RequestState &rs, bool atSegmentFront);
 
     // Shared with every engine of the same cost configuration (see
     // step_cost_store.h); it also holds the simulator and the model.
@@ -350,29 +348,16 @@ class ServingEngine
     EngineObservers obs;
 
     // ------------------------------------------------ session state
-    /// Queueing-delay / preemption bookkeeping that must survive
-    /// evictions (RequestState is discarded on preemption).
-    struct Lifecycle
-    {
-        Seconds firstAdmitted{-1.0};
-        uint64_t preemptions = 0;
-    };
-
     bool active = false;
     Seconds clock{0.0};
     double utilSum = 0.0;
     Bytes weightBytes{0.0};
     uint64_t submitted = 0;
-    std::deque<Request> pendingArrivals; ///< submitted, arrival > clock
-    std::deque<Request> waiting;         ///< revealed, not yet admitted
-    std::vector<RequestState> running;   ///< kept in admission order
-    // Probed on admission and, once per queued request, by
-    // outstandingTokens(); erased on retire and cancel.
-    // pimba-lint: allow(node-container) per-request events + load probes
-    std::unordered_set<uint64_t> preloadedIds;
-    // Written on admission, eviction, retire and cancel.
-    // pimba-lint: allow(node-container) per-request events, not per step
-    std::unordered_map<uint64_t, Lifecycle> life;
+    // One record per request, moved from queue to queue: submitted
+    // with arrival > clock, then revealed and waiting, then resident.
+    std::deque<RequestState> pendingArrivals;
+    std::deque<RequestState> waiting;
+    std::vector<RequestState> running; ///< kept in admission order
     std::optional<BlockManager> blocks;
     BlockMapper mapper;
     /// Per-class warmed shared-prefix tokens (index = classId, grown on
@@ -391,6 +376,9 @@ class ServingEngine
     /// (running index, target heldBlocks) of the residents this
     /// iteration's plan grows.
     std::vector<std::pair<size_t, Blocks>> growScratch;
+    /// This iteration's step costs in launch order: the fused step, or
+    /// the decode step then each prefill chunk.
+    std::vector<StepCost> substeps;
 };
 
 } // namespace pimba

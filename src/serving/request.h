@@ -2,7 +2,7 @@
  * @file
  * Request model of the request-level serving engine: one trace entry per
  * inference request (arrival time plus prompt/output lengths), the
- * engine-side lifecycle bookkeeping, and the per-request latency record
+ * engine's one record per request, and the per-request latency record
  * emitted on completion. This is the request-level regime the paper's
  * throughput studies (Figs. 12-16) and the NeuPIMs baseline assume, as
  * opposed to the steady-state per-step model of ServingSimulator.
@@ -39,27 +39,26 @@ struct Request
 };
 
 /**
- * Phase of an *admitted* request. Waiting requests live in the engine's
- * arrival queue and finished ones leave the batch as CompletedRequest
- * records, so only the two resident phases need a state. A request
- * preempted by eviction leaves the batch entirely — its bookkeeping is
- * discarded and rebuilt from scratch (recompute) on re-admission.
+ * Engine-side record of one submitted request, from submit() to retire
+ * or cancel. Queued requests (pending or waiting) carry only the
+ * request, its preloaded flag and the lifecycle fields that survive
+ * eviction (firstAdmitted, preemptions); the rest is filled at
+ * admission. A resident in prefill has !prefillDone(); one in decode
+ * has prefillDone(). An evicted resident re-queues as a fresh record
+ * that keeps only the surviving fields, so its cached tokens are
+ * rebuilt from scratch (recompute) on re-admission.
  */
-enum class RequestPhase
-{
-    Prefill, ///< admitted, prompt tokens still being processed
-    Decode,  ///< generating output tokens
-};
-
-/** Engine-side bookkeeping for one admitted request. */
 struct RequestState
 {
     Request req;
-    RequestPhase phase = RequestPhase::Prefill;
     /** Prompt was prefilled elsewhere and its cached blocks imported
      *  (disaggregated serving): admission allocates the whole prompt's
-     *  blocks up front and the request enters directly in Decode. */
+     *  blocks up front and the request enters directly in decode. */
     bool preloaded = false;
+    /** Absolute time of the first admission; re-admissions after an
+     *  eviction keep it (negative while never admitted). */
+    Seconds firstAdmitted{-1.0};
+    uint64_t preemptions = 0; ///< evictions suffered so far
     uint64_t prefilled = 0;  ///< prompt tokens already processed
     uint64_t generated = 0;  ///< output tokens already produced
     /** Of `prefilled`, the leading tokens satisfied from the engine's
@@ -70,15 +69,13 @@ struct RequestState
     /** Blocks admission promised this request (prompt + first token);
      *  outstanding pledges gate further admissions so co-resident
      *  prompts can always be cached without evicting each other. */
-    Blocks pledgedBlocks;
+    Blocks pledgedBlocks{0};
     /** Blocks of the engine's pool this request holds now: its side of
      *  the block ledger (BlockManager counts only the pool total). Set
      *  at admission, raised as tokens are cached, and returned to the
      *  pool in full on completion, eviction or cancellation. */
-    Blocks heldBlocks;
-    Seconds admitted{-1.0};  ///< absolute admission time (eviction order)
+    Blocks heldBlocks{0};
     Seconds firstToken{-1.0}; ///< absolute time of the first output token
-    Seconds finished{-1.0};
 
     /** Tokens currently held in the cache (prompt + generated). */
     uint64_t cachedTokens() const { return prefilled + generated; }

@@ -14,7 +14,7 @@ decodeResidents(const std::vector<RequestState> &running,
                 std::vector<size_t> &idx)
 {
     for (size_t i = 0; i < running.size(); ++i)
-        if (running[i].phase == RequestPhase::Decode)
+        if (running[i].prefillDone())
             idx.push_back(i);
 }
 
@@ -51,7 +51,7 @@ class OneChunkScheduler : public SchedulerBase
         plan.clear();
         decodeResidents(running, plan.decodeIdx);
         for (size_t i = 0; i < running.size(); ++i) {
-            if (running[i].phase == RequestPhase::Prefill) {
+            if (!running[i].prefillDone()) {
                 Tokens left = Tokens(running[i].req.inputLen -
                                      running[i].prefilled);
                 plan.prefill.push_back({i, std::min(chunk, left)});
@@ -72,7 +72,7 @@ class FcfsScheduler : public OneChunkScheduler
     }
 
     size_t
-    pickAdmission(const std::deque<Request> &) const override
+    pickAdmission(const std::deque<RequestState> &) const override
     {
         return 0; // arrival order: the queue head
     }
@@ -89,14 +89,15 @@ class SjfScheduler : public OneChunkScheduler
     }
 
     size_t
-    pickAdmission(const std::deque<Request> &waiting) const override
+    pickAdmission(const std::deque<RequestState> &waiting) const override
     {
         // Shortest total work first; ties fall to the earlier arrival
         // (waiting is kept in arrival order, evictions at the front).
         size_t best = 0;
-        uint64_t best_len = waiting[0].inputLen + waiting[0].outputLen;
+        uint64_t best_len =
+            waiting[0].req.inputLen + waiting[0].req.outputLen;
         for (size_t i = 1; i < waiting.size(); ++i) {
-            uint64_t len = waiting[i].inputLen + waiting[i].outputLen;
+            uint64_t len = waiting[i].req.inputLen + waiting[i].req.outputLen;
             if (len < best_len) {
                 best = i;
                 best_len = len;
@@ -117,7 +118,7 @@ class SarathiScheduler : public SchedulerBase
     }
 
     size_t
-    pickAdmission(const std::deque<Request> &) const override
+    pickAdmission(const std::deque<RequestState> &) const override
     {
         return 0; // FCFS admission; fairness comes from chunk packing
     }
@@ -134,7 +135,7 @@ class SarathiScheduler : public SchedulerBase
         // many prompt-phase requests as fit, oldest admitted first.
         Tokens spent = Tokens(plan.decodeIdx.size());
         for (size_t i = 0; i < running.size() && spent < budget; ++i) {
-            if (running[i].phase != RequestPhase::Prefill)
+            if (running[i].prefillDone())
                 continue;
             Tokens left = Tokens(running[i].req.inputLen -
                                  running[i].prefilled);

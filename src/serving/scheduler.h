@@ -90,25 +90,16 @@ class Scheduler
      * the engine stops admitting rather than skipping it.
      */
     virtual size_t pickAdmission(
-        const std::deque<Request> &waiting) const = 0;
+        const std::deque<RequestState> &waiting) const = 0;
 
     /**
      * Compose the coming iteration over the resident requests into
-     * @p out (cleared first). The out-param form is what the engine
-     * calls: plan vectors are reused across iterations, so the steady
-     * state of the inner loop allocates nothing.
+     * @p out (cleared first). Plan vectors are reused across
+     * iterations, so the steady state of the inner loop allocates
+     * nothing.
      */
     virtual void planInto(const std::vector<RequestState> &running,
                           IterationPlan &out) const = 0;
-
-    /** planInto() into a fresh plan (convenience for tests/tools). */
-    IterationPlan
-    planIteration(const std::vector<RequestState> &running) const
-    {
-        IterationPlan plan;
-        planInto(running, plan);
-        return plan;
-    }
 };
 
 /**

@@ -7,14 +7,10 @@ namespace pimba {
 
 namespace {
 
-StepPhases
-phasesOf(const StepResult &r)
+StepCost
+costOf(const StepResult &r)
 {
-    StepPhases p;
-    p.gpu = r.gpuSeconds.value();
-    p.pim = r.pimSeconds.value();
-    p.sync = r.syncSeconds.value();
-    return p;
+    return {r.seconds, r.gpuSeconds, r.pimSeconds, r.syncSeconds};
 }
 
 } // namespace
@@ -28,40 +24,39 @@ StepCostStore::StepCostStore(const ServingSimulator &sim_,
         sim.setExecutionMode(*mode);
 }
 
-double
-StepCostStore::decodeSeconds(int batch, uint64_t mean_seq)
+StepCost
+StepCostStore::decodeStep(int batch, uint64_t mean_seq)
 {
     ++counts.decode.lookups;
     uint64_t key = decodeMemoKey(batch, mean_seq);
-    if (const double *hit = decodeCache.find(key))
+    if (const StepCost *hit = decodeCache.find(key))
         return *hit;
     ++counts.decode.misses;
-    double secs =
-        sim.generationStep(modelCfg, batch, bucketCenter(mean_seq))
-            .seconds.value();
-    return decodeCache.insert(key, secs);
+    return decodeCache.insert(
+        key,
+        costOf(sim.generationStep(modelCfg, batch, bucketCenter(mean_seq))));
 }
 
-double
-StepCostStore::prefillSeconds(uint64_t chunk, uint64_t seq_pos)
+StepCost
+StepCostStore::prefillStep(uint64_t chunk, uint64_t seq_pos)
 {
     // The base cache position is bucketed as in the decode memo,
-    // evaluated at the bucket *center* like decodeSeconds (the seed
+    // evaluated at the bucket *center* like decodeStep (the seed
     // evaluated this memo at the bucket floor, biasing prefill cost low
     // by half a bucket). step_memo.h bounds the error this costs.
     ++counts.prefill.lookups;
     uint64_t key = prefillMemoKey(chunk, seq_pos);
-    if (const double *hit = prefillCache.find(key))
+    if (const StepCost *hit = prefillCache.find(key))
         return *hit;
     ++counts.prefill.misses;
-    double secs = sim.prefillStep(modelCfg, chunk, bucketCenter(seq_pos))
-                      .seconds.value();
-    return prefillCache.insert(key, secs);
+    return prefillCache.insert(
+        key,
+        costOf(sim.prefillStep(modelCfg, chunk, bucketCenter(seq_pos))));
 }
 
-double
-StepCostStore::mixedSeconds(int decode_batch, uint64_t decode_seq,
-                            uint64_t prefill_tokens, uint64_t prefill_pos)
+StepCost
+StepCostStore::mixedStep(int decode_batch, uint64_t decode_seq,
+                         uint64_t prefill_tokens, uint64_t prefill_pos)
 {
     PIMBA_ASSERT(static_cast<uint64_t>(decode_batch) < kMixedMaxBatch &&
                      prefill_tokens < kMixedMaxPrefillTokens &&
@@ -71,59 +66,13 @@ StepCostStore::mixedSeconds(int decode_batch, uint64_t decode_seq,
     ++counts.mixed.lookups;
     uint64_t key = mixedMemoKey(decode_batch, decode_seq, prefill_tokens,
                                 prefill_pos);
-    if (const double *hit = mixedCache.find(key))
+    if (const StepCost *hit = mixedCache.find(key))
         return *hit;
     ++counts.mixed.misses;
-    double secs = sim.mixedStep(modelCfg, decode_batch,
-                                bucketCenter(decode_seq), prefill_tokens,
-                                bucketCenter(prefill_pos))
-                      .seconds.value();
-    return mixedCache.insert(key, secs);
-}
-
-StepPhases
-StepCostStore::decodePhases(int batch, uint64_t mean_seq)
-{
-    ++counts.decodePhases.lookups;
-    uint64_t key = decodeMemoKey(batch, mean_seq);
-    if (const StepPhases *hit = decodePhaseCache.find(key))
-        return *hit;
-    ++counts.decodePhases.misses;
-    return decodePhaseCache.insert(
-        key, phasesOf(sim.generationStep(modelCfg, batch,
-                                         bucketCenter(mean_seq))));
-}
-
-StepPhases
-StepCostStore::prefillPhases(uint64_t chunk, uint64_t seq_pos)
-{
-    ++counts.prefillPhases.lookups;
-    uint64_t key = prefillMemoKey(chunk, seq_pos);
-    if (const StepPhases *hit = prefillPhaseCache.find(key))
-        return *hit;
-    ++counts.prefillPhases.misses;
-    return prefillPhaseCache.insert(
-        key,
-        phasesOf(sim.prefillStep(modelCfg, chunk, bucketCenter(seq_pos))));
-}
-
-StepPhases
-StepCostStore::mixedPhases(int decode_batch, uint64_t decode_seq,
-                           uint64_t prefill_tokens, uint64_t prefill_pos)
-{
-    // Bounds were already asserted by the mixedSeconds call that costed
-    // this same iteration.
-    ++counts.mixedPhases.lookups;
-    uint64_t key = mixedMemoKey(decode_batch, decode_seq, prefill_tokens,
-                                prefill_pos);
-    if (const StepPhases *hit = mixedPhaseCache.find(key))
-        return *hit;
-    ++counts.mixedPhases.misses;
-    return mixedPhaseCache.insert(
-        key, phasesOf(sim.mixedStep(modelCfg, decode_batch,
-                                    bucketCenter(decode_seq),
-                                    prefill_tokens,
-                                    bucketCenter(prefill_pos))));
+    return mixedCache.insert(
+        key, costOf(sim.mixedStep(modelCfg, decode_batch,
+                                  bucketCenter(decode_seq), prefill_tokens,
+                                  bucketCenter(prefill_pos))));
 }
 
 std::shared_ptr<StepCostStore>

@@ -4,6 +4,10 @@
  * configuration — one system (kind, tensor-parallel degree, resolved
  * GPU<->PIM execution mode) serving one model.
  *
+ * The store keeps one memo per step kind (decode, prefill, fused); an
+ * entry holds the step's seconds and its GPU/PIM/sync split, all from
+ * the one model walk of its miss, so tracing adds no misses.
+ *
  * A step's cost is a pure function of that configuration and of the
  * step's memo key (step_memo.h), so every engine of the configuration
  * can share one store: replica k of a 128-replica fleet hits the
@@ -35,14 +39,15 @@
 
 namespace pimba {
 
-/// GPU/PIM/sync phase split of one memoized step, cached for the
-/// tracer (raw seconds like the step-cost memos; populated only while
-/// a tracer is attached, so the disabled path never computes it).
-struct StepPhases
+/// Modeled cost of one memoized step: its latency plus the GPU/PIM/sync
+/// split the tracer draws, all four from the one StepResult a miss
+/// computes.
+struct StepCost
 {
-    double gpu = 0.0;
-    double pim = 0.0;
-    double sync = 0.0;
+    Seconds seconds; ///< step latency: what the engine clock advances
+    Seconds gpu;     ///< GPU-stream work
+    Seconds pim;     ///< PIM kernel work
+    Seconds sync;    ///< GPU<->PIM synchronization
 };
 
 /// Lookups and misses of one memo. Every miss inserts its key, so
@@ -53,16 +58,13 @@ struct MemoCounts
     uint64_t misses = 0;
 };
 
-/// Deterministic work counters of a store's six memos: the same runs
+/// Deterministic work counters of a store's three memos: the same runs
 /// always give the same counts, whatever the host.
 struct MemoStats
 {
     MemoCounts decode;
     MemoCounts prefill;
     MemoCounts mixed;
-    MemoCounts decodePhases;
-    MemoCounts prefillPhases;
-    MemoCounts mixedPhases;
 };
 
 /// Memoized step costs of one (system, model, execution mode).
@@ -74,23 +76,16 @@ class StepCostStore
     StepCostStore(const ServingSimulator &sim, const ModelConfig &model,
                   std::optional<ExecutionMode> mode = {});
 
-    /// Decode-step latency, memoized by (batch, cache-length bucket).
-    double decodeSeconds(int batch, uint64_t mean_seq);
-    /// Prefill-chunk latency, memoized by (chunk, position bucket).
-    double prefillSeconds(uint64_t chunk, uint64_t seq_pos);
-    /// Fused-iteration latency, memoized like the two above.
-    double mixedSeconds(int decode_batch, uint64_t decode_seq,
-                        uint64_t prefill_tokens, uint64_t prefill_pos);
+    // Each returns a copy of the memo entry: a FlatTable reference
+    // would dangle after the next insert that grows the table.
 
-    // GPU/PIM/sync splits of the same memoized steps, in parallel
-    // tables keyed identically to the seconds memos. Touched only from
-    // the tracer emission path, so the disabled hot path never pays
-    // for the extra lookups (and the seconds memos stay byte-for-byte
-    // what the untraced run computes).
-    StepPhases decodePhases(int batch, uint64_t mean_seq);
-    StepPhases prefillPhases(uint64_t chunk, uint64_t seq_pos);
-    StepPhases mixedPhases(int decode_batch, uint64_t decode_seq,
-                           uint64_t prefill_tokens, uint64_t prefill_pos);
+    /// Decode-step cost, memoized by (batch, cache-length bucket).
+    StepCost decodeStep(int batch, uint64_t mean_seq);
+    /// Prefill-chunk cost, memoized by (chunk, position bucket).
+    StepCost prefillStep(uint64_t chunk, uint64_t seq_pos);
+    /// Fused-iteration cost, memoized like the two above.
+    StepCost mixedStep(int decode_batch, uint64_t decode_seq,
+                       uint64_t prefill_tokens, uint64_t prefill_pos);
 
     const ServingSimulator &simulator() const { return sim; }
     const ModelConfig &model() const { return modelCfg; }
@@ -100,16 +95,12 @@ class StepCostStore
     ServingSimulator sim;
     ModelConfig modelCfg;
     // Step-cost memos: packed (batch, bucket) keys (see step_memo.h) to
-    // modeled seconds, in flat open-addressing tables — the memo lookup
-    // is the innermost operation of every sweep, and the node-based
+    // step costs, in flat open-addressing tables — the memo lookup is
+    // the innermost operation of every sweep, and the node-based
     // unordered_map's hash + pointer chase dominated it.
-    FlatTable<double> decodeCache;
-    FlatTable<double> prefillCache;
-    FlatTable<double> mixedCache;
-    // Phase-split memos (tracing only; see decodePhases).
-    FlatTable<StepPhases> decodePhaseCache;
-    FlatTable<StepPhases> prefillPhaseCache;
-    FlatTable<StepPhases> mixedPhaseCache;
+    FlatTable<StepCost> decodeCache;
+    FlatTable<StepCost> prefillCache;
+    FlatTable<StepCost> mixedCache;
     MemoStats counts;
 };
 

@@ -12,7 +12,7 @@
  *    replicas of different kinds, never share a store.
  *  - Memo counters: a shared store misses each key exactly once, so
  *    its misses never exceed what private stores miss in total, while
- *    both see the same lookups.
+ *    both see the same lookups; tracing adds no misses.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cluster/fleet.h"
+#include "obs/tracer.h"
 #include "presets.h"
 
 namespace pimba {
@@ -269,12 +270,24 @@ TEST(StepCostStore, SharedStoreMissesEachKeyOnce)
     EXPECT_EQ(decode.misses, 272u);
     EXPECT_EQ(prefill.misses, 158u);
 
-    // Untraced runs never touch the phase memos or the fused memo
-    // (FCFS plans no fused iterations).
-    EXPECT_EQ(cold.decodePhases.lookups, 0u);
-    EXPECT_EQ(cold.prefillPhases.lookups, 0u);
-    EXPECT_EQ(cold.mixedPhases.lookups, 0u);
+    // FCFS plans no fused iterations.
     EXPECT_EQ(cold.mixed.lookups, 0u);
+
+    // The tracer cuts its phase slices from the memo entries the
+    // costing already copied: a traced run on a fresh store walks the
+    // cost model exactly as often as the untraced one.
+    Fleet traced(model, homogeneousFleet(SystemKind::PIMBA, n, ec));
+    Tracer tracer;
+    FleetObservers fo;
+    fo.tracer = &tracer;
+    traced.attachObservers(fo);
+    traced.run(trace);
+    ASSERT_GT(tracer.eventCount(), 0u);
+    const MemoStats seen = traced.replica(0).costStore().stats();
+    auto misses = [](const MemoStats &s) {
+        return s.decode.misses + s.prefill.misses + s.mixed.misses;
+    };
+    EXPECT_EQ(misses(seen), misses(cold));
 }
 
 } // namespace

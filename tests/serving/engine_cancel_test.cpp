@@ -72,7 +72,7 @@ TEST(EngineCancel, RunningRequestWastesComputeAndUnwindsDelivered)
     engine.begin();
     engine.submit(makeRequest(1, 0.0, 128, 512));
     engine.advanceTo(Seconds(0.1)); // prefill done, some tokens out
-    ASSERT_EQ(engine.completedCount(), 0u);
+    ASSERT_EQ(engine.queueDepth(), 1u); // still in flight
 
     EXPECT_TRUE(engine.cancel(1, engine.now(), false));
     engine.drain();

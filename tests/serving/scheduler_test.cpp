@@ -34,8 +34,6 @@ resident(uint64_t id, uint64_t input, uint64_t prefilled,
     rs.req = req(id, input, 64);
     rs.prefilled = prefilled;
     rs.generated = generated;
-    rs.phase = prefilled >= input ? RequestPhase::Decode
-                                  : RequestPhase::Prefill;
     return rs;
 }
 
@@ -49,8 +47,9 @@ TEST(SchedulerPolicy, NamesAndRegistry)
 
 TEST(SchedulerPolicy, FcfsAdmitsHeadSjfAdmitsShortest)
 {
-    std::deque<Request> waiting = {req(0, 500, 100), req(1, 50, 10),
-                                   req(2, 200, 20)};
+    std::deque<RequestState> waiting = {{.req = req(0, 500, 100)},
+                                        {.req = req(1, 50, 10)},
+                                        {.req = req(2, 200, 20)}};
     auto fcfs = makeScheduler(SchedulerPolicy::FCFS, Tokens(512),
                               Tokens(1024));
     auto sjf = makeScheduler(SchedulerPolicy::SJF, Tokens(512),
@@ -58,7 +57,7 @@ TEST(SchedulerPolicy, FcfsAdmitsHeadSjfAdmitsShortest)
     EXPECT_EQ(fcfs->pickAdmission(waiting), 0u);
     EXPECT_EQ(sjf->pickAdmission(waiting), 1u);
     // Ties fall to the earlier (front-most) request.
-    waiting.push_back(req(3, 50, 10));
+    waiting.push_back({.req = req(3, 50, 10)});
     EXPECT_EQ(sjf->pickAdmission(waiting), 1u);
 }
 
@@ -71,7 +70,8 @@ TEST(SchedulerPolicy, OneChunkPoliciesRunOnePrefillUnfused)
     };
     for (auto policy : {SchedulerPolicy::FCFS, SchedulerPolicy::SJF}) {
         auto s = makeScheduler(policy, Tokens(512), Tokens(1024));
-        IterationPlan plan = s->planIteration(running);
+        IterationPlan plan;
+        s->planInto(running, plan);
         EXPECT_FALSE(plan.fused);
         ASSERT_EQ(plan.decodeIdx.size(), 1u);
         EXPECT_EQ(plan.decodeIdx[0], 0u);
@@ -92,7 +92,8 @@ TEST(SchedulerPolicy, SarathiPacksChunksUnderTokenBudget)
     };
     auto s = makeScheduler(SchedulerPolicy::Sarathi, Tokens(512),
                            Tokens(1000));
-    IterationPlan plan = s->planIteration(running);
+    IterationPlan plan;
+    s->planInto(running, plan);
     EXPECT_TRUE(plan.fused);
     EXPECT_EQ(plan.decodeIdx.size(), 2u);
     // Budget 1000 - 2 decode = 998 prefill tokens: 512 (chunk cap) to
@@ -118,7 +119,8 @@ TEST(SchedulerPolicy, SarathiNeverThrottlesDecodes)
         resident(2, 64, 64, 1), resident(3, 512, 0, 0)};
     auto s = makeScheduler(SchedulerPolicy::Sarathi, Tokens(512),
                            Tokens(2));
-    IterationPlan plan = s->planIteration(running);
+    IterationPlan plan;
+    s->planInto(running, plan);
     // Budget 2 is already exceeded by the 3 decodes; they all still
     // run, and no prefill is granted this iteration.
     EXPECT_EQ(plan.decodeIdx.size(), 3u);
