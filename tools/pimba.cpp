@@ -8,15 +8,13 @@
  *     pimba run scenarios/serving_rate_sweep.json --smoke \
  *         --trace trace.json --timeline load.csv --stream-metrics
  *     pimba sweep scenarios/policy_shootout.json --grid rate=1..32:x2
- *     pimba fleet scenarios/fleet_planner.json
+ *     pimba run scenarios/fleet_planner.json
  *     pimba validate scenarios/cluster_routers.json
  *
  * `run` executes any scenario kind; `sweep` fans one grid axis across
  * a thread pool (same scenario + seed => byte-identical report at any
- * thread count); `fleet` insists on the cluster kinds
- * (fleet/planner);
- * `validate` parses and type-checks without running. Schema errors
- * print as `file: line L, column C: message`.
+ * thread count); `validate` parses and type-checks without running.
+ * Schema errors print as `file: line L, column C: message`.
  */
 
 #include <cstdio>
@@ -42,7 +40,6 @@ printTopLevelHelp()
         "commands:\n"
         "  run       execute a scenario and print its report\n"
         "  sweep     run a scenario once per grid point, in parallel\n"
-        "  fleet     execute a cluster scenario (fleet/planner kinds)\n"
         "  trace     save a scenario's arrival trace as a "
         "pimba-trace-v1 file\n"
         "  replay    run a fleet scenario with bounded-memory "
@@ -57,11 +54,11 @@ printTopLevelHelp()
         "  --threads <n> sweep worker threads, 0 = all cores "
         "(sweep only)\n"
         "  --trace <f>   write a Perfetto/Chrome trace JSON "
-        "(run/fleet only)\n"
+        "(run only)\n"
         "  --timeline <f> write the sampled load timeline "
-        "(run/fleet only)\n"
+        "(run only)\n"
         "  --stream-metrics  streaming quantile-sketch metrics "
-        "(run/fleet only)\n"
+        "(run only)\n"
         "  --help        this message, or per-command usage\n",
         stdout);
 }
@@ -79,14 +76,10 @@ runCommand(const std::string &command, int argc, char **argv)
                    command == "sweep"
                        ? "Run a scenario once per grid point across a "
                          "worker pool."
-                       : command == "fleet"
-                             ? "Execute a cluster (fleet or planner) "
-                               "scenario."
-                             : command == "validate"
-                                   ? "Parse and type-check a scenario "
-                                     "without running it."
-                                   : "Execute a scenario and print its "
-                                     "report.");
+                       : command == "validate"
+                             ? "Parse and type-check a scenario without "
+                               "running it."
+                             : "Execute a scenario and print its report.");
     args.positional("scenario.json", "scenario description to load",
                     &path);
     args.flag("--smoke", "apply the scenario's \"smoke\" overlay",
@@ -101,7 +94,7 @@ runCommand(const std::string &command, int argc, char **argv)
         args.option("--threads", "n",
                     "worker threads; 0 selects all cores", &threads);
     }
-    if (command == "run" || command == "fleet") {
+    if (command == "run") {
         args.option("--trace", "file",
                     "write a Chrome trace-event JSON (Perfetto) here",
                     &tracePath);
@@ -150,14 +143,6 @@ runCommand(const std::string &command, int argc, char **argv)
             printf("%s: ok (%s scenario \"%s\")\n", path.c_str(),
                    scenarioKindName(sc.kind).c_str(), sc.name.c_str());
             return 0;
-        }
-        if (command == "fleet" && sc.kind != ScenarioKind::Fleet &&
-            sc.kind != ScenarioKind::Planner) {
-            fprintf(stderr,
-                    "pimba fleet: %s is a %s scenario; expected kind "
-                    "fleet or planner (use `pimba run`)\n",
-                    path.c_str(), scenarioKindName(sc.kind).c_str());
-            return 1;
         }
         ScenarioReport rep;
         if (command == "sweep") {
@@ -334,8 +319,7 @@ main(int argc, char **argv)
         return traceCommand(argc - 1, argv + 1);
     if (command == "replay")
         return replayCommand(argc - 1, argv + 1);
-    if (command != "run" && command != "sweep" && command != "fleet" &&
-        command != "validate") {
+    if (command != "run" && command != "sweep" && command != "validate") {
         fprintf(stderr, "pimba: unknown command '%s' (try --help)\n",
                 command.c_str());
         return 1;
