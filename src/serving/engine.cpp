@@ -676,7 +676,8 @@ ServingEngine::iterate()
             localWork(victim, report.generatedTokens, "eviction");
         report.generatedTokens -= w.delivered;
         report.recomputedTokens += w.computed;
-        // Re-queue a fresh record: only the lifecycle survives.
+        // Re-queue a fresh record: only the request, its preloaded flag
+        // and its lifecycle survive.
         enqueueWaiting(RequestState{.req = victim.req,
                                     .preloaded = victim.preloaded,
                                     .firstAdmitted = victim.firstAdmitted,

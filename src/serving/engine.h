@@ -317,7 +317,7 @@ class ServingEngine
     /// @p start is the substep's start time; under Blocked execution
     /// the phases run back-to-back, under Overlapped gpu and pim start
     /// together and sync follows the longer of the two.
-    void tracePhaseSlices(Seconds start, const StepCost &step,
+    void tracePhaseSlices(Seconds start, const StepCost &ph,
                           std::string_view name);
     /// The iteration slice plus its per-substep phase slices, cut from
     /// the memo entries the costing copied into @c substeps.

@@ -275,7 +275,8 @@ TEST(StepCostStore, SharedStoreMissesEachKeyOnce)
 
     // The tracer cuts its phase slices from the memo entries the
     // costing already copied: a traced run on a fresh store walks the
-    // cost model exactly as often as the untraced one.
+    // cost model, and looks up the memos, exactly as often as the
+    // untraced one.
     Fleet traced(model, homogeneousFleet(SystemKind::PIMBA, n, ec));
     Tracer tracer;
     FleetObservers fo;
@@ -284,10 +285,11 @@ TEST(StepCostStore, SharedStoreMissesEachKeyOnce)
     traced.run(trace);
     ASSERT_GT(tracer.eventCount(), 0u);
     const MemoStats seen = traced.replica(0).costStore().stats();
-    auto misses = [](const MemoStats &s) {
-        return s.decode.misses + s.prefill.misses + s.mixed.misses;
+    auto total = [](const MemoStats &s) {
+        return s.decode + s.prefill + s.mixed;
     };
-    EXPECT_EQ(misses(seen), misses(cold));
+    EXPECT_EQ(total(seen).misses, total(cold).misses);
+    EXPECT_EQ(total(seen).lookups, total(cold).lookups);
 }
 
 } // namespace
