@@ -82,6 +82,7 @@ ServingEngine::attachObservers(const EngineObservers &o)
     const bool newTracks =
         o.tracer && (o.tracer != obs.tracer || o.pid != obs.pid);
     obs = o;
+    quietLeft = 0; // a tracer or timeline needs every iteration
     if (newTracks) {
         obs.tracer->threadName(obs.pid, kTraceIterTid, "iterations");
         obs.tracer->threadName(obs.pid, kTraceGpuTid, "gpu");
@@ -179,6 +180,7 @@ ServingEngine::begin()
     waiting.clear();
     running.clear();
     prefixCache.clear();
+    quietLeft = 0;
     active = true;
 }
 
@@ -263,6 +265,7 @@ ServingEngine::revealArrivals()
            pendingArrivals.front().req.arrival <= clock) {
         enqueueWaiting(pendingArrivals.front(), /*atSegmentFront=*/false);
         pendingArrivals.pop_front();
+        quietLeft = 0; // the next iteration admits
     }
 }
 
@@ -271,6 +274,8 @@ ServingEngine::advanceTo(Seconds t)
 {
     PIMBA_ASSERT(active, "advanceTo() outside a session");
     while (true) {
+        if (quietLeft > 0)
+            fastForward(t);
         revealArrivals();
         if (running.empty() && waiting.empty()) {
             // Idle: jump to the next arrival if it is due by t.
@@ -513,6 +518,7 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
         blocks->release(rs.heldBlocks);
         closeLane();
         running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+        quietLeft = 0; // the batch and its decode mean changed
         auditBlockLedger();
         return true;
     }
@@ -835,6 +841,67 @@ ServingEngine::iterate()
             obs.timeline->sample(obs.timelineTrack, clock, depth,
                                  outstanding, running.size(), liveUtil);
     }
+    armQuietRun();
+    auditBlockLedger();
+}
+
+void
+ServingEngine::armQuietRun()
+{
+    quietLeft = 0;
+    if (obs.tracer || obs.timeline || !waiting.empty() || running.empty())
+        return;
+    uint64_t left = std::numeric_limits<uint64_t>::max();
+    uint64_t seqSum = 0;
+    const uint64_t bt = mapper.blockTokens.value();
+    for (const RequestState &rs : running) {
+        if (!rs.prefillDone())
+            return;
+        const uint64_t cached = rs.cachedTokens();
+        // Stop one iteration short of the one that finishes the request
+        // or grows its blocks: that one runs on the normal path.
+        left = std::min(left, rs.req.outputLen - rs.generated - 1);
+        if (bt > 0) {
+            const uint64_t room =
+                (rs.heldBlocks - mapper.fixedBlocks).value() * bt;
+            left = std::min(left, room > cached ? room - cached : 0);
+        }
+        seqSum += cached;
+    }
+    quietLeft = left;
+    quietMean = seqSum / running.size();
+}
+
+void
+ServingEngine::fastForward(Seconds t)
+{
+    // Each pass is the quiet iteration iterate() would run, with the
+    // same memo lookup and the same sums in the same order. Every
+    // resident gains one token, so the decode mean rises by exactly
+    // one; blocks, and so the peaks, do not move. @c plan still holds
+    // the arming iteration's plan, whose policy fixes plan.fused.
+    const int batch = static_cast<int>(running.size());
+    const double util = blocks->utilization();
+    uint64_t k = 0;
+    while (k < quietLeft && clock < t &&
+           (pendingArrivals.empty() ||
+            pendingArrivals.front().req.arrival > clock)) {
+        const StepCost c = plan.fused
+                               ? costs->mixedStep(batch, quietMean + k, 0, 0)
+                               : costs->decodeStep(batch, quietMean + k);
+        const double iterSeconds = c.seconds.value();
+        PIMBA_ASSERT(iterSeconds > 0.0, "iteration made no progress");
+        clock += Seconds(iterSeconds);
+        utilSum += util;
+        ++k;
+    }
+    for (RequestState &rs : running)
+        rs.generated += k;
+    report.iterations += k;
+    report.fastForwardedIterations += k;
+    report.generatedTokens += k * static_cast<uint64_t>(batch);
+    quietLeft -= k;
+    quietMean += k;
     auditBlockLedger();
 }
 

@@ -44,6 +44,16 @@
  * GPU/PIM/sync split, so the tracer cuts its phase slices from the
  * entries the costing copied and never re-walks the cost model.
  *
+ * Most iterations are quiet: every resident decodes and nothing is
+ * queued, admitted, finished, evicted or allocated. An iteration that
+ * leaves that state, with no tracer or timeline attached, arms a quiet
+ * run that ends one iteration short of the first completion or block
+ * growth. advanceTo() runs it as a loop of memo lookups and clock and
+ * utilization sums in the normal path's floating-point order, so every
+ * report and memo count is bit-identical. It also stops at the target
+ * time and at a due arrival; begin(), a resident's cancel(), a revealed
+ * arrival and attaching observers disarm it (docs/architecture.md).
+ *
  * Two driving modes share the same iteration loop:
  *  - run() serves a whole trace to completion (single-replica studies);
  *  - the begin()/submit()/advanceTo()/drain()/finish() session API lets
@@ -174,6 +184,9 @@ struct ServingReport
     ServingMetrics metrics;
     Seconds makespan;          ///< trace start to last token
     uint64_t iterations = 0;   ///< scheduler iterations executed
+    /// Of @c iterations, those the quiet-run loop ran (file comment).
+    /// A simulator work counter: no report prints it.
+    uint64_t fastForwardedIterations = 0;
     uint64_t generatedTokens = 0; ///< delivered tokens (evictions net out)
     uint64_t prefillChunks = 0;
     uint64_t preemptions = 0;  ///< evictions under memory pressure
@@ -328,6 +341,12 @@ class ServingEngine
     void revealArrivals();
     /// One scheduler iteration (admission, planning, costing, retire).
     void iterate();
+    /// After an iteration: arm a quiet run if no observer is attached,
+    /// the queue is empty and every resident decodes; else disarm.
+    void armQuietRun();
+    /// Run armed quiet iterations until the clock reaches @p t, an
+    /// arrival is due or the horizon is reached.
+    void fastForward(Seconds t);
     /// Priority tier of @p classId (0 when untiered / out of range).
     int tierOf(uint32_t classId) const;
     /// Debug builds: check the block ledger — the residents' heldBlocks
@@ -369,6 +388,10 @@ class ServingEngine
     /// Request::prefixLen set anywhere) byte-identical.
     std::vector<uint64_t> prefixCache;
     ServingReport report;
+    /// Armed quiet run: iterations left before a resident finishes or
+    /// needs a block (0 when disarmed), and the next one's decode mean.
+    uint64_t quietLeft = 0;
+    uint64_t quietMean = 0;
 
     // Per-iteration scratch, reused across iterations so the inner loop
     // allocates nothing once capacities settle.

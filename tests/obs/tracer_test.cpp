@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bit_equal.h"
 #include "config/json.h"
 #include "config/runner.h"
 #include "core/lfsr.h"
@@ -367,32 +368,34 @@ TEST(TracerEngine, TracedRunEmitsLifecycleAndPhaseLanes)
 
 TEST(TracerEngine, TracingDoesNotPerturbTheReport)
 {
+    // The traced run takes the per-iteration path; the untraced one
+    // fast-forwards quiet runs. Both must be the same simulation, bit
+    // for bit. OPT's KV growth cuts quiet runs at block boundaries,
+    // Mamba-2's only at completions; Sarathi costs fused steps.
     auto trace = generateTrace(tracedTrace());
+    const std::pair<const char *, ModelConfig> models[] = {
+        {"mamba2", mamba2_2p7b()}, {"opt", opt2p7b()}};
+    for (const auto &[modelName, model] : models) {
+        for (SchedulerPolicy policy : allPolicies()) {
+            SCOPED_TRACE(std::string(modelName) + " " + policyName(policy));
+            EngineConfig ec;
+            ec.policy = policy;
+            ServingSimulator sim(makeSystem(SystemKind::PIMBA));
+            ServingEngine plain(sim, model, ec);
+            ServingReport a = plain.run(trace);
 
-    ServingSimulator plainSim(makeSystem(SystemKind::PIMBA));
-    ServingEngine plain(plainSim, mamba2_2p7b(), {});
-    ServingReport a = plain.run(trace);
+            ServingEngine traced(sim, model, ec);
+            Tracer tracer;
+            EngineObservers eo;
+            eo.tracer = &tracer;
+            traced.attachObservers(eo);
+            ServingReport b = traced.run(trace);
 
-    ServingSimulator tracedSim(makeSystem(SystemKind::PIMBA));
-    ServingEngine traced(tracedSim, mamba2_2p7b(), {});
-    Tracer tracer;
-    EngineObservers eo;
-    eo.tracer = &tracer;
-    traced.attachObservers(eo);
-    ServingReport b = traced.run(trace);
-
-    EXPECT_GT(tracer.eventCount(), 0u);
-    EXPECT_DOUBLE_EQ(a.makespan.value(), b.makespan.value());
-    EXPECT_EQ(a.iterations, b.iterations);
-    ASSERT_EQ(a.completed.size(), b.completed.size());
-    for (size_t i = 0; i < a.completed.size(); ++i) {
-        EXPECT_EQ(a.completed[i].req.id, b.completed[i].req.id);
-        EXPECT_DOUBLE_EQ(a.completed[i].ttft.value(),
-                         b.completed[i].ttft.value());
-        EXPECT_DOUBLE_EQ(a.completed[i].tpot.value(),
-                         b.completed[i].tpot.value());
-        EXPECT_DOUBLE_EQ(a.completed[i].latency.value(),
-                         b.completed[i].latency.value());
+            EXPECT_GT(tracer.eventCount(), 0u);
+            EXPECT_GT(a.fastForwardedIterations, 0u);
+            EXPECT_EQ(b.fastForwardedIterations, 0u);
+            expectBitEqual(a, b);
+        }
     }
 }
 

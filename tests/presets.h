@@ -18,14 +18,16 @@
 
 namespace pimba {
 
-/// The full-size (not smoke) spec of preset @p file, e.g.
-/// preset<FleetScenario>("cluster_routers.json").
+/// The spec of preset @p file, e.g.
+/// preset<FleetScenario>("cluster_routers.json"): full size, or with
+/// @p smoke the CI-sized run of `pimba run --smoke`.
 template <class Spec>
 Spec
-preset(const std::string &file)
+preset(const std::string &file, bool smoke = false)
 {
     return std::get<Spec>(
-        loadScenarioFile(std::string(PIMBA_SCENARIO_DIR) + "/" + file)
+        loadScenarioFile(std::string(PIMBA_SCENARIO_DIR) + "/" + file,
+                         smoke)
             .spec);
 }
 
