@@ -25,8 +25,10 @@ main(int argc, char **argv)
     printf("=== Figure 3: latency breakdown on GPU (generation) ===\n");
     ServingSimulator gpu(makeSystem(SystemKind::GPU));
 
-    const char *cats[] = {"StateUpdate", "Attention", "Discretization",
-                          "CausalConv", "GEMM", "Others"};
+    const BreakdownKey cats[] = {
+        BreakdownKey::StateUpdate,    BreakdownKey::Attention,
+        BreakdownKey::Discretization, BreakdownKey::CausalConv,
+        BreakdownKey::GEMM,           BreakdownKey::Others};
     Table t({"model", "batch", "StateUpdate%", "Attention%",
              "Discretization%", "CausalConv%", "GEMM%", "Others%"});
 
@@ -38,7 +40,7 @@ main(int argc, char **argv)
             auto step = gpu.generationStep(model, batch, seq);
             std::vector<std::string> row = {model.name,
                                             std::to_string(batch)};
-            for (const char *c : cats)
+            for (BreakdownKey c : cats)
                 row.push_back(fmt(100.0 * step.latency.fraction(c), 1));
             t.addRow(row);
         }
@@ -49,10 +51,10 @@ main(int argc, char **argv)
     auto retnet128 = gpu.generationStep(retnet2p7b(), 128, 1);
     printf("\nRetNet state-update share: %.1f%% (b=32) -> %.1f%% "
            "(b=128); paper: 41.9%% -> 73.8%%\n",
-           100.0 * retnet32.latency.fraction("StateUpdate"),
-           100.0 * retnet128.latency.fraction("StateUpdate"));
+           100.0 * retnet32.latency.fraction(BreakdownKey::StateUpdate),
+           100.0 * retnet128.latency.fraction(BreakdownKey::StateUpdate));
     auto zamba128 = gpu.generationStep(zamba2_7b(), 128, 3072);
     printf("Zamba2 attention share at b=128: %.1f%% (paper: 65.5%%)\n",
-           100.0 * zamba128.latency.fraction("Attention"));
+           100.0 * zamba128.latency.fraction(BreakdownKey::Attention));
     return 0;
 }

@@ -24,7 +24,8 @@ double
 gpuStateUpdateTime(const ModelConfig &m, int batch)
 {
     ServingSimulator gpu(makeSystem(SystemKind::GPU));
-    return gpu.generationStep(m, batch, 1).latency.get("StateUpdate");
+    return gpu.generationStep(m, batch, 1)
+        .latency.get(BreakdownKey::StateUpdate);
 }
 
 double

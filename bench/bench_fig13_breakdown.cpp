@@ -23,9 +23,11 @@ main(int argc, char **argv)
         return args.exitCode();
 
     printf("=== Figure 13: latency breakdown, 70B, 8x A100 ===\n");
-    const char *cats[] = {"StateUpdate", "Attention", "Discretization",
-                          "CausalConv", "GEMM", "Communication",
-                          "Others"};
+    const BreakdownKey cats[] = {
+        BreakdownKey::StateUpdate,    BreakdownKey::Attention,
+        BreakdownKey::Discretization, BreakdownKey::CausalConv,
+        BreakdownKey::GEMM,           BreakdownKey::Communication,
+        BreakdownKey::Others};
 
     Accumulator su_vs_gpu, su_vs_pim, at_vs_gpu, at_vs_pim;
 
@@ -51,23 +53,27 @@ main(int argc, char **argv)
                                                 fmt(step.seconds.value() *
                                                         1e3,
                                                     2)};
-                for (const char *c : cats)
+                for (BreakdownKey c : cats)
                     row.push_back(fmt(step.latency.get(c) / base, 3));
                 t.addRow(row);
                 if (kind == SystemKind::PIMBA && batch == 128) {
-                    double su = step.latency.get("StateUpdate");
-                    double at = step.latency.get("Attention");
+                    double su = step.latency.get(BreakdownKey::StateUpdate);
+                    double at = step.latency.get(BreakdownKey::Attention);
                     if (su > 0) {
                         su_vs_gpu.add(
-                            gpu_step.latency.get("StateUpdate") / su);
+                            gpu_step.latency.get(BreakdownKey::StateUpdate) /
+                            su);
                         su_vs_pim.add(
-                            pim_step.latency.get("StateUpdate") / su);
+                            pim_step.latency.get(BreakdownKey::StateUpdate) /
+                            su);
                     }
                     if (at > 0) {
                         at_vs_gpu.add(
-                            gpu_step.latency.get("Attention") / at);
+                            gpu_step.latency.get(BreakdownKey::Attention) /
+                            at);
                         at_vs_pim.add(
-                            pim_step.latency.get("Attention") / at);
+                            pim_step.latency.get(BreakdownKey::Attention) /
+                            at);
                     }
                 }
             }

@@ -22,9 +22,10 @@ main(int argc, char **argv)
         return args.exitCode();
 
     printf("=== Figure 14: energy breakdown, 70B, batch 128 ===\n");
-    const char *cats[] = {"State update (I/O)", "State update (Compute)",
-                          "Attention (I/O)", "Attention (Compute)",
-                          "GEMM", "Others"};
+    const BreakdownKey cats[] = {
+        BreakdownKey::StateUpdateIo, BreakdownKey::StateUpdateCompute,
+        BreakdownKey::AttentionIo,   BreakdownKey::AttentionCompute,
+        BreakdownKey::GEMM,          BreakdownKey::Others};
     Accumulator vs_gpu, vs_pim;
 
     Table t({"model", "system", "total(J)", "SU I/O", "SU Comp",
@@ -43,7 +44,7 @@ main(int argc, char **argv)
                 pimba = total;
             std::vector<std::string> row = {model.name, systemName(kind),
                                             fmt(total, 3)};
-            for (const char *c : cats)
+            for (BreakdownKey c : cats)
                 row.push_back(fmt(step.energy.get(c) / base, 3));
             t.addRow(row);
         }

@@ -41,10 +41,10 @@ main(int argc, char **argv)
           SystemKind::PIMBA}) {
         ServingSimulator sim(makeSystem(kind, 8));
         auto step = sim.generationStep(model, batch, seq);
-        double su = step.latency.get("StateUpdate");
-        double at = step.latency.get("Attention");
+        double su = step.latency.get(BreakdownKey::StateUpdate);
+        double at = step.latency.get(BreakdownKey::Attention);
         const char *bottleneck = "GEMM";
-        double top = step.latency.get("GEMM");
+        double top = step.latency.get(BreakdownKey::GEMM);
         if (su > top) {
             bottleneck = "StateUpdate";
             top = su;

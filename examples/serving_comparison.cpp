@@ -77,8 +77,8 @@ main(int argc, char **argv)
         auto mem = sim.memoryUsage(model, batch, 3072);
         t.addRow({systemName(kind), fmt(thr, 0), fmtRatio(thr / base),
                   fmt(step.seconds.value() * 1e3, 2),
-                  fmt(step.latency.get("StateUpdate") * 1e3, 2),
-                  fmt(step.latency.get("Attention") * 1e3, 2),
+                  fmt(step.latency.get(BreakdownKey::StateUpdate) * 1e3, 2),
+                  fmt(step.latency.get(BreakdownKey::Attention) * 1e3, 2),
                   fmt(step.energy.total(), 3),
                   fmt(mem.total().value() / 1e9, 1)});
     }

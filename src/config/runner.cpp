@@ -353,7 +353,7 @@ runFleetStudy(const Scenario &scenario, bool quiet)
     // plus one for its interconnect.
     int nextPid = 1;
     // Every row of the study costs its steps in one set of stores, so
-    // rows over the same (kind, nGpus, mode) fill each memo once.
+    // rows over the same (kind, nGpus, mode) fill each store once.
     StepCostStores stores(sc.model);
     auto addRow = [&](const FleetCase &c,
                       std::optional<RouterPolicy> router) {

@@ -729,12 +729,6 @@ parseServing(const JsonValue &root)
     sc.model = parseModel(root, root);
     sc.engine = parseEngine(root);
     sc.trace = parseTrace(root, root);
-    if (std::string err =
-            validateEngineAcrossPolicies(sc.engine, sc.policies);
-        !err.empty()) {
-        const JsonValue *ev = root.find("engine");
-        failAt(ev ? *ev : root, err);
-    }
     return sc;
 }
 
@@ -789,12 +783,6 @@ parseSaturation(const JsonValue &root)
     sc.model = parseModel(root, root);
     sc.engine = parseEngine(root);
     sc.trace = parseTrace(root, root);
-    if (std::string err =
-            validateEngineAcrossPolicies(sc.engine, sc.policies);
-        !err.empty()) {
-        const JsonValue *ev = root.find("engine");
-        failAt(ev ? *ev : root, err);
-    }
     sc.startRate = getNumber(root, "startRate", sc.startRate);
     sc.maxRate = getNumber(root, "maxRate", sc.maxRate);
     sc.bisectSteps = getInt32(root, "bisectSteps", sc.bisectSteps);
@@ -831,19 +819,6 @@ parsePlanner(const JsonValue &root)
 }
 
 } // namespace
-
-std::string
-validateEngineAcrossPolicies(const EngineConfig &engine,
-                             const std::vector<SchedulerPolicy> &policies)
-{
-    for (SchedulerPolicy policy : policies) {
-        EngineConfig ec = engine;
-        ec.policy = policy;
-        if (std::string err = validateEngineConfig(ec); !err.empty())
-            return err + " (with policy " + policyName(policy) + ")";
-    }
-    return "";
-}
 
 ModelConfig
 modelPreset(const std::string &name)

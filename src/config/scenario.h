@@ -197,18 +197,6 @@ Scenario loadScenarioFile(const std::string &path, bool smoke = false);
  */
 ModelConfig modelPreset(const std::string &name);
 
-/**
- * validateEngineConfig once per policy in @p policies. Serving and
- * saturation scenarios override EngineConfig::policy per run, so
- * policy-dependent bounds (the Sarathi memo limits) must be checked
- * against every policy the scenario will actually execute — not just
- * the one written inside the engine block. Returns the first failing
- * message, or the empty string.
- */
-std::string
-validateEngineAcrossPolicies(const EngineConfig &engine,
-                             const std::vector<SchedulerPolicy> &policies);
-
 } // namespace pimba
 
 #endif // PIMBA_CONFIG_SCENARIO_H

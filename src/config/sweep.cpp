@@ -184,28 +184,22 @@ applyGridParam(Scenario &sc, const std::string &param, double value)
     }
     if (param == "maxBatch") {
         int64_t batch = integral("batch cap");
-        // Re-validate against every policy the point will actually run
-        // — a bad value must be a located grid error here, not a fatal
-        // abort inside a worker thread that discards the whole sweep.
-        std::string err;
-        if (auto *ss = std::get_if<ServingScenario>(&sc.spec)) {
-            ss->engine.maxBatch = static_cast<int>(batch);
-            err = validateEngineAcrossPolicies(ss->engine,
-                                               ss->policies);
-        } else if (auto *sat =
-                       std::get_if<SaturationScenario>(&sc.spec)) {
-            sat->engine.maxBatch = static_cast<int>(batch);
-            err = validateEngineAcrossPolicies(sat->engine,
-                                               sat->policies);
-        } else if (auto *ps = std::get_if<PlannerScenario>(&sc.spec)) {
-            ps->engine.maxBatch = static_cast<int>(batch);
-            err = validateEngineConfig(ps->engine);
-        } else {
+        EngineConfig *engine = nullptr;
+        if (auto *ss = std::get_if<ServingScenario>(&sc.spec))
+            engine = &ss->engine;
+        else if (auto *sat = std::get_if<SaturationScenario>(&sc.spec))
+            engine = &sat->engine;
+        else if (auto *ps = std::get_if<PlannerScenario>(&sc.spec))
+            engine = &ps->engine;
+        else
             throw ConfigError("grid parameter 'maxBatch' does not "
                               "apply to a " +
                               scenarioKindName(sc.kind) + " scenario");
-        }
-        if (!err.empty())
+        engine->maxBatch = static_cast<int>(batch);
+        // Re-validate here: a bad value must be a located grid error,
+        // not a fatal abort inside a worker thread that discards the
+        // whole sweep.
+        if (std::string err = validateEngineConfig(*engine); !err.empty())
             throw ConfigError("grid maxBatch=" +
                               gridValueLabel(value) +
                               " makes the engine config invalid: " +

@@ -3,7 +3,7 @@
  * Open-addressing hash table from a packed uint64 key to a small value
  * type — the flat replacement for the node-based
  * `std::unordered_map<uint64_t, V>` memos on the simulator's hot paths
- * (the serving engine's step-cost memos, the PIM kernel-shape cache).
+ * (the serving engine's step-cost memo, the PIM kernel-shape cache).
  *
  * Design constraints, in order:
  *  - Exactness: a lookup either misses or returns the value stored for

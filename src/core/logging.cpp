@@ -7,7 +7,7 @@ namespace pimba {
 namespace {
 
 /**
- * Serialize whole-line emission: warn()/inform() are called from the
+ * Serialize whole-line emission: warn() is called from the
  * sweep thread pool's workers, and separate stream insertions on the
  * shared std::cerr interleave mid-line under contention. Each message
  * is built into one string first and written with a single insertion
@@ -58,12 +58,6 @@ void
 warnImpl(const std::string &msg)
 {
     emitLine("warn: ", msg);
-}
-
-void
-informImpl(const std::string &msg)
-{
-    emitLine("info: ", msg);
 }
 
 } // namespace pimba

@@ -2,7 +2,7 @@
  * @file
  * Error-reporting helpers in the gem5 style: panic() for internal
  * invariant violations, fatal() for user/configuration errors, and
- * warn()/inform() for status messages that do not stop the run.
+ * warn() for status messages that do not stop the run.
  */
 
 #ifndef PIMBA_CORE_LOGGING_H
@@ -23,9 +23,6 @@ namespace pimba {
 
 /** Print a non-fatal warning to stderr. */
 void warnImpl(const std::string &msg);
-
-/** Print an informational message to stderr. */
-void informImpl(const std::string &msg);
 
 namespace detail {
 
@@ -51,9 +48,6 @@ concat(Args &&...args)
 
 #define PIMBA_WARN(...) \
     ::pimba::warnImpl(::pimba::detail::concat(__VA_ARGS__))
-
-#define PIMBA_INFORM(...) \
-    ::pimba::informImpl(::pimba::detail::concat(__VA_ARGS__))
 
 /** Assert a simulator invariant; active in all build types. */
 #define PIMBA_ASSERT(cond, ...)                                              \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <string_view>
 
 namespace pimba {
 
@@ -72,15 +73,6 @@ Breakdown::add(BreakdownKey key, double value)
 }
 
 double
-Breakdown::get(std::string_view name) const
-{
-    for (size_t i = 0; i < kBreakdownKeys; ++i)
-        if (name == kBreakdownNames[i])
-            return get(static_cast<BreakdownKey>(i));
-    return 0.0;
-}
-
-double
 Breakdown::total() const
 {
     double sum = 0.0;
@@ -95,13 +87,6 @@ Breakdown::fraction(BreakdownKey key) const
 {
     double t = total();
     return t > 0.0 ? get(key) / t : 0.0;
-}
-
-double
-Breakdown::fraction(std::string_view name) const
-{
-    double t = total();
-    return t > 0.0 ? get(name) / t : 0.0;
 }
 
 double

@@ -9,10 +9,8 @@
 #define PIMBA_CORE_STATS_H
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 namespace pimba {
@@ -30,7 +28,6 @@ class Accumulator
     double max() const { return n ? hi : 0.0; }
     /** Population variance of the recorded samples. */
     double variance() const { return n ? m2 / static_cast<double>(n) : 0.0; }
-    double stddev() const { return std::sqrt(variance()); }
     double sum() const { return total; }
 
   private:
@@ -88,16 +85,11 @@ class Breakdown
         return has(key) ? values[index(key)] : 0.0;
     }
 
-    /** Value of the category named @p name, or 0 if absent or not a
-     *  legend name. */
-    double get(std::string_view name) const;
-
     /** Sum over all categories. */
     double total() const;
 
     /** Fraction of the total in @p key (0 if total is 0). */
     double fraction(BreakdownKey key) const;
-    double fraction(std::string_view name) const;
 
     /** Categories in insertion order. */
     std::span<const BreakdownKey> keys() const

@@ -58,11 +58,6 @@ struct HbmOrganization
         return numChannels * pseudoChannelsPerChannel;
     }
 
-    int totalBanks() const
-    {
-        return totalPseudoChannels() * banksPerPseudoChannel();
-    }
-
     int columnsPerRow() const { return rowBytes / columnBytes; }
 };
 
@@ -87,26 +82,6 @@ struct HbmConfig
     double pimFreqHz() const
     {
         return busFreqHz / timing.tCCD_L;
-    }
-
-    /**
-     * Peak off-chip bandwidth of the device in bytes/s:
-     * one column burst per pseudo-channel per burstCycles.
-     */
-    double channelBandwidth() const
-    {
-        return static_cast<double>(org.totalPseudoChannels()) *
-               org.columnBytes * busFreqHz / timing.burstCycles;
-    }
-
-    /**
-     * Peak internal (all-bank PIM) bandwidth in bytes/s: every bank in
-     * every pseudo-channel delivers one column per tCCD_L.
-     */
-    double internalBandwidth() const
-    {
-        return static_cast<double>(org.totalBanks()) * org.columnBytes *
-               busFreqHz / timing.tCCD_L;
     }
 };
 

@@ -96,9 +96,6 @@ class PimCommandScheduler
     /** Completion frontier: cycle at which all issued work is done. */
     Cycles finishCycle() const;
 
-    /** Cycle of the last issued command. */
-    Cycles lastIssueCycle() const { return lastIssue; }
-
     const PimCommandCounts &counts() const { return stats; }
     const std::vector<CommandRecord> &trace() const { return records; }
 

@@ -19,22 +19,6 @@ GpuKernelModel::kernel(double flops, double bytes) const
 }
 
 GpuKernelCost
-GpuKernelModel::gemm(double m, double n, double k,
-                     double bytes_per_weight) const
-{
-    double flops = 2.0 * m * n * k;
-    double weight_bytes = n * k * bytes_per_weight;
-    double act_bytes = (m * k + m * n) * 2.0;
-    return kernel(flops, weight_bytes + act_bytes);
-}
-
-GpuKernelCost
-GpuKernelModel::memBound(double bytes) const
-{
-    return kernel(0.0, bytes);
-}
-
-GpuKernelCost
 GpuKernelModel::allReduce(double bytes, int n_gpus) const
 {
     GpuKernelCost cost;

@@ -32,18 +32,6 @@ class GpuKernelModel
     GpuKernelCost kernel(double flops, double bytes) const;
 
     /**
-     * GEMM of (m x k) by (k x n): weights streamed from HBM once,
-     * activations read/written.
-     *
-     * @param bytes_per_weight 2 for fp16 weights.
-     */
-    GpuKernelCost gemm(double m, double n, double k,
-                       double bytes_per_weight = 2.0) const;
-
-    /** Purely bandwidth-bound kernel moving @p bytes. */
-    GpuKernelCost memBound(double bytes) const;
-
-    /**
      * Ring all-reduce of @p bytes across @p n_gpus over NVLink:
      * 2 (n-1)/n passes of the payload per GPU.
      */

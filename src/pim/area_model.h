@@ -1,6 +1,6 @@
 /**
  * @file
- * Gate-level area and power model of the PIM processing units.
+ * Area and power model of the PIM processing units.
  *
  * The paper synthesizes RTL with Synopsys DC on FreePDK45 and scales to
  * 10 nm with DeepScaleTool (Section 6.1); we substitute per-unit areas
@@ -14,9 +14,9 @@
  *             penalized by dequantize/requantize + max-search logic,
  *             fp16 far to the right; SR adds only an LFSR and adders.
  *
- * The areas of the formats between those endpoints follow the ratios of
- * a parametric gate-count model (NAND2-equivalents: multipliers ~ n^2,
- * shifters ~ n log p, etc.) of each format's lanes.
+ * The E4M3, E5M2 and INT8 unit areas between the MX8 and fp16 anchors
+ * are assumed values that keep Fig. 6's ordering; the paper publishes
+ * no number for them.
  */
 
 #ifndef PIMBA_PIM_AREA_MODEL_H
@@ -43,41 +43,10 @@ struct PimArea
  */
 constexpr double kPimAreaBudgetMm2 = 0.6866;
 
-/** Area model with gate-count building blocks. */
+/** Area model over calibrated per-unit areas. */
 class PimAreaModel
 {
   public:
-    // --- Building blocks (NAND2-equivalent gate counts) ---
-
-    /** n x m array multiplier. */
-    static double intMultGates(int n, int m);
-    /** n-bit ripple/carry-select adder. */
-    static double intAddGates(int n);
-    /** n-bit barrel shifter with @p positions shift amounts. */
-    static double shifterGates(int bits, int positions);
-    /** n-bit register (flip-flops). */
-    static double regGates(int bits);
-    /** n-bit magnitude comparator. */
-    static double cmpGates(int n);
-    /** 16-bit LFSR for stochastic rounding. */
-    static double lfsrGates();
-
-    // --- Floating point units ---
-    static double fpMultGates(int exp_bits, int man_bits);
-    static double fpAddGates(int exp_bits, int man_bits);
-    static double fpMacGates(int exp_bits, int man_bits);
-
-    // --- Format-specific element-wise lanes (Fig. 9 datapaths) ---
-
-    /** Gates of the element-wise multiply+add+dot path per lane. */
-    static double laneGates(NumberFormat fmt);
-    /** Shared per-group logic (exponent handling, scale search, ...). */
-    static double groupGates(NumberFormat fmt);
-    /** Lanes per 256-bit (one DRAM column) operand group. */
-    static int lanesPerColumn(NumberFormat fmt);
-
-    // --- Design-level results ---
-
     /**
      * Area of @p units_per_pc processing units of the given style/format
      * in one pseudo-channel, plus the shared SRAM buffer.

@@ -50,12 +50,6 @@ bitsPerValue(NumberFormat fmt)
     PIMBA_PANIC("unknown format");
 }
 
-double
-storageBytes(NumberFormat fmt, size_t n)
-{
-    return bitsPerValue(fmt) * static_cast<double>(n) / 8.0;
-}
-
 void
 quantizeSpan(double *v, size_t n, const QuantSpec &spec, Lfsr16 &lfsr)
 {

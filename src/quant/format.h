@@ -41,9 +41,6 @@ struct QuantSpec
 /** Storage bits per value, including shared scale/exponent overhead. */
 double bitsPerValue(NumberFormat fmt);
 
-/** Storage bytes for @p n values in @p fmt. */
-double storageBytes(NumberFormat fmt, size_t n);
-
 /** Short name of a bare format ("mx8", "e4m3", ...). */
 std::string formatName(NumberFormat fmt);
 

@@ -31,12 +31,6 @@ MinifloatSpec::maxValue() const
 }
 
 double
-MinifloatSpec::minNormal() const
-{
-    return std::ldexp(1.0, 1 - bias);
-}
-
-double
 MinifloatSpec::minSubnormal() const
 {
     return std::ldexp(1.0, 1 - bias - manBits);

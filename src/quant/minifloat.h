@@ -30,9 +30,6 @@ struct MinifloatSpec
     /** Largest finite magnitude; out-of-range inputs saturate to this. */
     double maxValue() const;
 
-    /** Smallest positive normal magnitude. */
-    double minNormal() const;
-
     /** Smallest positive subnormal magnitude (one ulp at the bottom). */
     double minSubnormal() const;
 

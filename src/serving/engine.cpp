@@ -37,19 +37,15 @@ validateEngineConfig(const EngineConfig &cfg)
         return "engine: SLO targets must be positive seconds (ttft " +
                std::to_string(cfg.slo.ttft.value()) + ", tpot " +
                std::to_string(cfg.slo.tpot.value()) + ")";
-    if (cfg.policy == SchedulerPolicy::Sarathi) {
-        // The fused-step memo packs (decode batch, prefill tokens) into
-        // its key; reject configs that could overflow it mid-run.
-        Tokens budget = resolvedIterTokenBudget(cfg);
-        if (cfg.maxBatch >= (1 << 12))
-            return "engine: the Sarathi policy requires maxBatch < "
-                   "4096, got " +
-                   std::to_string(cfg.maxBatch);
-        if (budget >= Tokens(1ull << 16))
-            return "engine: the Sarathi policy requires an iteration "
-                   "token budget < 65536, got " +
-                   std::to_string(budget.value());
-    }
+    // A chunk holds at most prefillChunk tokens and a fused iteration
+    // at most max(maxBatch, budget).
+    if (cfg.prefillChunk > Tokens(kMaxStepTokens) ||
+        resolvedIterTokenBudget(cfg) > Tokens(kMaxStepTokens))
+        return "engine: prefillChunk and the iteration token budget "
+               "must each be <= " +
+               std::to_string(kMaxStepTokens) + ", got " +
+               std::to_string(cfg.prefillChunk.value()) + " and " +
+               std::to_string(resolvedIterTokenBudget(cfg).value());
     return "";
 }
 

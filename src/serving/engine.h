@@ -125,9 +125,9 @@ struct EngineConfig
     /// Per-iteration new-token budget (decode + prefill) for the Sarathi
     /// policy; 0 resolves to maxBatch + prefillChunk so a full decode
     /// batch always leaves one chunk's worth of prefill budget. Decode
-    /// is never throttled — see makeScheduler(). The Sarathi policy's
-    /// fused-step memo requires maxBatch < 4096 and a resolved budget
-    /// < 65536 (checked at engine construction).
+    /// is never throttled — see makeScheduler(). The resolved budget,
+    /// like prefillChunk, must fit a step's int batch (checked at
+    /// engine construction).
     Tokens iterTokenBudget{0};
     SchedulerPolicy policy = SchedulerPolicy::FCFS;
     /// GPU<->PIM execution mode override for this replica. nullopt
@@ -151,17 +151,17 @@ struct EngineConfig
 
 /// The iteration token budget a config resolves to: the explicit value,
 /// or maxBatch + prefillChunk when 0. Shared by validateEngineConfig
-/// and the engine constructor so the Sarathi memo bound is always
+/// and the engine constructor so the step-token bound is always
 /// checked against exactly the budget the engine will run with.
 Tokens resolvedIterTokenBudget(const EngineConfig &cfg);
 
 /// Validate @p cfg. Returns the empty string when the config is sane,
 /// else one actionable message naming the offending field and bound
 /// (non-positive batch cap, zero block size, negative memory budget,
-/// non-positive SLO targets, Sarathi memo-key overflow). The engine
-/// constructor enforces this; the scenario loader calls it up front so
-/// JSON mistakes are reported with a file location instead of a fatal
-/// abort mid-run.
+/// non-positive SLO targets, a step too large for an int batch). The
+/// engine constructor enforces this; the scenario loader calls it up
+/// front so JSON mistakes are reported with a file location instead of
+/// a fatal abort mid-run.
 std::string validateEngineConfig(const EngineConfig &cfg);
 
 /// Outcome of one engine run over a trace.

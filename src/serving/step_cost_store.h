@@ -4,23 +4,27 @@
  * configuration — one system (kind, tensor-parallel degree, resolved
  * GPU<->PIM execution mode) serving one model.
  *
- * The store keeps one memo per step kind (decode, prefill, fused); an
- * entry holds the step's seconds and its GPU/PIM/sync split, all from
- * the one model walk of its miss, so tracing adds no misses.
+ * The store keeps one memo for every step kind. A decode step, a
+ * prefill chunk and a fused iteration each reduce, after bucketing, to
+ * the one ServingSimulator::generationStep call they are costed as, and
+ * that call is the key (step_memo.h), so a prefill chunk and a decode
+ * step at the same (tokens, position) share an entry. An entry holds
+ * the step's seconds and its GPU/PIM/sync split, all from the one model
+ * walk of its miss, so tracing adds no misses.
  *
  * A step's cost is a pure function of that configuration and of the
- * step's memo key (step_memo.h), so every engine of the configuration
- * can share one store: replica k of a 128-replica fleet hits the
- * entries replica 0 filled, and every probe of a saturation or planner
- * search reuses the steps the earlier probes costed. The store also
- * owns the one ServingSimulator (with the execution-mode override
- * already applied), so the PIM kernel-shape caches are shared too.
+ * step's memo key, so every engine of the configuration can share one
+ * store: replica k of a 128-replica fleet hits the entries replica 0
+ * filled, and every probe of a saturation or planner search reuses the
+ * steps the earlier probes costed. The store also owns the one
+ * ServingSimulator (with the execution-mode override already applied),
+ * so the PIM kernel-shape caches are shared too.
  *
  * Sharing never changes a number: a hit returns exactly the value the
  * miss computed, whichever engine asked first.
  *
  * Scope: a store belongs to one fleet or one search (StepCostStores),
- * never to the process. It is not thread-safe — the memos and the
+ * never to the process. It is not thread-safe — the memo and the
  * simulator's kernel caches mutate on every miss — so sweep workers,
  * which run whole scenarios on separate threads, each build their own.
  */
@@ -50,21 +54,13 @@ struct StepCost
     Seconds sync;    ///< GPU<->PIM synchronization
 };
 
-/// Lookups and misses of one memo. Every miss inserts its key, so
-/// misses is also the memo's entry count.
+/// Lookups and misses of a store's memo: deterministic work counters,
+/// the same for the same runs whatever the host. Every miss inserts its
+/// key, so misses is also the memo's entry count.
 struct MemoCounts
 {
     uint64_t lookups = 0;
     uint64_t misses = 0;
-};
-
-/// Deterministic work counters of a store's three memos: the same runs
-/// always give the same counts, whatever the host.
-struct MemoStats
-{
-    MemoCounts decode;
-    MemoCounts prefill;
-    MemoCounts mixed;
 };
 
 /// Memoized step costs of one (system, model, execution mode).
@@ -79,29 +75,33 @@ class StepCostStore
     // Each returns a copy of the memo entry: a FlatTable reference
     // would dangle after the next insert that grows the table.
 
-    /// Decode-step cost, memoized by (batch, cache-length bucket).
+    /// Decode-step cost at the center of the mean cache length's
+    /// bucket.
     StepCost decodeStep(int batch, uint64_t mean_seq);
-    /// Prefill-chunk cost, memoized by (chunk, position bucket).
+    /// Prefill-chunk cost at prefillPoint() of the base position's
+    /// bucket center.
     StepCost prefillStep(uint64_t chunk, uint64_t seq_pos);
-    /// Fused-iteration cost, memoized like the two above.
+    /// Fused-iteration cost at mixedPoint() of both means' bucket
+    /// centers.
     StepCost mixedStep(int decode_batch, uint64_t decode_seq,
                        uint64_t prefill_tokens, uint64_t prefill_pos);
 
     const ServingSimulator &simulator() const { return sim; }
     const ModelConfig &model() const { return modelCfg; }
-    const MemoStats &stats() const { return counts; }
+    const MemoCounts &stats() const { return counts; }
 
   private:
+    /// The memoized generationStep at @p p.
+    StepCost step(StepPoint p);
+
     ServingSimulator sim;
     ModelConfig modelCfg;
-    // Step-cost memos: packed (batch, bucket) keys (see step_memo.h) to
-    // step costs, in flat open-addressing tables — the memo lookup is
-    // the innermost operation of every sweep, and the node-based
-    // unordered_map's hash + pointer chase dominated it.
-    FlatTable<StepCost> decodeCache;
-    FlatTable<StepCost> prefillCache;
-    FlatTable<StepCost> mixedCache;
-    MemoStats counts;
+    // The step-cost memo: packed (tokens, position) keys (see
+    // step_memo.h) to step costs, in a flat open-addressing table — the
+    // memo lookup is the innermost operation of every sweep, and the
+    // node-based unordered_map's hash + pointer chase dominated it.
+    FlatTable<StepCost> cache;
+    MemoCounts counts;
 };
 
 /**

@@ -183,16 +183,37 @@ ServingSimulator::averagedStep(const ModelConfig &model, int batch,
     return generationStep(model, batch, mid);
 }
 
+StepPoint
+prefillPoint(uint64_t tokens, uint64_t seq_pos)
+{
+    PIMBA_ASSERT(tokens > 0, "empty prefill chunk");
+    PIMBA_ASSERT(tokens <= kMaxStepTokens,
+                 "prefill chunk overflows a step batch");
+    return {static_cast<int>(tokens), seq_pos + (tokens - 1) / 2};
+}
+
+StepPoint
+mixedPoint(int decode_batch, uint64_t decode_seq, uint64_t prefill_tokens,
+           uint64_t prefill_pos)
+{
+    PIMBA_ASSERT(decode_batch >= 0, "negative decode batch");
+    uint64_t total = static_cast<uint64_t>(decode_batch) + prefill_tokens;
+    PIMBA_ASSERT(total > 0, "empty fused iteration");
+    PIMBA_ASSERT(total <= kMaxStepTokens,
+                 "fused iteration overflows a step batch");
+    // Prefill callers pass the midpoint position of their chunk(s).
+    uint64_t mean =
+        (static_cast<uint64_t>(decode_batch) * decode_seq +
+         prefill_tokens * prefill_pos) / total;
+    return {static_cast<int>(total), mean};
+}
+
 StepResult
 ServingSimulator::prefillStep(const ModelConfig &model, uint64_t tokens,
                               uint64_t seq_pos) const
 {
-    PIMBA_ASSERT(tokens > 0, "empty prefill chunk");
-    // Token i of the chunk attends a cache of length seq_pos + i, so
-    // the chunk's mean cache position is seq_pos + (tokens - 1) / 2,
-    // floored for even chunk sizes (the seed's tokens / 2 ceiled it).
-    return generationStep(model, static_cast<int>(tokens),
-                          seq_pos + (tokens - 1) / 2);
+    StepPoint p = prefillPoint(tokens, seq_pos);
+    return generationStep(model, p.tokens, p.position);
 }
 
 StepResult
@@ -200,15 +221,9 @@ ServingSimulator::mixedStep(const ModelConfig &model, int decode_batch,
                             uint64_t decode_seq, uint64_t prefill_tokens,
                             uint64_t prefill_pos) const
 {
-    PIMBA_ASSERT(decode_batch >= 0, "negative decode batch");
-    uint64_t total = static_cast<uint64_t>(decode_batch) + prefill_tokens;
-    PIMBA_ASSERT(total > 0, "empty fused iteration");
-    // Token-weighted mean cache position of the fused batch; prefill
-    // callers pass the midpoint position of their chunk(s).
-    uint64_t mean =
-        (static_cast<uint64_t>(decode_batch) * decode_seq +
-         prefill_tokens * prefill_pos) / total;
-    return generationStep(model, static_cast<int>(total), mean);
+    StepPoint p =
+        mixedPoint(decode_batch, decode_seq, prefill_tokens, prefill_pos);
+    return generationStep(model, p.tokens, p.position);
 }
 
 TokensPerSecond

@@ -21,6 +21,8 @@
 #define PIMBA_SIM_SERVING_SIM_H
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "core/stats.h"
 #include "gpu/gpu_kernels.h"
@@ -73,6 +75,39 @@ struct MemoryUsage
     }
 };
 
+/**
+ * The (batch, cache position) of the one generation step a batched step
+ * is costed as: prefillPoint() and mixedPoint() reduce a prefill chunk
+ * and a fused iteration to it, for ServingSimulator and for the serving
+ * engine's step-cost memo, which keys on it.
+ */
+struct StepPoint
+{
+    int tokens;        ///< batch of the generation step
+    uint64_t position; ///< cache position it is costed at
+};
+
+/// Most tokens one step holds: generationStep takes an int batch.
+inline constexpr auto kMaxStepTokens =
+    static_cast<uint64_t>(std::numeric_limits<int>::max());
+
+/**
+ * A prefill chunk of @p tokens prompt tokens over a cache of @p seq_pos
+ * tokens: token i attends a cache of length seq_pos + i, so the chunk
+ * sits at its mean position seq_pos + (tokens - 1) / 2, floored for
+ * even chunks.
+ */
+StepPoint prefillPoint(uint64_t tokens, uint64_t seq_pos);
+
+/**
+ * A fused iteration of @p decode_batch decode tokens at mean cache
+ * length @p decode_seq and @p prefill_tokens prompt tokens at mean
+ * position @p prefill_pos: all its tokens, at their token-weighted mean
+ * position (floored).
+ */
+StepPoint mixedPoint(int decode_batch, uint64_t decode_seq,
+                     uint64_t prefill_tokens, uint64_t prefill_pos);
+
 /** Serving simulator for one system configuration. */
 class ServingSimulator
 {
@@ -104,11 +139,9 @@ class ServingSimulator
      * request whose cache already holds @p seq_pos tokens. The chunk's
      * tokens flow through the same operator graph as a decode batch of
      * the same size (identical GEMM/state-update work per token). The
-     * chunk is costed as one generation step of batch @p tokens at its
-     * mean cache position seq_pos + (tokens - 1) / 2, floored for even
-     * chunks (token i of the chunk attends a cache of length
-     * seq_pos + i); like averagedStep(), that is exact only where
-     * attention cost is affine in cache length.
+     * chunk is costed as one generation step at prefillPoint(); like
+     * averagedStep(), that is exact only where attention cost is
+     * affine in cache length.
      */
     StepResult prefillStep(const ModelConfig &model, uint64_t tokens,
                            uint64_t seq_pos) const;
@@ -121,9 +154,10 @@ class ServingSimulator
      * Sarathi-style chunked-prefill piggyback. The fused step pays the
      * per-step weight pass and launch overheads once, which is exactly
      * where it beats running a decode step and a prefill chunk
-     * back-to-back. The fused step is costed at the token-weighted mean
-     * cache position of its constituents, the same mean-position
-     * approximation as averagedStep().
+     * back-to-back. The fused step is costed as one generation step at
+     * mixedPoint(), the token-weighted mean cache position of its
+     * constituents: the same mean-position approximation as
+     * averagedStep().
      */
     StepResult mixedStep(const ModelConfig &model, int decode_batch,
                          uint64_t decode_seq, uint64_t prefill_tokens,

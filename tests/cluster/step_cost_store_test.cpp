@@ -160,7 +160,7 @@ TEST(StepCostStore, RoundRobinSplitEqualsStandaloneEngines)
         for (ArrivalProcess process :
              {ArrivalProcess::Poisson, ArrivalProcess::Mmpp}) {
             for (uint32_t seed : {0x5EED0001u, 0xC0FFEEu, 0xBADA55u}) {
-                // Sarathi on the MMPP runs exercises the fused memo.
+                // Sarathi on the MMPP runs exercises fused steps.
                 EngineConfig ec;
                 ec.maxBatch = 32;
                 ec.policy = process == ArrivalProcess::Mmpp
@@ -234,48 +234,38 @@ TEST(StepCostStore, SharedStoreMissesEachKeyOnce)
     ec.maxBatch = 32;
     Fleet fleet(model, homogeneousFleet(SystemKind::PIMBA, n, ec));
     fleet.run(trace);
-    const MemoStats cold = fleet.replica(0).costStore().stats();
+    const MemoCounts cold = fleet.replica(0).costStore().stats();
 
     // A rerun finds every key filled: lookups double, misses stay.
     fleet.run(trace);
-    const MemoStats warm = fleet.replica(0).costStore().stats();
-    EXPECT_EQ(warm.decode.lookups, 2 * cold.decode.lookups);
-    EXPECT_EQ(warm.prefill.lookups, 2 * cold.prefill.lookups);
-    EXPECT_EQ(warm.decode.misses, cold.decode.misses);
-    EXPECT_EQ(warm.prefill.misses, cold.prefill.misses);
+    const MemoCounts warm = fleet.replica(0).costStore().stats();
+    EXPECT_EQ(warm.lookups, 2 * cold.lookups);
+    EXPECT_EQ(warm.misses, cold.misses);
 
     // The same work on private stores (the RR split) looks up exactly
     // as often, but misses each key once per engine that meets it.
-    MemoCounts decode, prefill;
+    MemoCounts alone;
     for (size_t i = 0; i < n; ++i) {
-        ServingEngine alone(ServingSimulator(makeSystem(SystemKind::PIMBA)),
-                            model, ec);
-        alone.run(everyNth(trace, i, n));
-        decode = decode + alone.costStore().stats().decode;
-        prefill = prefill + alone.costStore().stats().prefill;
-        EXPECT_LE(alone.costStore().stats().decode.misses,
-                  cold.decode.misses);
+        ServingEngine engine(ServingSimulator(makeSystem(SystemKind::PIMBA)),
+                             model, ec);
+        engine.run(everyNth(trace, i, n));
+        alone = alone + engine.costStore().stats();
+        EXPECT_LE(engine.costStore().stats().misses, cold.misses);
     }
-    EXPECT_EQ(decode.lookups, cold.decode.lookups);
-    EXPECT_EQ(prefill.lookups, cold.prefill.lookups);
-    EXPECT_GT(decode.misses + prefill.misses,
-              cold.decode.misses + cold.prefill.misses);
+    EXPECT_EQ(alone.lookups, cold.lookups);
+    EXPECT_GT(alone.misses, cold.misses);
 
     // Pinned counts: a change that re-costs filled keys, or stops
-    // bucketing, moves these.
-    EXPECT_EQ(cold.decode.lookups, 2449u);
-    EXPECT_EQ(cold.decode.misses, 143u);
-    EXPECT_EQ(cold.prefill.lookups, 236u);
-    EXPECT_EQ(cold.prefill.misses, 138u);
-    EXPECT_EQ(decode.misses, 272u);
-    EXPECT_EQ(prefill.misses, 158u);
-
-    // FCFS plans no fused iterations.
-    EXPECT_EQ(cold.mixed.lookups, 0u);
+    // bucketing, moves these. No prefill chunk here lands on a decode
+    // step's call, so the misses are the 143 decode and 138 prefill
+    // keys of the per-kind memos this store replaced.
+    EXPECT_EQ(cold.lookups, 2685u);
+    EXPECT_EQ(cold.misses, 281u);
+    EXPECT_EQ(alone.misses, 430u);
 
     // The tracer cuts its phase slices from the memo entries the
     // costing already copied: a traced run on a fresh store walks the
-    // cost model, and looks up the memos, exactly as often as the
+    // cost model, and looks up the memo, exactly as often as the
     // untraced one.
     Fleet traced(model, homogeneousFleet(SystemKind::PIMBA, n, ec));
     Tracer tracer;
@@ -284,12 +274,9 @@ TEST(StepCostStore, SharedStoreMissesEachKeyOnce)
     traced.attachObservers(fo);
     traced.run(trace);
     ASSERT_GT(tracer.eventCount(), 0u);
-    const MemoStats seen = traced.replica(0).costStore().stats();
-    auto total = [](const MemoStats &s) {
-        return s.decode + s.prefill + s.mixed;
-    };
-    EXPECT_EQ(total(seen).misses, total(cold).misses);
-    EXPECT_EQ(total(seen).lookups, total(cold).lookups);
+    const MemoCounts seen = traced.replica(0).costStore().stats();
+    EXPECT_EQ(seen.misses, cold.misses);
+    EXPECT_EQ(seen.lookups, cold.lookups);
 }
 
 } // namespace

@@ -98,7 +98,7 @@ TEST(GoldenOutput, Fig12FullMatchesPreOptimizationCapture)
 
 TEST(GoldenOutput, ServingRateSweepSmokeMatchesPreOptimizationCapture)
 {
-    // Exercises the engine's decode/prefill/fused step memos end to
+    // Exercises the engine's decode, prefill and fused steps end to
     // end (systems x policies x rates).
     EXPECT_EQ(runPreset("serving_rate_sweep.json", true),
               readFixture("serving_smoke.txt"));

@@ -255,25 +255,31 @@ TEST(ScenarioSchema, OutOfRangeIntegersAreLocatedErrors)
         "out of int range");
 }
 
-TEST(ScenarioSchema, SarathiBoundsCheckedAgainstScenarioPolicies)
+TEST(ScenarioSchema, StepTokenBoundIsALocatedError)
 {
-    // The Sarathi memo bound must be enforced even when "sarathi" only
-    // appears in the scenario-level policy list, not inside "engine" —
-    // otherwise `pimba validate` passes and the run aborts mid-flight.
-    expectSchemaError(
+    // The one engine bound left is policy-free: a step's tokens must
+    // fit an int batch. It fails at the engine block, before any run.
+    ConfigError e = expectSchemaError(
+        R"({"kind": "serving", "systems": ["gpu"],
+            "policies": ["fcfs", "sarathi"], "rate": 4,
+            "model": "mamba2-2.7b",
+            "engine": {"prefillChunk": 2147483648},
+            "trace": {"numRequests": 8}})",
+        "prefillChunk");
+    EXPECT_EQ(e.line(), 4);
+    // Sarathi alone no longer bounds the batch or the budget.
+    EXPECT_NO_THROW(parseScenarioText(
         R"({"kind": "serving", "systems": ["gpu"],
             "policies": ["fcfs", "sarathi"], "rate": 4,
             "model": "mamba2-2.7b",
             "engine": {"maxBatch": 8192},
-            "trace": {"numRequests": 8}})",
-        "Sarathi");
-    expectSchemaError(
+            "trace": {"numRequests": 8}})"));
+    EXPECT_NO_THROW(parseScenarioText(
         R"({"kind": "saturation", "systems": ["gpu"],
             "policies": ["sarathi"],
             "model": "mamba2-2.7b",
             "engine": {"iterTokenBudget": 65536},
-            "trace": {"numRequests": 8}})",
-        "Sarathi");
+            "trace": {"numRequests": 8}})"));
 }
 
 TEST(ScenarioSchema, RateAndRatesAreMutuallyExclusive)

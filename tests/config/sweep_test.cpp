@@ -163,8 +163,9 @@ TEST(Planner, NonPowerOfTwoMaxReplicasCeilingIsProbed)
 
 TEST(Sweep, MaxBatchAxisRevalidatedAgainstScenarioPolicies)
 {
-    // A Sarathi sweep point over the memo bound must raise a located
-    // ConfigError at apply time, not a fatal abort on a worker thread.
+    // An invalid sweep point must raise a located ConfigError at apply
+    // time, not a fatal abort on a worker thread. Sarathi bounds the
+    // batch no more than the other policies do.
     Scenario sc = parseScenarioText(R"({
       "kind": "serving",
       "systems": ["gpu"],
@@ -174,7 +175,17 @@ TEST(Sweep, MaxBatchAxisRevalidatedAgainstScenarioPolicies)
       "trace": {"numRequests": 8, "inputLen": 64, "outputLen": 16}
     })");
     EXPECT_NO_THROW(applyGridParam(sc, "maxBatch", 2048));
-    EXPECT_THROW(applyGridParam(sc, "maxBatch", 5000), ConfigError);
+    EXPECT_NO_THROW(applyGridParam(sc, "maxBatch", 5000));
+    // maxBatch + the default 512-token chunk overflows the iteration
+    // budget's int bound.
+    try {
+        applyGridParam(sc, "maxBatch", 2147483647);
+        ADD_FAILURE() << "expected a ConfigError";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("invalid"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Sweep, ReplicasAxisResizesFleetCases)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "presets.h"
 #include "serving/trace.h"
 
@@ -50,22 +52,58 @@ TEST(ValidateEngine, RejectsNonsenseWithActionableMessages)
     EXPECT_NE(validateEngineConfig(ec).find("SLO"), std::string::npos);
 }
 
-TEST(ValidateEngine, SarathiMemoBoundsEnforced)
+TEST(ValidateEngine, StepTokenBoundEnforcedForEveryPolicy)
 {
+    // A step's tokens are one generationStep's int batch, whatever the
+    // policy: prefillChunk and the resolved iteration budget must fit.
+    const uint64_t top = std::numeric_limits<int>::max();
+    for (SchedulerPolicy policy : allPolicies()) {
+        EngineConfig ec;
+        ec.policy = policy;
+        ec.prefillChunk = Tokens(top);
+        ec.maxBatch = 1;
+        ec.iterTokenBudget = Tokens(top);
+        EXPECT_EQ(validateEngineConfig(ec), "") << policyName(policy);
+
+        ec.prefillChunk = Tokens(top + 1);
+        EXPECT_NE(validateEngineConfig(ec).find("prefillChunk"),
+                  std::string::npos)
+            << policyName(policy);
+
+        ec = EngineConfig{};
+        ec.policy = policy;
+        ec.iterTokenBudget = Tokens(top + 1);
+        EXPECT_NE(validateEngineConfig(ec).find("2147483647"),
+                  std::string::npos)
+            << policyName(policy);
+
+        // An unset budget resolves to maxBatch + prefillChunk.
+        ec = EngineConfig{};
+        ec.policy = policy;
+        ec.maxBatch = std::numeric_limits<int>::max();
+        EXPECT_NE(validateEngineConfig(ec), "") << policyName(policy);
+    }
+}
+
+TEST(ValidateEngine, LargeSarathiEngineValidatesAndRuns)
+{
+    // The step memo keys 32 bits of tokens, so a Sarathi engine needs
+    // no batch or budget bound of its own.
     EngineConfig ec;
     ec.policy = SchedulerPolicy::Sarathi;
     ec.maxBatch = 4096;
-    EXPECT_NE(validateEngineConfig(ec).find("4096"), std::string::npos);
-
-    ec = EngineConfig{};
-    ec.policy = SchedulerPolicy::Sarathi;
     ec.iterTokenBudget = Tokens(1ull << 16);
-    EXPECT_NE(validateEngineConfig(ec).find("65536"),
-              std::string::npos);
+    ASSERT_EQ(validateEngineConfig(ec), "");
 
-    // The same budget is fine for the one-chunk policies.
-    ec.policy = SchedulerPolicy::FCFS;
-    EXPECT_EQ(validateEngineConfig(ec), "");
+    TraceConfig tc;
+    tc.ratePerSec = 1000.0;
+    tc.numRequests = 64;
+    tc.inputLen = 1024;
+    tc.outputLen = 8;
+    ServingEngine engine(ServingSimulator(makeSystem(SystemKind::GPU)),
+                         mamba2_2p7b(), ec);
+    ServingReport r = engine.run(generateTrace(tc));
+    EXPECT_EQ(r.completed.size(), 64u);
 }
 
 TEST(ValidateFleet, CanonicalFleetsPass)

@@ -252,8 +252,15 @@ TEST(HbmConfig, BandwidthMatchesGpu)
     // all-bank bandwidth exceeds the channel bandwidth by banks/2x
     // tCCD ratio (the PIM opportunity, Section 2.3).
     auto c = hbm2eConfig();
-    EXPECT_NEAR(c.channelBandwidth(), 1.935e12, 0.01e12);
-    EXPECT_GT(c.internalBandwidth(), 7.0 * c.channelBandwidth());
+    // One column burst per pseudo-channel per burstCycles off chip; one
+    // column per bank per tCCD_L inside.
+    double channel = static_cast<double>(c.org.totalPseudoChannels()) *
+                     c.org.columnBytes * c.busFreqHz / c.timing.burstCycles;
+    double internal = static_cast<double>(c.org.totalPseudoChannels()) *
+                      c.org.banksPerPseudoChannel() * c.org.columnBytes *
+                      c.busFreqHz / c.timing.tCCD_L;
+    EXPECT_NEAR(channel, 1.935e12, 0.01e12);
+    EXPECT_GT(internal, 7.0 * channel);
 }
 
 void
@@ -261,8 +268,6 @@ expectSameState(const PimCommandScheduler &ref,
                 const PimCommandScheduler &run, const std::string &where)
 {
     ASSERT_EQ(ref.finishCycle().value(), run.finishCycle().value())
-        << where;
-    ASSERT_EQ(ref.lastIssueCycle().value(), run.lastIssueCycle().value())
         << where;
     const PimCommandCounts &a = ref.counts();
     const PimCommandCounts &b = run.counts();

@@ -46,7 +46,7 @@ TEST(EndToEnd, PimKernelTimeConsistentWithScheduler)
                            m.dimHead, m.dimState};
     double per_layer = pim.stateUpdate(shape).seconds.value() +
                        cfg.gpu.kernelLaunchOverhead;
-    EXPECT_NEAR(step.latency.get("StateUpdate"),
+    EXPECT_NEAR(step.latency.get(BreakdownKey::StateUpdate),
                 per_layer * m.stateUpdateLayers(), 1e-9);
 }
 

@@ -104,42 +104,5 @@ TEST(AreaModel, PowerAnchors)
     EXPECT_GT(p, h);
 }
 
-TEST(AreaModel, GateCountMonotonicity)
-{
-    // Component model sanity: wider units cost more.
-    EXPECT_GT(PimAreaModel::intMultGates(8, 8),
-              PimAreaModel::intMultGates(6, 6));
-    EXPECT_GT(PimAreaModel::intAddGates(16), PimAreaModel::intAddGates(8));
-    EXPECT_GT(PimAreaModel::fpMultGates(5, 10),
-              PimAreaModel::fpMultGates(4, 3));
-    EXPECT_GT(PimAreaModel::fpAddGates(5, 10),
-              PimAreaModel::fpAddGates(5, 2));
-}
-
-TEST(AreaModel, LaneGateOrderingMatchesFormats)
-{
-    // The gate model justifies the calibrated table: fp16 lanes dwarf
-    // MX8 lanes; int8 adds dequant/requant on top of 8-bit multipliers.
-    double mx8 = PimAreaModel::laneGates(NumberFormat::MX8);
-    double fp16 = PimAreaModel::laneGates(NumberFormat::FP16);
-    double int8 = PimAreaModel::laneGates(NumberFormat::INT8);
-    EXPECT_GT(fp16, 2.0 * mx8);
-    EXPECT_GT(int8, mx8);
-}
-
-TEST(AreaModel, LanesPerColumn)
-{
-    EXPECT_EQ(PimAreaModel::lanesPerColumn(NumberFormat::MX8), 32);
-    EXPECT_EQ(PimAreaModel::lanesPerColumn(NumberFormat::FP16), 16);
-    EXPECT_EQ(PimAreaModel::lanesPerColumn(NumberFormat::E4M3), 32);
-}
-
-TEST(AreaModel, Int8GroupLogicChargesMaxSearch)
-{
-    EXPECT_GT(PimAreaModel::groupGates(NumberFormat::INT8),
-              PimAreaModel::groupGates(NumberFormat::MX8));
-    EXPECT_EQ(PimAreaModel::groupGates(NumberFormat::FP16), 0.0);
-}
-
 } // namespace
 } // namespace pimba

@@ -148,7 +148,12 @@ TEST(PimKernels, InternalBandwidthRealized)
     StateLayout lay = computeStateLayout(shape, NumberFormat::MX8, hbm);
     double achieved = static_cast<double>(lay.totalStateBytes) /
                       res.seconds.value();
-    double bound = hbm.internalBandwidth() / 2.0;
+    // Internal bandwidth: every bank delivers one column per tCCD_L.
+    double internal = static_cast<double>(hbm.org.totalPseudoChannels()) *
+                      hbm.org.banksPerPseudoChannel() *
+                      hbm.org.columnBytes * hbm.busFreqHz /
+                      hbm.timing.tCCD_L;
+    double bound = internal / 2.0;
     EXPECT_LT(achieved, bound);
     // Per-pass ACT4/REG_WRITE/PRECHARGES overheads and refresh cost
     // ~35-40% of the raw column rate (Fig. 11's sequence).

@@ -25,12 +25,6 @@ TEST(Format, BitsPerValue)
     EXPECT_DOUBLE_EQ(bitsPerValue(NumberFormat::MX8), 8.0);
 }
 
-TEST(Format, StorageBytes)
-{
-    EXPECT_DOUBLE_EQ(storageBytes(NumberFormat::MX8, 16), 16.0);
-    EXPECT_DOUBLE_EQ(storageBytes(NumberFormat::FP16, 16), 32.0);
-}
-
 TEST(Format, Names)
 {
     EXPECT_EQ(formatName(NumberFormat::MX8), "mx8");

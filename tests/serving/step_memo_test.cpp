@@ -1,20 +1,28 @@
 /**
  * @file
- * Bucket-boundary pinning for the step-cost memo key math: a cache
- * length exactly on a bucket edge and one token past it must land in
- * the intended buckets for all three memos (decode, prefill, fused).
- * The engine's memoized costs are exact per key, so a key that moved
- * to the wrong bucket would silently charge a different cache length —
- * these tests freeze the edges. The last two pin what bucketing costs:
- * how far a whole decode step costed at its bucket center lands from
- * the step at its exact cache length.
+ * Bucket-boundary pinning for the step-cost memo: a cache length
+ * exactly on a bucket edge and one token past it must land in the
+ * intended buckets for every step kind (decode, prefill, fused). The
+ * engine's memoized costs are exact per key, so a key that moved to the
+ * wrong bucket would silently charge a different cache length — these
+ * tests freeze the edges. The store tests check that each step kind is
+ * exactly the generationStep call its key names, and that kinds share
+ * entries. The last two pin what bucketing costs: how far a whole
+ * decode step costed at its bucket center lands from the step at its
+ * exact cache length.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
 
+#include "serving/step_cost_store.h"
 #include "serving/step_memo.h"
 #include "sim/serving_sim.h"
 
@@ -47,76 +55,179 @@ TEST(StepMemo, BucketCenterIsTheMidpointOfTheContainingBucket)
               2 * kSeqBucket + kSeqBucket / 2);
 }
 
+/// A store on the GPU system: cheap misses, and its counters show
+/// which lookups share a key.
+StepCostStore
+gpuStore(const ModelConfig &model = opt7b())
+{
+    return StepCostStore(ServingSimulator(makeSystem(SystemKind::GPU)),
+                         model);
+}
+
 TEST(StepMemo, DecodeKeySharesBucketUpToTheEdgeOnly)
 {
+    StepCostStore store = gpuStore();
     const int batch = 7;
     // Same bucket: same key (the memo hit the engine relies on).
-    EXPECT_EQ(decodeMemoKey(batch, kSeqBucket),
-              decodeMemoKey(batch, 2 * kSeqBucket - 1));
+    store.decodeStep(batch, kSeqBucket);
+    store.decodeStep(batch, 2 * kSeqBucket - 1);
+    EXPECT_EQ(store.stats().misses, 1u);
     // Edge crossing: one token past the last in-bucket length rekeys.
-    EXPECT_NE(decodeMemoKey(batch, 2 * kSeqBucket - 1),
-              decodeMemoKey(batch, 2 * kSeqBucket));
+    store.decodeStep(batch, 2 * kSeqBucket);
+    EXPECT_EQ(store.stats().misses, 2u);
     // Batch is part of the key even at identical cache lengths.
-    EXPECT_NE(decodeMemoKey(batch, kSeqBucket),
-              decodeMemoKey(batch + 1, kSeqBucket));
+    store.decodeStep(batch + 1, kSeqBucket);
+    EXPECT_EQ(store.stats().misses, 3u);
 }
 
 TEST(StepMemo, PrefillKeySharesBucketUpToTheEdgeOnly)
 {
+    StepCostStore store = gpuStore();
     const uint64_t chunk = 512;
-    EXPECT_EQ(prefillMemoKey(chunk, 3 * kSeqBucket),
-              prefillMemoKey(chunk, 4 * kSeqBucket - 1));
-    EXPECT_NE(prefillMemoKey(chunk, 4 * kSeqBucket - 1),
-              prefillMemoKey(chunk, 4 * kSeqBucket));
-    EXPECT_NE(prefillMemoKey(chunk, 3 * kSeqBucket),
-              prefillMemoKey(chunk + 1, 3 * kSeqBucket));
+    store.prefillStep(chunk, 3 * kSeqBucket);
+    store.prefillStep(chunk, 4 * kSeqBucket - 1);
+    EXPECT_EQ(store.stats().misses, 1u);
+    store.prefillStep(chunk, 4 * kSeqBucket);
+    EXPECT_EQ(store.stats().misses, 2u);
+    store.prefillStep(chunk + 1, 3 * kSeqBucket);
+    EXPECT_EQ(store.stats().misses, 3u);
 }
 
 TEST(StepMemo, MixedKeyBucketsDecodeAndPrefillPositionsIndependently)
 {
+    StepCostStore store = gpuStore();
     const int db = 32;
     const uint64_t pt = 128;
-    uint64_t base = mixedMemoKey(db, kSeqBucket, pt, 2 * kSeqBucket);
+    store.mixedStep(db, kSeqBucket, pt, 2 * kSeqBucket);
     // Within-bucket moves of either position keep the key.
-    EXPECT_EQ(base,
-              mixedMemoKey(db, 2 * kSeqBucket - 1, pt, 2 * kSeqBucket));
-    EXPECT_EQ(base,
-              mixedMemoKey(db, kSeqBucket, pt, 3 * kSeqBucket - 1));
-    // Crossing either edge rekeys, and the two fields do not alias.
-    uint64_t decode_edge =
-        mixedMemoKey(db, 2 * kSeqBucket, pt, 2 * kSeqBucket);
-    uint64_t prefill_edge =
-        mixedMemoKey(db, kSeqBucket, pt, 3 * kSeqBucket);
-    EXPECT_NE(base, decode_edge);
-    EXPECT_NE(base, prefill_edge);
-    EXPECT_NE(decode_edge, prefill_edge);
+    store.mixedStep(db, 2 * kSeqBucket - 1, pt, 2 * kSeqBucket);
+    store.mixedStep(db, kSeqBucket, pt, 3 * kSeqBucket - 1);
+    EXPECT_EQ(store.stats().misses, 1u);
+    // Crossing either edge moves the mean position, so it rekeys.
+    store.mixedStep(db, 2 * kSeqBucket, pt, 2 * kSeqBucket);
+    EXPECT_EQ(store.stats().misses, 2u);
+    store.mixedStep(db, kSeqBucket, pt, 3 * kSeqBucket);
+    EXPECT_EQ(store.stats().misses, 3u);
     // Batch / token counts are keyed too.
-    EXPECT_NE(base, mixedMemoKey(db + 1, kSeqBucket, pt, 2 * kSeqBucket));
-    EXPECT_NE(base, mixedMemoKey(db, kSeqBucket, pt + 1, 2 * kSeqBucket));
+    store.mixedStep(db + 1, kSeqBucket, pt, 2 * kSeqBucket);
+    store.mixedStep(db, kSeqBucket, pt + 1, 2 * kSeqBucket);
+    EXPECT_EQ(store.stats().misses, 5u);
+    EXPECT_EQ(store.stats().lookups, 7u);
 }
 
 TEST(StepMemo, PlannedIterationKeysAvoidTheEmptySentinel)
 {
     // FlatTable reserves key 0; any planned iteration has batch >= 1,
     // chunk >= 1, or decode_batch + prefill_tokens >= 1.
-    EXPECT_NE(decodeMemoKey(1, 0), 0u);
-    EXPECT_NE(prefillMemoKey(1, 0), 0u);
-    EXPECT_NE(mixedMemoKey(1, 0, 0, 0), 0u);
-    EXPECT_NE(mixedMemoKey(0, 0, 1, 0), 0u);
+    EXPECT_NE(stepMemoKey({1, 0}), 0u);
+    EXPECT_NE(stepMemoKey(prefillPoint(1, 0)), 0u);
+    EXPECT_NE(stepMemoKey(mixedPoint(1, 0, 0, 0)), 0u);
+    EXPECT_NE(stepMemoKey(mixedPoint(0, 0, 1, 0)), 0u);
 }
 
 TEST(StepMemo, MixedKeyFieldsStayInsideTheirLanes)
 {
-    // Maximal in-bound fields must not collide with a key that differs
-    // in exactly one field — i.e. no carry into a neighbouring lane.
-    const int db = static_cast<int>(kMixedMaxBatch - 1);
-    const uint64_t pt = kMixedMaxPrefillTokens - 1;
-    const uint64_t deep = (kMixedMaxBucket - 1) * kSeqBucket;
-    uint64_t k = mixedMemoKey(db, deep, pt, deep);
-    EXPECT_NE(k, mixedMemoKey(db - 1, deep, pt, deep));
-    EXPECT_NE(k, mixedMemoKey(db, deep - kSeqBucket, pt, deep));
-    EXPECT_NE(k, mixedMemoKey(db, deep, pt - 1, deep));
-    EXPECT_NE(k, mixedMemoKey(db, deep, pt, deep - kSeqBucket));
+    // Maximal fields must not collide with a key that differs in
+    // exactly one field — i.e. no carry into a neighbouring lane.
+    const int top = std::numeric_limits<int>::max();
+    const uint64_t deep = kMemoMaxPosition;
+    const uint64_t k = stepMemoKey({top, deep});
+    EXPECT_NE(k, stepMemoKey({top - 1, deep}));
+    EXPECT_NE(k, stepMemoKey({top, deep - 1}));
+    EXPECT_NE(stepMemoKey({1, deep}), stepMemoKey({2, 0}));
+}
+
+TEST(StepMemo, EveryStepKindIsItsGenerationStepBitForBit)
+{
+    // A memo entry is exactly the generationStep call its key names:
+    // decode at the bucket center of its mean, prefill at the midpoint
+    // of a chunk based at its bucket center, fused at the token-weighted
+    // mean of both bucket centers. Each lookup runs twice: a miss, then
+    // a hit.
+    auto same = [](const StepCost &c, const StepResult &r,
+                   const std::string &what) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(c.seconds.value()),
+                  std::bit_cast<uint64_t>(r.seconds.value()))
+            << what;
+        EXPECT_EQ(std::bit_cast<uint64_t>(c.gpu.value()),
+                  std::bit_cast<uint64_t>(r.gpuSeconds.value()))
+            << what;
+        EXPECT_EQ(std::bit_cast<uint64_t>(c.pim.value()),
+                  std::bit_cast<uint64_t>(r.pimSeconds.value()))
+            << what;
+        EXPECT_EQ(std::bit_cast<uint64_t>(c.sync.value()),
+                  std::bit_cast<uint64_t>(r.syncSeconds.value()))
+            << what;
+    };
+    std::mt19937_64 rng(0x57E9C057u);
+    auto draw = [&rng](uint64_t lo, uint64_t hi) {
+        return std::uniform_int_distribution<uint64_t>(lo, hi)(rng);
+    };
+    for (SystemKind kind : {SystemKind::GPU, SystemKind::PIMBA,
+                            SystemKind::NEUPIMS}) {
+        for (ExecutionMode mode :
+             {ExecutionMode::Blocked, ExecutionMode::Overlapped}) {
+            for (const ModelConfig &m : {opt7b(), zamba2_7b()}) {
+                StepCostStore store(ServingSimulator(makeSystem(kind)), m,
+                                    mode);
+                const ServingSimulator &sim = store.simulator();
+                for (int i = 0; i < 40; ++i) {
+                    const std::string where =
+                        systemName(kind) + " " + m.name + " shape " +
+                        std::to_string(i);
+                    const int db = static_cast<int>(draw(0, 256));
+                    const uint64_t ds = draw(0, 8192);
+                    const uint64_t pt = draw(1, 1024);
+                    const uint64_t pp = draw(0, 8192);
+                    const int batch = std::max(db, 1);
+                    const uint64_t total = static_cast<uint64_t>(db) + pt;
+                    const uint64_t mean =
+                        (static_cast<uint64_t>(db) * bucketCenter(ds) +
+                         pt * bucketCenter(pp)) /
+                        total;
+                    for (int pass = 0; pass < 2; ++pass) {
+                        same(store.decodeStep(batch, ds),
+                             sim.generationStep(m, batch, bucketCenter(ds)),
+                             where + " decode");
+                        same(store.prefillStep(pt, pp),
+                             sim.generationStep(
+                                 m, static_cast<int>(pt),
+                                 bucketCenter(pp) + (pt - 1) / 2),
+                             where + " prefill");
+                        same(store.mixedStep(db, ds, pt, pp),
+                             sim.generationStep(m, static_cast<int>(total),
+                                                mean),
+                             where + " fused");
+                    }
+                    // The simulator's own prefill and fused steps reduce
+                    // the same way.
+                    same(store.prefillStep(pt, pp),
+                         sim.prefillStep(m, pt, bucketCenter(pp)),
+                         where + " prefillStep");
+                    same(store.mixedStep(db, ds, pt, pp),
+                         sim.mixedStep(m, db, bucketCenter(ds), pt,
+                                       bucketCenter(pp)),
+                         where + " mixedStep");
+                }
+            }
+        }
+    }
+}
+
+TEST(StepMemo, StepKindsAtTheSameCallShareOneEntry)
+{
+    StepCostStore store = gpuStore();
+    // A 129-token chunk based in bucket 0 sits at 32 + 64 = 96, the
+    // center of bucket 1: the decode step of 129 at a mean in bucket 1.
+    const StepCost chunk = store.prefillStep(129, 0);
+    const StepCost decode = store.decodeStep(129, kSeqBucket);
+    EXPECT_EQ(store.stats().lookups, 2u);
+    EXPECT_EQ(store.stats().misses, 1u);
+    EXPECT_EQ(chunk.seconds, decode.seconds);
+    // A fused iteration with no prefill is its decode step.
+    store.mixedStep(129, 2 * kSeqBucket - 1, 0, 0);
+    EXPECT_EQ(store.stats().lookups, 3u);
+    EXPECT_EQ(store.stats().misses, 1u);
 }
 
 const SystemKind kBucketSystems[] = {SystemKind::GPU, SystemKind::GPU_Q,

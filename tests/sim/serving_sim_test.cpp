@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <utility>
+
 #include "sim/serving_sim.h"
 
 namespace pimba {
@@ -21,7 +24,7 @@ TEST(ServingSim, StateUpdateDominatesGpuAtLargeBatch)
 {
     // Fig. 3: RetNet batch 128 spends ~74% of latency in state updates.
     auto step = sim(SystemKind::GPU).generationStep(retnet2p7b(), 128, 1);
-    double frac = step.latency.fraction("StateUpdate");
+    double frac = step.latency.fraction(BreakdownKey::StateUpdate);
     EXPECT_GT(frac, 0.60);
     EXPECT_LT(frac, 0.85);
 }
@@ -30,8 +33,8 @@ TEST(ServingSim, StateUpdateFractionGrowsWithBatch)
 {
     auto s32 = sim(SystemKind::GPU).generationStep(retnet2p7b(), 32, 1);
     auto s128 = sim(SystemKind::GPU).generationStep(retnet2p7b(), 128, 1);
-    EXPECT_GT(s128.latency.fraction("StateUpdate"),
-              s32.latency.fraction("StateUpdate"));
+    EXPECT_GT(s128.latency.fraction(BreakdownKey::StateUpdate),
+              s32.latency.fraction(BreakdownKey::StateUpdate));
 }
 
 TEST(ServingSim, PimbaOutperformsAllBaselines)
@@ -76,9 +79,9 @@ TEST(ServingSim, StateUpdateLatencyReduction)
     auto gpupim = sim(SystemKind::GPU_PIM, 8).generationStep(m, 128,
                                                              3072);
     auto pimba = sim(SystemKind::PIMBA, 8).generationStep(m, 128, 3072);
-    double su_gpu = gpu.latency.get("StateUpdate");
-    double su_gpupim = gpupim.latency.get("StateUpdate");
-    double su_pimba = pimba.latency.get("StateUpdate");
+    double su_gpu = gpu.latency.get(BreakdownKey::StateUpdate);
+    double su_gpupim = gpupim.latency.get(BreakdownKey::StateUpdate);
+    double su_pimba = pimba.latency.get(BreakdownKey::StateUpdate);
     EXPECT_GT(su_gpu / su_pimba, 6.0);
     EXPECT_LT(su_gpu / su_pimba, 20.0);
     EXPECT_GT(su_gpupim / su_pimba, 3.0);
@@ -94,9 +97,9 @@ TEST(ServingSim, AttentionLatencyReduction)
     auto gpupim = sim(SystemKind::GPU_PIM, 8).generationStep(m, 128,
                                                              3072);
     auto pimba = sim(SystemKind::PIMBA, 8).generationStep(m, 128, 3072);
-    double at_gpu = gpu.latency.get("Attention");
-    double at_gpupim = gpupim.latency.get("Attention");
-    double at_pimba = pimba.latency.get("Attention");
+    double at_gpu = gpu.latency.get(BreakdownKey::Attention);
+    double at_gpupim = gpupim.latency.get(BreakdownKey::Attention);
+    double at_pimba = pimba.latency.get(BreakdownKey::Attention);
     EXPECT_GT(at_gpu / at_pimba, 3.0);
     EXPECT_LT(at_gpu / at_pimba, 10.0);
     EXPECT_GT(at_gpupim / at_pimba, 1.4);
@@ -109,8 +112,8 @@ TEST(ServingSim, GemmStaysOnGpu)
     ModelConfig m = mamba2_2p7b();
     auto gpu = sim(SystemKind::GPU).generationStep(m, 64, 2048);
     auto pimba = sim(SystemKind::PIMBA).generationStep(m, 64, 2048);
-    EXPECT_NEAR(pimba.latency.get("GEMM"), gpu.latency.get("GEMM"),
-                1e-9);
+    EXPECT_NEAR(pimba.latency.get(BreakdownKey::GEMM),
+                gpu.latency.get(BreakdownKey::GEMM), 1e-9);
 }
 
 TEST(ServingSim, EnergyAdvantage)
@@ -222,7 +225,7 @@ TEST(ServingSim, GpuAttentionChargesKvAppendWrite)
     for (SystemKind kind : {SystemKind::GPU, SystemKind::GPU_Q}) {
         SystemConfig cfg = makeSystem(kind);
         auto step = ServingSimulator(cfg).generationStep(opt7b(), 8, 0);
-        double io = step.energy.get("Attention (I/O)");
+        double io = step.energy.get(BreakdownKey::AttentionIo);
         EXPECT_GT(io, 0.0) << systemName(kind);
         // Exactly the K+V append bytes of the batch, every layer.
         ModelConfig m = opt7b();
@@ -232,7 +235,8 @@ TEST(ServingSim, GpuAttentionChargesKvAppendWrite)
         EXPECT_NEAR(io, write_bytes * 8.0 * cfg.gpu.dramEnergyPerBit,
                     io * 1e-12)
             << systemName(kind);
-        EXPECT_GT(step.latency.get("Attention"), 0.0) << systemName(kind);
+        EXPECT_GT(step.latency.get(BreakdownKey::Attention), 0.0)
+            << systemName(kind);
     }
 }
 
@@ -246,7 +250,7 @@ TEST(ServingSim, GpuStateUpdateChargesReadAndWrite)
     auto step = ServingSimulator(cfg).generationStep(m, 16, 128);
     double rw_bytes =
         2.0 * 16.0 * m.stateBytes(bitsPerValue(cfg.stateFormat()) / 8.0);
-    EXPECT_GE(step.energy.get("State update (I/O)"),
+    EXPECT_GE(step.energy.get(BreakdownKey::StateUpdateIo),
               rw_bytes * 8.0 * cfg.gpu.dramEnergyPerBit);
 }
 
@@ -254,9 +258,17 @@ TEST(ServingSim, BreakdownKeysMatchFigureLegends)
 {
     auto step = sim(SystemKind::GPU).generationStep(zamba2_7b(), 32,
                                                     2048);
-    for (const char *key : {"StateUpdate", "Attention", "Discretization",
-                            "CausalConv", "GEMM", "Others"})
-        EXPECT_GT(step.latency.get(key), 0.0) << key;
+    const std::pair<BreakdownKey, std::string_view> legends[] = {
+        {BreakdownKey::StateUpdate, "StateUpdate"},
+        {BreakdownKey::Attention, "Attention"},
+        {BreakdownKey::Discretization, "Discretization"},
+        {BreakdownKey::CausalConv, "CausalConv"},
+        {BreakdownKey::GEMM, "GEMM"},
+        {BreakdownKey::Others, "Others"}};
+    for (const auto &[key, name] : legends) {
+        EXPECT_EQ(breakdownKeyName(key), name);
+        EXPECT_GT(step.latency.get(key), 0.0) << name;
+    }
 }
 
 TEST(ServingSim, SystemNames)
