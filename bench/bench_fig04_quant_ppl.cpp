@@ -24,7 +24,7 @@ main(int argc, char **argv)
         return args.exitCode();
 
     printf("=== Figure 4: perplexity under 8-bit state/KV formats ===\n");
-    printf("(synthetic WikiText-2 stand-in; see DESIGN.md for the "
+    printf("(synthetic WikiText-2 stand-in; see docs/figures.md for the "
            "substitution)\n\n");
 
     auto specs = figure4Specs();

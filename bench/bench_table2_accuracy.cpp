@@ -22,7 +22,7 @@ main(int argc, char **argv)
         return args.exitCode();
 
     printf("=== Table 2: accuracy, GPU vs Pimba (MX8-SR state) ===\n");
-    printf("(synthetic task stand-ins; see DESIGN.md)\n\n");
+    printf("(synthetic task stand-ins; see docs/figures.md)\n\n");
 
     QuantSpec gpu_spec{};
     QuantSpec pimba_spec{NumberFormat::MX8, Rounding::Stochastic};

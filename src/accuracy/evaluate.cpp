@@ -42,8 +42,11 @@ accuracyTasks()
     // Option counts / lengths loosely mirror the real benchmarks
     // (Piqa 2-way, Lambada last-word, HellaSwag 4-way endings,
     // ARC 4-way, WinoGrande 2-way); difficulty is set via the
-    // distractor temperature so the fp64 baselines land in the
-    // 45-80 % band the paper reports.
+    // distractor temperature. The fp64 baselines bench_table2_accuracy
+    // prints span 37.5 % (OPT on Lambada and ARC-E) to 100 % (HGRN2
+    // and Mamba-2 on Piqa), wider than the paper's 45-80 % band; the
+    // table compares formats per model, not against the paper's
+    // absolute accuracies.
     return {
         {"Piqa", 2, 24, 8, 1.8, 40},
         {"Lambada", 4, 32, 2, 1.6, 40},

@@ -123,17 +123,6 @@ class AdvanceGate
     std::vector<ReplicaSnapshot> rows; ///< empty without cacheRows
 };
 
-/** Point @p e's completion sink at @p sink for one run (null detaches
- *  it again); @p streamOnly drops the engine's own records. */
-void
-setSink(ServingEngine &e, CompletionSink *sink, bool streamOnly)
-{
-    EngineObservers eo = e.observers();
-    eo.stream = sink;
-    eo.streamOnly = streamOnly;
-    e.attachObservers(eo);
-}
-
 /** Completion instant of a fleet-level record. */
 Seconds
 finishTime(const CompletedRequest &c)
@@ -216,13 +205,15 @@ struct FleetEvent
  * decode pool; constructed with 0 (a colocated fleet) the prefill pool
  * is empty and every prefill-side call is a no-op.
  *
- * Construction grafts the run's completion sinks onto the engines. A
- * colocated engine reports to @c stream, if any. A prefill completion
- * becomes a hand-off (or, for a single-token request, a finished
- * record). A decode completion of a streamed run becomes its
- * fleet-level record at once and goes to the stream, so a request
- * holds state here only while in flight; a record-retaining run joins
- * those records in finish() instead, through the same function.
+ * Construction begins every engine's session with the sink its
+ * completions go to. A colocated engine's is @c stream, if any. A
+ * prefill engine's is its ReplicaSink, so it keeps no records: a
+ * completion becomes a hand-off (or, for a single-token request, a
+ * finished record). A decode engine of a streamed run has its
+ * ReplicaSink too, which turns a completion into its fleet-level
+ * record at once and streams it, so a request holds state here only
+ * while in flight; a record-retaining run's decode engines keep their
+ * records, which finish() joins through the same function.
  */
 class Disaggregation
 {
@@ -248,7 +239,7 @@ class Disaggregation
                 sink = stream;
             else if (i >= prefills.size() && !stream)
                 sink = nullptr; // finish() joins its retained records
-            setSink(engines[i], sink, stream != nullptr);
+            engines[i].begin(sink);
         }
     }
 
@@ -359,7 +350,7 @@ class Disaggregation
     }
 
     /**
-     * The run's epilogue: drain every replica, detach the sinks, and
+     * The run's epilogue: drain and close every replica's session, and
      * fill the fleet-level metrics and transfer breakdown. Unless
      * streamed, the fleet-level records come first: a colocated run's
      * are its replicas' records; a disaggregated run's are joined from
@@ -372,10 +363,8 @@ class Disaggregation
     {
         for (ServingEngine &e : engines)
             e.drain();
-        for (ServingEngine &e : engines) {
+        for (ServingEngine &e : engines)
             report.replicas.push_back(e.finish());
-            setSink(e, nullptr, false);
-        }
         report.load = computeLoadStats(report.replicas);
         if (stream) {
             // The collector saw every fleet-level completion; its
@@ -675,10 +664,10 @@ Fleet::runStreamed(ArrivalSource &arrivals, StreamingMetrics &stream)
  * engine — no per-request lookup table, keeping the streamed-replay
  * memory bound intact.
  *
- * Engines push their completions through their observers' sink: a
- * disaggregated fleet's into its hand-off bookkeeping, a colocated
- * fleet's into @p stream when set. With @p stream set, the run is the
- * bounded-memory replay shape: engines retain no records, every
+ * Disaggregation begins each engine's session with the sink its
+ * completions go to: a disaggregated fleet's hand-off bookkeeping, a
+ * colocated fleet's @p stream when set. With @p stream set, the run is
+ * the bounded-memory replay shape: engines retain no records, every
  * fleet-level record folds into the collector, and the fleet skips its
  * own O(requests) assignment and completion lists.
  */
@@ -688,9 +677,6 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     FleetReport report;
     report.mode = cfg.mode;
     report.router = cfg.router;
-
-    for (ServingEngine &e : engines)
-        e.begin();
 
     const bool disaggregated = cfg.mode == FleetMode::Disaggregated;
     const ControlPlaneConfig &cpCfg = cfg.controlPlane;
@@ -882,9 +868,6 @@ Fleet::runLockstep(const std::vector<Request> &trace)
     report.mode = cfg.mode;
     report.router = cfg.router;
     report.assignments.reserve(sorted.size());
-
-    for (ServingEngine &e : engines)
-        e.begin();
 
     const bool colocated = cfg.mode == FleetMode::Colocated;
     auto router = makeRouter(cfg.router, cfg.routerSeed);

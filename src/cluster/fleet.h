@@ -29,9 +29,10 @@
  *    request's TTFT. Single-token requests complete at the prefill
  *    stage and never cross the link.
  *
- * Engines push each completion to the fleet through their observers'
- * completion sink: a prefill completion becomes a hand-off, a decode
- * completion the transfer-adjusted fleet-level record. One restriction
+ * A run begins each engine's session with the completion sink its
+ * records go to (ServingEngine::begin()). In a disaggregated fleet a
+ * prefill completion becomes a hand-off, a decode completion the
+ * transfer-adjusted fleet-level record. One restriction
  * remains on disaggregated fleets: no control plane —
  * validateFleetConfig() rejects it, since the autoscaler, deadline
  * timers and prefix stamping would need to warm, drain or cancel across

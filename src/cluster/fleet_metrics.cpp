@@ -11,8 +11,8 @@ computeLoadStats(const std::vector<ServingReport> &replicas)
     stats.requestsPerReplica.reserve(replicas.size());
     stats.tokensPerReplica.reserve(replicas.size());
     for (const ServingReport &r : replicas) {
-        // The counter, not completed.size(): streamOnly replicas drop
-        // the per-request records but still count their completions.
+        // The counter, not completed.size(): a replica whose session
+        // had a completion sink kept no records but counted them.
         stats.requestsPerReplica.push_back(r.completedRequests);
         stats.tokensPerReplica.push_back(r.generatedTokens);
     }

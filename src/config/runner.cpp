@@ -13,11 +13,11 @@ namespace {
 
 /// One engine run over the @p trace template at Poisson/fixed rate
 /// @p rate under @p policy, costing its steps in @p costs (and running
-/// in the store's execution mode).
+/// in the store's execution mode), in a session with @p sink.
 ServingReport
 servePoint(std::shared_ptr<StepCostStore> costs, const TraceConfig &trace,
            EngineConfig ec, SchedulerPolicy policy, double rate,
-           const EngineObservers &eo)
+           const EngineObservers &eo, CompletionSink *sink)
 {
     TraceConfig tc = trace;
     tc.ratePerSec = rate;
@@ -25,7 +25,7 @@ servePoint(std::shared_ptr<StepCostStore> costs, const TraceConfig &trace,
     ec.executionMode = costs->simulator().system().executionMode;
     ServingEngine engine(std::move(costs), ec);
     engine.attachObservers(eo);
-    return engine.run(generateTrace(tc));
+    return engine.run(generateTrace(tc), sink);
 }
 
 } // namespace
@@ -64,12 +64,12 @@ ScenarioReport::renderCsv() const
 ServingReport
 runServingPoint(const ServingScenario &sc, SystemKind kind,
                 SchedulerPolicy policy, ExecutionMode mode, double rate,
-                const EngineObservers &eo)
+                const EngineObservers &eo, CompletionSink *sink)
 {
     return servePoint(std::make_shared<StepCostStore>(
                           ServingSimulator(makeSystem(kind, sc.nGpus)),
                           sc.model, mode),
-                      sc.trace, sc.engine, policy, rate, eo);
+                      sc.trace, sc.engine, policy, rate, eo, sink);
 }
 
 FleetReport
@@ -272,10 +272,9 @@ runServing(const Scenario &scenario, bool quiet)
                         eo.timeline = &*timeline;
                         eo.timelineTrack = timeline->registerTrack(label);
                     }
-                    if (oc.streamMetrics)
-                        eo.stream = &stream;
-                    ServingReport r =
-                        runServingPoint(sc, kind, policy, mode, rate, eo);
+                    ServingReport r = runServingPoint(
+                        sc, kind, policy, mode, rate, eo,
+                        oc.streamMetrics ? &stream : nullptr);
                     const ServingMetrics m =
                         oc.streamMetrics ? stream.finalize(r.makespan)
                                          : r.metrics;
@@ -456,7 +455,7 @@ saturationPoint(const SaturationScenario &sc,
                 SchedulerPolicy policy, double rate)
 {
     return servePoint(costs, sc.trace, sc.engine, policy, rate,
-                      EngineObservers{})
+                      EngineObservers{}, nullptr)
         .metrics;
 }
 

@@ -58,12 +58,14 @@ ScenarioReport runScenario(const Scenario &sc, bool quiet = false);
  * One serving-engine run of a serving scenario: @p kind under
  * (@p policy, @p mode) at Poisson/fixed rate @p rate over the
  * scenario's seeded trace template, with @p eo attached to the engine
- * before the run.
+ * before the run. With @p sink, completions go to it and the report
+ * keeps no per-request records (ServingEngine::begin()).
  */
 ServingReport runServingPoint(const ServingScenario &sc,
                               SystemKind kind, SchedulerPolicy policy,
                               ExecutionMode mode, double rate,
-                              const EngineObservers &eo = {});
+                              const EngineObservers &eo = {},
+                              CompletionSink *sink = nullptr);
 
 /**
  * One fleet run of a fleet scenario, costing its steps in @p stores

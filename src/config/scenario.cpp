@@ -7,6 +7,19 @@
 
 namespace pimba {
 
+TraceConfig *
+traceOf(Scenario &sc)
+{
+    return std::visit(
+        [](auto &spec) -> TraceConfig * {
+            if constexpr (requires { spec.trace; })
+                return &spec.trace;
+            else
+                return nullptr;
+        },
+        sc.spec);
+}
+
 std::string
 scenarioKindName(ScenarioKind kind)
 {

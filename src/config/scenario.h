@@ -172,6 +172,10 @@ struct Scenario
     ObservabilityConfig obs;
 };
 
+/// The request trace @p sc carries, or null for the trace-free
+/// throughput kind.
+TraceConfig *traceOf(Scenario &sc);
+
 /**
  * Map a parsed JSON document onto a Scenario. Unknown keys, wrong
  * types, unknown enum names, and values rejected by the layer

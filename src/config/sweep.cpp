@@ -142,19 +142,12 @@ applyGridParam(Scenario &sc, const std::string &param, double value)
     }
     if (param == "requests") {
         int64_t n = integral("request count");
-        if (auto *ss = std::get_if<ServingScenario>(&sc.spec))
-            ss->trace.numRequests = static_cast<int>(n);
-        else if (auto *fs = std::get_if<FleetScenario>(&sc.spec))
-            fs->trace.numRequests = static_cast<int>(n);
-        else if (auto *ps = std::get_if<PlannerScenario>(&sc.spec))
-            ps->trace.numRequests = static_cast<int>(n);
-        else if (auto *sat =
-                     std::get_if<SaturationScenario>(&sc.spec))
-            sat->trace.numRequests = static_cast<int>(n);
-        else
+        TraceConfig *tc = traceOf(sc);
+        if (!tc)
             throw ConfigError("grid parameter 'requests' does not "
                               "apply to a " +
                               scenarioKindName(sc.kind) + " scenario");
+        tc->numRequests = static_cast<int>(n);
         return;
     }
     if (param == "seed") {
@@ -166,20 +159,12 @@ applyGridParam(Scenario &sc, const std::string &param, double value)
             throw ConfigError("grid parameter 'seed' needs an integer "
                               "in [0, 4294967295], got " +
                               gridValueLabel(value));
-        int64_t seed = static_cast<int64_t>(rounded);
-        if (auto *ss = std::get_if<ServingScenario>(&sc.spec))
-            ss->trace.seed = static_cast<uint32_t>(seed);
-        else if (auto *fs = std::get_if<FleetScenario>(&sc.spec))
-            fs->trace.seed = static_cast<uint32_t>(seed);
-        else if (auto *ps = std::get_if<PlannerScenario>(&sc.spec))
-            ps->trace.seed = static_cast<uint32_t>(seed);
-        else if (auto *sat =
-                     std::get_if<SaturationScenario>(&sc.spec))
-            sat->trace.seed = static_cast<uint32_t>(seed);
-        else
+        TraceConfig *tc = traceOf(sc);
+        if (!tc)
             throw ConfigError("grid parameter 'seed' does not apply "
                               "to a " +
                               scenarioKindName(sc.kind) + " scenario");
+        tc->seed = static_cast<uint32_t>(rounded);
         return;
     }
     if (param == "maxBatch") {

@@ -68,18 +68,15 @@ ServingEngine::ServingEngine(std::shared_ptr<StepCostStore> costs_,
                  "engine execution mode differs from its step-cost "
                  "store's");
     cfg.iterTokenBudget = resolvedIterTokenBudget(cfg);
-    sched = makeScheduler(cfg.policy, cfg.prefillChunk,
-                          cfg.iterTokenBudget);
+    sched = {cfg.policy, cfg.prefillChunk, cfg.iterTokenBudget};
 }
 
 void
 ServingEngine::attachObservers(const EngineObservers &o)
 {
-    const bool newTracks =
-        o.tracer && (o.tracer != obs.tracer || o.pid != obs.pid);
     obs = o;
     quietLeft = 0; // a tracer or timeline needs every iteration
-    if (newTracks) {
+    if (obs.tracer) {
         obs.tracer->threadName(obs.pid, kTraceIterTid, "iterations");
         obs.tracer->threadName(obs.pid, kTraceGpuTid, "gpu");
         obs.tracer->threadName(obs.pid, kTracePimTid, "pim");
@@ -137,9 +134,10 @@ ServingEngine::traceIteration(Seconds start, Seconds dur, int decodeBatch,
 }
 
 void
-ServingEngine::begin()
+ServingEngine::begin(CompletionSink *sink_)
 {
     PIMBA_ASSERT(!active, "begin() inside an open session");
+    sink = sink_;
     report = ServingReport{};
     report.policy = cfg.policy;
     const ServingSimulator &sim = costs->simulator();
@@ -333,18 +331,16 @@ ServingEngine::finish()
             : TokensPerSecond(0.0);
     report.metrics.cancelledRequests = report.cancelledRequests;
     report.metrics.wastedTokens = report.wastedTokens;
-    // Under streamOnly the per-request records were never retained, so
-    // computeMetrics saw an empty vector; the counters are still exact.
-    // Percentile summaries live in the attached StreamingMetrics.
-    if (obs.streamOnly && obs.stream) {
-        report.metrics.requests = report.completedRequests;
-        report.metrics.requestsPerSec =
-            report.makespan > Seconds(0.0)
-                ? RequestsPerSecond(
-                      static_cast<double>(report.completedRequests) /
-                      report.makespan.value())
-                : RequestsPerSecond(0.0);
-    }
+    // A session with a sink kept no records, so computeMetrics saw none;
+    // the counter is exact either way (and equals the record count
+    // without a sink).
+    report.metrics.requests = report.completedRequests;
+    report.metrics.requestsPerSec =
+        report.makespan > Seconds(0.0)
+            ? RequestsPerSecond(
+                  static_cast<double>(report.completedRequests) /
+                  report.makespan.value())
+            : RequestsPerSecond(0.0);
     active = false;
     return std::move(report);
 }
@@ -538,7 +534,7 @@ ServingEngine::iterate()
     // once, so admission allocates its full pledge immediately.
     while (!waiting.empty() &&
            running.size() < static_cast<size_t>(cfg.maxBatch)) {
-        size_t pick = sched->pickAdmission(waiting);
+        size_t pick = sched.pickAdmission(waiting);
         Blocks outstanding{0};
         for (const RequestState &rs : running)
             if (rs.pledgedBlocks > rs.heldBlocks)
@@ -587,7 +583,7 @@ ServingEngine::iterate()
                       static_cast<std::ptrdiff_t>(pick));
     }
     if (running.empty()) {
-        const Request &r = waiting[sched->pickAdmission(waiting)].req;
+        const Request &r = waiting[sched.pickAdmission(waiting)].req;
         PIMBA_FATAL("request ", r.id, " needs ",
                     mapper.blocksFor(Tokens(r.inputLen + 1)).value(),
                     " blocks and can never fit the pool of ",
@@ -605,7 +601,7 @@ ServingEngine::iterate()
     // waiting line to recompute — and the iteration is re-planned over
     // the survivors.
     while (true) {
-        sched->planInto(running, plan);
+        sched.planInto(running, plan);
         PIMBA_ASSERT(!plan.empty(), "iteration made no progress");
 
         Blocks extra{0};
@@ -802,12 +798,10 @@ ServingEngine::iterate()
         done.preemptions = rs.preemptions;
         if (obs.tracer)
             obs.tracer->end(obs.pid, requestLane(rs.req.id), clock);
-        if (obs.stream)
-            obs.stream->observe(done);
         ++report.completedRequests;
-        // streamOnly without a collector would drop the record on the
-        // floor; keep it unless someone is actually aggregating.
-        if (!(obs.streamOnly && obs.stream))
+        if (sink)
+            sink->observe(done);
+        else
             report.completed.push_back(done);
         blocks->release(rs.heldBlocks);
         running.erase(running.begin() +
@@ -874,17 +868,16 @@ ServingEngine::fastForward(Seconds t)
     // Each pass is the quiet iteration iterate() would run, with the
     // same memo lookup and the same sums in the same order. Every
     // resident gains one token, so the decode mean rises by exactly
-    // one; blocks, and so the peaks, do not move. @c plan still holds
-    // the arming iteration's plan, whose policy fixes plan.fused.
+    // one; blocks, and so the peaks, do not move. A fused iteration
+    // with no prefill is its decode step (mixedPoint), so every policy
+    // takes the same memo entry.
     const int batch = static_cast<int>(running.size());
     const double util = blocks->utilization();
     uint64_t k = 0;
     while (k < quietLeft && clock < t &&
            (pendingArrivals.empty() ||
             pendingArrivals.front().req.arrival > clock)) {
-        const StepCost c = plan.fused
-                               ? costs->mixedStep(batch, quietMean + k, 0, 0)
-                               : costs->decodeStep(batch, quietMean + k);
+        const StepCost c = costs->decodeStep(batch, quietMean + k);
         const double iterSeconds = c.seconds.value();
         PIMBA_ASSERT(iterSeconds > 0.0, "iteration made no progress");
         clock += Seconds(iterSeconds);
@@ -927,14 +920,15 @@ ServingEngine::auditBlockLedger() const
 }
 
 ServingReport
-ServingEngine::run(const std::vector<Request> &trace)
+ServingEngine::run(const std::vector<Request> &trace,
+                   CompletionSink *sink_)
 {
     std::vector<Request> sorted = trace;
     std::stable_sort(sorted.begin(), sorted.end(),
                      [](const Request &a, const Request &b) {
                          return a.arrival < b.arrival;
                      });
-    begin();
+    begin(sink_);
     for (const Request &r : sorted)
         submit(r);
     drain();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Event-driven, request-level continuous-batching serving engine over a
- * paged block manager and a pluggable scheduling policy.
+ * paged block manager and a scheduling policy (FCFS, SJF or Sarathi).
  *
  * The engine layers an iteration-level (Orca-style) scheduler on top of
  * the per-step analytic ServingSimulator. Every iteration it admits
@@ -61,6 +61,10 @@
  *    one global clock, query queue depth and outstanding tokens for
  *    routing, and import prefilled requests whose cached blocks were
  *    shipped from another replica (prefill/decode disaggregation).
+ *
+ * Where completions go is a property of the session: given a
+ * CompletionSink at begin() (or run()), the engine hands it every
+ * retired request and keeps none; without one, the report keeps them.
  */
 
 #ifndef PIMBA_SERVING_ENGINE_H
@@ -92,18 +96,6 @@ struct EngineObservers
     int pid = 1;                ///< trace "process" of this engine
     TimelineSampler *timeline = nullptr; ///< periodic load sampler
     int timelineTrack = 0;      ///< registered track id on @c timeline
-    /// Sink fed one CompletedRequest per retired request: a
-    /// StreamingMetrics collector (the sample-vector-free aggregation
-    /// path), or the fleet's hand-off bookkeeping.
-    CompletionSink *stream = nullptr;
-    /// With @c stream attached: drop per-request record retention too —
-    /// ServingReport::completed stays empty and the engine's memory is
-    /// bounded by the in-flight set, independent of trace length (the
-    /// million-request replay shape). Counters and aggregate metrics
-    /// stay exact; percentile summaries come from the sink. Ignored
-    /// without a sink (silently dropping records with nobody to
-    /// receive them would lose them entirely).
-    bool streamOnly = false;
 };
 
 /// Scheduler/engine tunables.
@@ -125,7 +117,7 @@ struct EngineConfig
     /// Per-iteration new-token budget (decode + prefill) for the Sarathi
     /// policy; 0 resolves to maxBatch + prefillChunk so a full decode
     /// batch always leaves one chunk's worth of prefill budget. Decode
-    /// is never throttled — see makeScheduler(). The resolved budget,
+    /// is never throttled — see Scheduler. The resolved budget,
     /// like prefillChunk, must fit a step's int batch (checked at
     /// engine construction).
     Tokens iterTokenBudget{0};
@@ -167,12 +159,10 @@ std::string validateEngineConfig(const EngineConfig &cfg);
 /// Outcome of one engine run over a trace.
 struct ServingReport
 {
-    /// Per-request records in completion order. Empty under
-    /// EngineObservers::streamOnly — completedRequests below is then
-    /// the only (and authoritative) completion count.
+    /// Per-request records in completion order. Empty when the session
+    /// had a completion sink, which received them instead.
     std::vector<CompletedRequest> completed;
-    /// Requests retired this run. Always maintained, so counters keep
-    /// working when streamOnly drops the per-request records.
+    /// Requests retired this run, with or without a sink.
     uint64_t completedRequests = 0;
     /// Requests removed by cancel() (deadline timeouts). A session is
     /// fully served when completed + cancelled == submitted.
@@ -181,6 +171,9 @@ struct ServingReport
     /// plus locally decoded output) — discarded work, distinct from
     /// recomputedTokens (eviction debt that is eventually redone).
     uint64_t wastedTokens = 0;
+    /// Over the retained records. With a sink the counts, token and
+    /// request rates are still exact; the summaries, goodput and SLO
+    /// violations come from the sink.
     ServingMetrics metrics;
     Seconds makespan;          ///< trace start to last token
     uint64_t iterations = 0;   ///< scheduler iterations executed
@@ -217,8 +210,10 @@ class ServingEngine
     ServingEngine(std::shared_ptr<StepCostStore> costs,
                   EngineConfig cfg = {});
 
-    /// Serve @p trace to completion and report fleet metrics.
-    ServingReport run(const std::vector<Request> &trace);
+    /// Serve @p trace to completion in one session with @p sink (see
+    /// begin()) and report fleet metrics.
+    ServingReport run(const std::vector<Request> &trace,
+                      CompletionSink *sink = nullptr);
 
     // ------------------------------------------------- session API
     // The cluster fleet drives many engines on one global clock:
@@ -228,7 +223,11 @@ class ServingEngine
     // finish() closes the session and returns the report.
 
     /// Open a session: reset all run state and size the block pool.
-    void begin();
+    /// With @p sink, every retired request goes to it and the session
+    /// keeps no per-request records, so its memory is bounded by the
+    /// in-flight set whatever the trace length; without one,
+    /// ServingReport::completed keeps them all.
+    void begin(CompletionSink *sink = nullptr);
 
     /// Feed one arrival. Arrival times must be non-decreasing.
     void submit(const Request &r);
@@ -317,13 +316,11 @@ class ServingEngine
     // ------------------------------------------------ observability
     /// Attach (or with a default-constructed argument, detach) the
     /// observability sinks. Persists across begin()/finish() cycles so
-    /// a fleet attaches once per replica. When a tracer is newly
-    /// attached (or moved to another pid), its fixed engine tracks
-    /// (iterations, gpu, pim, sync) are named immediately; swapping
-    /// only the completion sink names nothing again. The caller names
-    /// the process (pid) itself, since only it knows the run's label.
+    /// a fleet attaches once per replica. An attached tracer's fixed
+    /// engine tracks (iterations, gpu, pim, sync) are named
+    /// immediately; the caller names the process (pid) itself, since
+    /// only it knows the run's label.
     void attachObservers(const EngineObservers &o);
-    const EngineObservers &observers() const { return obs; }
 
   private:
     /// Emit one substep's gpu/pim/sync slices on the phase tracks.
@@ -363,11 +360,12 @@ class ServingEngine
     // step_cost_store.h); it also holds the simulator and the model.
     std::shared_ptr<StepCostStore> costs;
     EngineConfig cfg;
-    std::unique_ptr<Scheduler> sched;
+    Scheduler sched;
     EngineObservers obs;
 
     // ------------------------------------------------ session state
     bool active = false;
+    CompletionSink *sink = nullptr; ///< null: records are retained
     Seconds clock{0.0};
     double utilSum = 0.0;
     Bytes weightBytes{0.0};

@@ -98,9 +98,9 @@ bool sustainsSlo(const ServingMetrics &m, double fraction = 0.95);
 
 /**
  * Receiver of retired requests: an engine calls observe() once per
- * completion (EngineObservers::stream). StreamingMetrics folds them into
- * sketches; a disaggregated fleet turns them into hand-offs and
- * fleet-level records.
+ * completion of a session begun with it (ServingEngine::begin()).
+ * StreamingMetrics folds them into sketches; a disaggregated fleet
+ * turns them into hand-offs and fleet-level records.
  */
 class CompletionSink
 {

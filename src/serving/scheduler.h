@@ -1,12 +1,13 @@
 /**
  * @file
- * Pluggable iteration-level scheduling policies for the serving engine.
+ * Iteration-level scheduling policies for the serving engine.
  *
  * A Scheduler makes the two decisions that shape every engine
  * iteration: which waiting request to admit next, and how to compose
  * the iteration's batch out of the resident requests (which decode
  * steps run, which prefill chunks run, and whether the two are fused
- * into one launch). Three policies ship:
+ * into one launch). The three policies differ only in admission order
+ * and in how many prefill chunks one iteration packs:
  *
  *  - FCFS: arrival-order admission, at most one prefill chunk per
  *    iteration run as a separate step — the seed engine's behavior.
@@ -26,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,21 +76,28 @@ struct IterationPlan
     }
 };
 
-/** Iteration-level scheduling policy. */
-class Scheduler
+/**
+ * Iteration-level scheduling policy: the policy and the two knobs it
+ * reads. @c chunk caps one request's prompt tokens per iteration.
+ * @c budget sizes a Sarathi iteration: decode tokens (one per
+ * decode-phase resident) are never throttled and count against the
+ * budget first; only the *remainder* is packed with prefill chunks. An
+ * iteration whose decode batch alone reaches the budget therefore runs
+ * over budget and schedules no prefill. FCFS and SJF ignore the budget.
+ */
+struct Scheduler
 {
-  public:
-    virtual ~Scheduler() = default;
-
-    virtual SchedulerPolicy policy() const = 0;
+    SchedulerPolicy policy = SchedulerPolicy::FCFS;
+    Tokens chunk;
+    Tokens budget;
 
     /**
-     * Index into @p waiting of the request to try admitting next.
-     * Admission is head-of-line: if the picked request does not fit,
-     * the engine stops admitting rather than skipping it.
+     * Index into @p waiting of the request to try admitting next: the
+     * queue head, or under SJF the shortest total job (ties to the
+     * earlier). Admission is head-of-line: if the picked request does
+     * not fit, the engine stops admitting rather than skipping it.
      */
-    virtual size_t pickAdmission(
-        const std::deque<RequestState> &waiting) const = 0;
+    size_t pickAdmission(const std::deque<RequestState> &waiting) const;
 
     /**
      * Compose the coming iteration over the resident requests into
@@ -98,22 +105,9 @@ class Scheduler
      * iterations, so the steady state of the inner loop allocates
      * nothing.
      */
-    virtual void planInto(const std::vector<RequestState> &running,
-                          IterationPlan &out) const = 0;
+    void planInto(const std::vector<RequestState> &running,
+                  IterationPlan &out) const;
 };
-
-/**
- * Build a scheduler. @p prefill_chunk caps one request's prompt tokens
- * per iteration. @p token_budget sizes the Sarathi policy's iteration:
- * decode tokens (one per decode-phase resident) are never throttled and
- * count against the budget first; only the *remainder* is packed with
- * prefill chunks. An iteration whose decode batch alone reaches the
- * budget therefore runs over budget and schedules no prefill. The
- * one-chunk policies ignore the budget.
- */
-std::unique_ptr<Scheduler> makeScheduler(SchedulerPolicy policy,
-                                         Tokens prefill_chunk,
-                                         Tokens token_budget);
 
 } // namespace pimba
 

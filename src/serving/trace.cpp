@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/logging.h"
+#include "serving/step_memo.h"
 
 namespace pimba {
 
@@ -33,6 +35,10 @@ diurnalAmplitude(double peakToTrough)
     return (peakToTrough - 1.0) / (peakToTrough + 1.0);
 }
 
+// A decode step sits at most at prompt + output, and the memo costs it
+// at its bucket's center.
+static_assert(2 * kMaxRequestTokens + kSeqBucket <= kMemoMaxPosition);
+
 std::string
 validateLengths(LengthDistribution dist, uint64_t inLo, uint64_t inHi,
                 uint64_t outLo, uint64_t outHi, const std::string &where)
@@ -43,6 +49,16 @@ validateLengths(LengthDistribution dist, uint64_t inLo, uint64_t inHi,
     if (outLo < 1)
         return where + "outputLen must be >= 1 (requests must generate "
                        "a token)";
+    const std::pair<uint64_t, const char *> lengths[] = {
+        {inLo, "inputLen"},
+        {inHi, "inputLenMax"},
+        {outLo, "outputLen"},
+        {outHi, "outputLenMax"}};
+    for (const auto &[len, field] : lengths)
+        if (len > kMaxRequestTokens)
+            return where + field + " must be <= " +
+                   std::to_string(kMaxRequestTokens) + " tokens, got " +
+                   std::to_string(len);
     if (dist == LengthDistribution::Uniform) {
         if (inHi != 0 && inHi < inLo)
             return where + "uniform input-length bounds are inverted "

@@ -65,6 +65,12 @@ struct MmppBursts
     Seconds idleMean{45.0};       ///< mean baseline dwell
 };
 
+/** Longest prompt, and longest output, one request may have. A cache
+ *  position then stays inside the step memo key's 32 bits
+ *  (kMemoMaxPosition, serving/step_memo.h); the trace validator and
+ *  the replay-file loader reject longer requests. */
+inline constexpr uint64_t kMaxRequestTokens = uint64_t{1} << 30;
+
 /** One tenant class of a multi-class trace: a sampling weight plus its
  *  own length distribution. Requests carry the class index sampled for
  *  them (Request::classId). */

@@ -237,6 +237,11 @@ TraceFileReader::next(Request &out)
         if (r.outputLen < 1)
             fail("output length must be >= 1 (requests must generate "
                  "a token)");
+        if (r.inputLen > kMaxRequestTokens ||
+            r.outputLen > kMaxRequestTokens)
+            fail("input and output lengths must each be <= " +
+                 std::to_string(kMaxRequestTokens) + " tokens, got " +
+                 fields[2] + " and " + fields[3]);
         r.arrival = Seconds(arrival);
         r.classId = static_cast<uint32_t>(classId);
         if (haveLast) {

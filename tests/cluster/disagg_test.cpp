@@ -88,6 +88,15 @@ TEST(ClusterDisagg, CompletenessTokenConservationAndStageSplit)
             EXPECT_GE(a.decodeReplica, 2);
         }
     }
+    // Prefill replicas hand every completion to the fleet and keep
+    // counters only; decode replicas keep the records the fleet joins.
+    for (size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(rep.replicas[i].completed.empty()) << "replica " << i;
+        EXPECT_GT(rep.replicas[i].completedRequests, 0u) << "replica " << i;
+    }
+    EXPECT_EQ(rep.replicas[2].completed.size() +
+                  rep.replicas[3].completed.size(),
+              multiToken);
 }
 
 TEST(ClusterDisagg, TransferBytesFollowFootprintMath)

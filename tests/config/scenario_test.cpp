@@ -282,6 +282,43 @@ TEST(ScenarioSchema, StepTokenBoundIsALocatedError)
             "trace": {"numRequests": 8}})"));
 }
 
+TEST(ScenarioSchema, RequestLengthBoundIsALocatedError)
+{
+    // Past kMaxRequestTokens a cache position would overflow the step
+    // memo key mid-run; the loader rejects it at the trace block.
+    const std::string bound = "must be <= " +
+                              std::to_string(kMaxRequestTokens) + " tokens";
+    auto serving = [](const std::string &trace) {
+        return "{\"kind\": \"serving\", \"systems\": [\"gpu\"], "
+               "\"rate\": 4, \"model\": \"mamba2-2.7b\",\n"
+               "\"trace\": " +
+               trace + "}";
+    };
+    ConfigError e = expectSchemaError(
+        serving(R"({"numRequests": 8, "inputLen": 5000000000})"),
+        "trace: inputLen " + bound + ", got 5000000000");
+    EXPECT_EQ(e.line(), 2);
+    expectSchemaError(
+        serving(R"({"numRequests": 8, "inputLen": 64,
+                    "inputLenMax": 5000000000})"),
+        "trace: inputLenMax " + bound);
+    expectSchemaError(
+        serving(R"({"numRequests": 8, "outputLen": 64,
+                    "outputLenMax": 5000000000})"),
+        "trace: outputLenMax " + bound);
+    e = expectSchemaError(
+        serving(R"({"numRequests": 8, "classes": [
+                      {"name": "chat", "inputLen": 64, "outputLen": 64},
+                      {"name": "long", "inputLen": 64,
+                       "outputLen": 5000000000}]})"),
+        "trace: class 1 (long): outputLen " + bound);
+    EXPECT_EQ(e.line(), 2);
+    // The bound itself is a valid length.
+    EXPECT_NO_THROW(parseScenarioText(serving(
+        R"({"numRequests": 8, "inputLen": )" +
+        std::to_string(kMaxRequestTokens) + "}")));
+}
+
 TEST(ScenarioSchema, RateAndRatesAreMutuallyExclusive)
 {
     expectSchemaError(

@@ -1,7 +1,8 @@
 /**
  * @file
  * Continuous-batching engine tests: token conservation, deterministic
- * replay, latency-accounting invariants, and chunked-prefill counting.
+ * replay, latency-accounting invariants, chunked-prefill counting, and
+ * sessions that hand their completions to a sink.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,11 @@
 #include <map>
 #include <set>
 
+#include "bit_equal.h"
 #include "config/json.h"
+#include "config/runner.h"
 #include "core/units.h"
+#include "presets.h"
 #include "serving/engine.h"
 #include "serving/trace.h"
 
@@ -385,6 +389,80 @@ TEST(ServingEngine, WorksForAllFiveSystems)
         EXPECT_GT(rep.metrics.tokensPerSec, TokensPerSecond(0.0))
             << systemName(kind);
     }
+}
+
+/// Keeps every record a session hands it, in arrival order at the sink.
+struct RecordingSink final : CompletionSink
+{
+    void observe(const CompletedRequest &c) override { seen.push_back(c); }
+    std::vector<CompletedRequest> seen;
+};
+
+TEST(ServingEngine, SinkSessionKeepsNoRecordsAndMatchesTheRetainingRun)
+{
+    // OPT under a tight budget evicts, so the counters a sink session
+    // must keep exact include preemptions and recompute debt.
+    ModelConfig model = opt2p7b();
+    ServingSimulator sim(makeSystem(SystemKind::GPU));
+    auto trace = generateTrace(smallTrace());
+    for (SchedulerPolicy policy : allPolicies()) {
+        SCOPED_TRACE(policyName(policy));
+        EngineConfig ec;
+        ec.policy = policy;
+        ec.memoryBudget = sim.weightFootprint(model) +
+                          2.0 * sim.requestFootprint(model, 300 + 48);
+        ServingReport kept = ServingEngine(sim, model, ec).run(trace);
+        RecordingSink sink;
+        ServingReport sunk = ServingEngine(sim, model, ec).run(trace, &sink);
+        ASSERT_EQ(kept.completed.size(), trace.size());
+        EXPECT_GT(kept.preemptions, 0u);
+
+        // The sink got the records the retaining run kept, and the
+        // session kept none of them.
+        EXPECT_TRUE(sunk.completed.empty());
+        expectBitEqual(sink.seen, kept.completed);
+        expectBitEqual(computeMetrics(sink.seen, sunk.makespan, ec.slo),
+                       computeMetrics(kept.completed, kept.makespan,
+                                      ec.slo));
+
+        // Everything else is the same run, bit for bit, except the
+        // metrics only records give: summaries, goodput, violations.
+        ServingReport expected = kept;
+        expected.completed.clear();
+        ServingMetrics &m = expected.metrics;
+        m.ttft = m.tpot = m.latency = m.queueing = m.preemptions = {};
+        m.goodput = RequestsPerSecond(0.0);
+        m.sloViolations = 0;
+        expectBitEqual(sunk, expected);
+        EXPECT_EQ(sunk.fastForwardedIterations,
+                  kept.fastForwardedIterations);
+    }
+}
+
+TEST(ServingEngine, ServingPointWithASinkKeepsNoRecords)
+{
+    // The shape `pimba run --stream-metrics` gives every serving point.
+    ServingScenario sc =
+        preset<ServingScenario>("serving_rate_sweep.json", true);
+    StreamingMetrics stream(sc.engine.slo);
+    ServingReport r =
+        runServingPoint(sc, SystemKind::PIMBA, SchedulerPolicy::Sarathi,
+                        ExecutionMode::Blocked, 16.0, {}, &stream);
+    EXPECT_TRUE(r.completed.empty());
+    EXPECT_EQ(r.completedRequests,
+              static_cast<uint64_t>(sc.trace.numRequests));
+    EXPECT_EQ(stream.observed(), r.completedRequests);
+    EXPECT_EQ(r.metrics.requests, r.completedRequests);
+
+    ServingReport kept =
+        runServingPoint(sc, SystemKind::PIMBA, SchedulerPolicy::Sarathi,
+                        ExecutionMode::Blocked, 16.0);
+    EXPECT_EQ(kept.completed.size(), r.completedRequests);
+    expectSameBits(r.makespan.value(), kept.makespan.value(), "makespan");
+    const ServingMetrics streamed = stream.finalize(r.makespan);
+    EXPECT_EQ(streamed.sloViolations, kept.metrics.sloViolations);
+    expectSameBits(streamed.goodput.value(), kept.metrics.goodput.value(),
+                   "goodput");
 }
 
 } // namespace

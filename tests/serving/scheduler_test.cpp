@@ -50,15 +50,13 @@ TEST(SchedulerPolicy, FcfsAdmitsHeadSjfAdmitsShortest)
     std::deque<RequestState> waiting = {{.req = req(0, 500, 100)},
                                         {.req = req(1, 50, 10)},
                                         {.req = req(2, 200, 20)}};
-    auto fcfs = makeScheduler(SchedulerPolicy::FCFS, Tokens(512),
-                              Tokens(1024));
-    auto sjf = makeScheduler(SchedulerPolicy::SJF, Tokens(512),
-                             Tokens(1024));
-    EXPECT_EQ(fcfs->pickAdmission(waiting), 0u);
-    EXPECT_EQ(sjf->pickAdmission(waiting), 1u);
+    const Scheduler fcfs{SchedulerPolicy::FCFS, Tokens(512), Tokens(1024)};
+    const Scheduler sjf{SchedulerPolicy::SJF, Tokens(512), Tokens(1024)};
+    EXPECT_EQ(fcfs.pickAdmission(waiting), 0u);
+    EXPECT_EQ(sjf.pickAdmission(waiting), 1u);
     // Ties fall to the earlier (front-most) request.
     waiting.push_back({.req = req(3, 50, 10)});
-    EXPECT_EQ(sjf->pickAdmission(waiting), 1u);
+    EXPECT_EQ(sjf.pickAdmission(waiting), 1u);
 }
 
 TEST(SchedulerPolicy, OneChunkPoliciesRunOnePrefillUnfused)
@@ -69,9 +67,9 @@ TEST(SchedulerPolicy, OneChunkPoliciesRunOnePrefillUnfused)
         resident(2, 1000, 0, 0),   // prefill
     };
     for (auto policy : {SchedulerPolicy::FCFS, SchedulerPolicy::SJF}) {
-        auto s = makeScheduler(policy, Tokens(512), Tokens(1024));
+        const Scheduler s{policy, Tokens(512), Tokens(1024)};
         IterationPlan plan;
-        s->planInto(running, plan);
+        s.planInto(running, plan);
         EXPECT_FALSE(plan.fused);
         ASSERT_EQ(plan.decodeIdx.size(), 1u);
         EXPECT_EQ(plan.decodeIdx[0], 0u);
@@ -90,10 +88,9 @@ TEST(SchedulerPolicy, SarathiPacksChunksUnderTokenBudget)
         resident(3, 400, 0, 0),    // prefill, 400 left
         resident(4, 400, 0, 0),    // prefill, 400 left
     };
-    auto s = makeScheduler(SchedulerPolicy::Sarathi, Tokens(512),
-                           Tokens(1000));
+    const Scheduler s{SchedulerPolicy::Sarathi, Tokens(512), Tokens(1000)};
     IterationPlan plan;
-    s->planInto(running, plan);
+    s.planInto(running, plan);
     EXPECT_TRUE(plan.fused);
     EXPECT_EQ(plan.decodeIdx.size(), 2u);
     // Budget 1000 - 2 decode = 998 prefill tokens: 512 (chunk cap) to
@@ -117,10 +114,9 @@ TEST(SchedulerPolicy, SarathiNeverThrottlesDecodes)
     std::vector<RequestState> running = {
         resident(0, 64, 64, 1), resident(1, 64, 64, 1),
         resident(2, 64, 64, 1), resident(3, 512, 0, 0)};
-    auto s = makeScheduler(SchedulerPolicy::Sarathi, Tokens(512),
-                           Tokens(2));
+    const Scheduler s{SchedulerPolicy::Sarathi, Tokens(512), Tokens(2)};
     IterationPlan plan;
-    s->planInto(running, plan);
+    s.planInto(running, plan);
     // Budget 2 is already exceeded by the 3 decodes; they all still
     // run, and no prefill is granted this iteration.
     EXPECT_EQ(plan.decodeIdx.size(), 3u);

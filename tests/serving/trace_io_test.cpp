@@ -225,5 +225,19 @@ TEST(TraceIo, RejectsMalformedRows)
     expectRejected("zerolen.csv", hdr + "0,0,0,1,0\n", "input", 3);
 }
 
+TEST(TraceIo, RejectsRequestsLongerThanTheBound)
+{
+    // Past kMaxRequestTokens a cache position would overflow the step
+    // memo key mid-run; the loader rejects the row instead.
+    const std::string hdr = "# pimba-trace-v1\n# requests: 2\n";
+    const std::string bound =
+        "must each be <= " + std::to_string(kMaxRequestTokens) + " tokens";
+    expectRejected("longin.csv",
+                   hdr + "0,0,64,8,0\n1,1.0,5000000000,8,0\n",
+                   bound + ", got 5000000000 and 8", 4);
+    expectRejected("longout.csv", hdr + "0,0,64,5000000000,0\n",
+                   bound + ", got 64 and 5000000000", 3);
+}
+
 } // namespace
 } // namespace pimba

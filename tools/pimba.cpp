@@ -164,26 +164,6 @@ runCommand(const std::string &command, int argc, char **argv)
     }
 }
 
-/// The TraceConfig a scenario carries, or null for the trace-free
-/// throughput kind.
-TraceConfig *
-scenarioTrace(Scenario &sc)
-{
-    switch (sc.kind) {
-      case ScenarioKind::Serving:
-        return &std::get<ServingScenario>(sc.spec).trace;
-      case ScenarioKind::Fleet:
-        return &std::get<FleetScenario>(sc.spec).trace;
-      case ScenarioKind::Saturation:
-        return &std::get<SaturationScenario>(sc.spec).trace;
-      case ScenarioKind::Planner:
-        return &std::get<PlannerScenario>(sc.spec).trace;
-      case ScenarioKind::Throughput:
-        return nullptr;
-    }
-    return nullptr;
-}
-
 int
 traceCommand(int argc, char **argv)
 {
@@ -212,7 +192,7 @@ traceCommand(int argc, char **argv)
 
     try {
         Scenario sc = loadScenarioFile(path, smoke);
-        TraceConfig *tc = scenarioTrace(sc);
+        TraceConfig *tc = traceOf(sc);
         if (!tc) {
             fprintf(stderr,
                     "pimba trace: %s is a %s scenario, which has no "
