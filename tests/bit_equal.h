@@ -77,7 +77,13 @@ expectBitEqual(const std::vector<CompletedRequest> &a,
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE("completion " + std::to_string(i));
-        EXPECT_EQ(a[i].req.id, b[i].req.id);
+        const Request &x = a[i].req, &y = b[i].req;
+        EXPECT_EQ(x.id, y.id);
+        expectSameBits(x.arrival.value(), y.arrival.value(), "arrival");
+        EXPECT_EQ(x.inputLen, y.inputLen);
+        EXPECT_EQ(x.outputLen, y.outputLen);
+        EXPECT_EQ(x.classId, y.classId);
+        EXPECT_EQ(x.prefixLen, y.prefixLen);
         expectSameBits(a[i].ttft.value(), b[i].ttft.value(), "ttft");
         expectSameBits(a[i].tpot.value(), b[i].tpot.value(), "tpot");
         expectSameBits(a[i].latency.value(), b[i].latency.value(),

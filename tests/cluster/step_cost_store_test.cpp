@@ -7,7 +7,9 @@
  *  - RR split: a colocated N-replica round-robin fleet, whose replicas
  *    share one store, equals N standalone engines with private stores,
  *    each fed the i-mod-N sub-trace — every ServingReport field,
- *    bit-exact, on Poisson and MMPP arrivals.
+ *    bit-exact, on Poisson, diurnal and MMPP arrivals under FCFS, SJF
+ *    and Sarathi, on Mamba-2 and on an OPT-2.7B budget tight enough
+ *    to evict.
  *  - Store keys: blocked and overlapped replicas of one kind, and
  *    replicas of different kinds, never share a store.
  *  - Memo counters: a shared store misses each key exactly once, so
@@ -17,11 +19,10 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bit_equal.h"
 #include "cluster/fleet.h"
 #include "obs/tracer.h"
 #include "presets.h"
@@ -29,93 +30,7 @@
 namespace pimba {
 namespace {
 
-/// Bit-level double equality (EXPECT_DOUBLE_EQ allows 4 ulps).
-void
-expectSameBits(double a, double b, const std::string &what)
-{
-    EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b))
-        << what << ": " << a << " vs " << b;
-}
-
-void
-expectSameSummary(const LatencySummary &a, const LatencySummary &b,
-                  const std::string &what)
-{
-    EXPECT_EQ(a.count, b.count) << what;
-    expectSameBits(a.mean, b.mean, what + ".mean");
-    expectSameBits(a.min, b.min, what + ".min");
-    expectSameBits(a.p50, b.p50, what + ".p50");
-    expectSameBits(a.p95, b.p95, what + ".p95");
-    expectSameBits(a.p99, b.p99, what + ".p99");
-    expectSameBits(a.max, b.max, what + ".max");
-}
-
-/// Every field of two engine reports, bit-exact.
-void
-expectSameReport(const ServingReport &a, const ServingReport &b)
-{
-    ASSERT_EQ(a.completed.size(), b.completed.size());
-    for (size_t i = 0; i < a.completed.size(); ++i) {
-        const CompletedRequest &x = a.completed[i];
-        const CompletedRequest &y = b.completed[i];
-        const std::string at = "record " + std::to_string(i);
-        EXPECT_EQ(x.req.id, y.req.id) << at;
-        expectSameBits(x.req.arrival.value(), y.req.arrival.value(), at);
-        EXPECT_EQ(x.req.inputLen, y.req.inputLen) << at;
-        EXPECT_EQ(x.req.outputLen, y.req.outputLen) << at;
-        EXPECT_EQ(x.req.classId, y.req.classId) << at;
-        EXPECT_EQ(x.req.prefixLen, y.req.prefixLen) << at;
-        expectSameBits(x.ttft.value(), y.ttft.value(), at + " ttft");
-        expectSameBits(x.tpot.value(), y.tpot.value(), at + " tpot");
-        expectSameBits(x.latency.value(), y.latency.value(),
-                       at + " latency");
-        expectSameBits(x.queueing.value(), y.queueing.value(),
-                       at + " queueing");
-        EXPECT_EQ(x.preemptions, y.preemptions) << at;
-    }
-    EXPECT_EQ(a.completedRequests, b.completedRequests);
-    EXPECT_EQ(a.cancelledRequests, b.cancelledRequests);
-    EXPECT_EQ(a.wastedTokens, b.wastedTokens);
-
-    const ServingMetrics &m = a.metrics;
-    const ServingMetrics &n = b.metrics;
-    EXPECT_EQ(m.requests, n.requests);
-    EXPECT_EQ(m.generatedTokens, n.generatedTokens);
-    expectSameBits(m.makespan.value(), n.makespan.value(), "makespan");
-    expectSameBits(m.tokensPerSec.value(), n.tokensPerSec.value(),
-                   "tokensPerSec");
-    expectSameBits(m.requestsPerSec.value(), n.requestsPerSec.value(),
-                   "requestsPerSec");
-    expectSameBits(m.goodput.value(), n.goodput.value(), "goodput");
-    EXPECT_EQ(m.sloViolations, n.sloViolations);
-    EXPECT_EQ(m.cancelledRequests, n.cancelledRequests);
-    EXPECT_EQ(m.wastedTokens, n.wastedTokens);
-    expectSameSummary(m.ttft, n.ttft, "ttft");
-    expectSameSummary(m.tpot, n.tpot, "tpot");
-    expectSameSummary(m.latency, n.latency, "latency");
-    expectSameSummary(m.queueing, n.queueing, "queueing");
-    expectSameSummary(m.preemptions, n.preemptions, "preemptions");
-
-    expectSameBits(a.makespan.value(), b.makespan.value(),
-                   "report makespan");
-    EXPECT_EQ(a.iterations, b.iterations);
-    EXPECT_EQ(a.generatedTokens, b.generatedTokens);
-    EXPECT_EQ(a.prefillChunks, b.prefillChunks);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.recomputedTokens, b.recomputedTokens);
-    expectSameBits(a.peakMemory.value(), b.peakMemory.value(),
-                   "peakMemory");
-    expectSameBits(a.memoryBudget.value(), b.memoryBudget.value(),
-                   "memoryBudget");
-    EXPECT_EQ(a.peakBatch, b.peakBatch);
-    EXPECT_EQ(a.totalBlocks, b.totalBlocks);
-    expectSameBits(a.peakBlockUtil, b.peakBlockUtil, "peakBlockUtil");
-    expectSameBits(a.avgBlockUtil, b.avgBlockUtil, "avgBlockUtil");
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.executionMode, b.executionMode);
-}
-
-/// A seeded Mamba-2 trace at @p rate with @p process arrivals.
+/// A seeded trace at @p rate with @p process arrivals.
 std::vector<Request>
 seededTrace(ArrivalProcess process, double rate, int n, uint32_t seed)
 {
@@ -130,18 +45,10 @@ seededTrace(ArrivalProcess process, double rate, int n, uint32_t seed)
     tc.outputLenMax = 384;
     tc.mmpp.burstMean = Seconds(1.0);
     tc.mmpp.idleMean = Seconds(3.0);
+    tc.diurnal.period = Seconds(4.0);
+    tc.diurnal.peakToTrough = 3.0;
     tc.seed = seed;
     return generateTrace(tc);
-}
-
-/// Requests i, i + n, i + 2n, ... of @p trace.
-std::vector<Request>
-everyNth(const std::vector<Request> &trace, size_t i, size_t n)
-{
-    std::vector<Request> out;
-    for (size_t k = i; k < trace.size(); k += n)
-        out.push_back(trace[k]);
-    return out;
 }
 
 /// The sum of the private stores' counters of one memo.
@@ -155,41 +62,58 @@ operator+(MemoCounts a, const MemoCounts &b)
 
 TEST(StepCostStore, RoundRobinSplitEqualsStandaloneEngines)
 {
-    const ModelConfig model = mamba2_2p7b();
-    for (size_t n : {2u, 3u, 4u}) {
-        for (ArrivalProcess process :
-             {ArrivalProcess::Poisson, ArrivalProcess::Mmpp}) {
-            for (uint32_t seed : {0x5EED0001u, 0xC0FFEEu, 0xBADA55u}) {
-                // Sarathi on the MMPP runs exercises fused steps.
+    // One scheduler policy per arrival process: Sarathi on the MMPP
+    // runs exercises fused steps. OPT-2.7B runs under a budget of four
+    // 768-token footprints past the weights, so KV growth evicts.
+    const ServingSimulator sim(makeSystem(SystemKind::PIMBA));
+    uint64_t optEvictions = 0;
+    for (bool opt : {false, true}) {
+        const ModelConfig model = opt ? opt2p7b() : mamba2_2p7b();
+        for (size_t n : {2u, 3u, 4u}) {
+            for (ArrivalProcess process :
+                 {ArrivalProcess::Poisson, ArrivalProcess::Diurnal,
+                  ArrivalProcess::Mmpp}) {
                 EngineConfig ec;
                 ec.maxBatch = 32;
                 ec.policy = process == ArrivalProcess::Mmpp
                                 ? SchedulerPolicy::Sarathi
+                            : process == ArrivalProcess::Diurnal
+                                ? SchedulerPolicy::SJF
                                 : SchedulerPolicy::FCFS;
-                const auto trace = seededTrace(
-                    process, 14.0 * static_cast<double>(n),
-                    40 * static_cast<int>(n), seed);
-                Fleet fleet(model,
-                            homogeneousFleet(SystemKind::PIMBA, n, ec));
-                for (size_t i = 1; i < n; ++i)
-                    ASSERT_EQ(&fleet.replica(i).costStore(),
-                              &fleet.replica(0).costStore());
-                FleetReport shared = fleet.run(trace);
-                ASSERT_EQ(shared.replicas.size(), n);
-                for (size_t i = 0; i < n; ++i) {
-                    SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
-                                 std::to_string(seed) + " process=" +
-                                 std::to_string(static_cast<int>(process)) +
-                                 " replica " + std::to_string(i));
-                    ServingEngine alone(
-                        ServingSimulator(makeSystem(SystemKind::PIMBA)),
-                        model, ec);
-                    expectSameReport(shared.replicas[i],
-                                     alone.run(everyNth(trace, i, n)));
+                if (opt)
+                    ec.memoryBudget =
+                        sim.weightFootprint(model) +
+                        4.0 * sim.requestFootprint(model, 512 + 256);
+                for (uint32_t seed : {0x5EED0001u, 0xC0FFEEu, 0xBADA55u}) {
+                    const auto trace = seededTrace(
+                        process, 14.0 * static_cast<double>(n),
+                        40 * static_cast<int>(n), seed);
+                    Fleet fleet(model,
+                                homogeneousFleet(SystemKind::PIMBA, n, ec));
+                    for (size_t i = 1; i < n; ++i)
+                        ASSERT_EQ(&fleet.replica(i).costStore(),
+                                  &fleet.replica(0).costStore());
+                    FleetReport shared = fleet.run(trace);
+                    ASSERT_EQ(shared.replicas.size(), n);
+                    for (size_t i = 0; i < n; ++i) {
+                        SCOPED_TRACE(
+                            model.name + " n=" + std::to_string(n) +
+                            " seed=" + std::to_string(seed) +
+                            " process=" +
+                            std::to_string(static_cast<int>(process)) +
+                            " replica " + std::to_string(i));
+                        ServingEngine alone(sim, model, ec);
+                        expectBitEqual(shared.replicas[i],
+                                       alone.run(everyNth(trace, i, n)));
+                        if (opt)
+                            optEvictions += shared.replicas[i].preemptions;
+                    }
                 }
             }
         }
     }
+    // The OPT runs only cover the eviction path if it ran.
+    EXPECT_GT(optEvictions, 0u);
 }
 
 TEST(StepCostStore, ReplicasShareOnlyStoresOfTheSameKindAndMode)

@@ -3,7 +3,8 @@
  * The checked-in scenario presets as test fixtures. A test that needs a
  * fleet, trace or open-loop shape loads it from the scenarios/ file that
  * defines it, so each shape has exactly one definition: the one
- * `pimba run` executes.
+ * `pimba run` executes. everyNth() cuts a trace into the sub-traces a
+ * round-robin pool deals its replicas.
  */
 
 #ifndef PIMBA_TESTS_PRESETS_H
@@ -59,6 +60,17 @@ presetTrace(const FleetScenario &sc, double rate, int n)
     tc.ratePerSec = rate;
     tc.numRequests = n;
     return generateTrace(tc);
+}
+
+/// Requests i, i + n, i + 2n, ... of @p trace: what replica i of an
+/// n-replica round-robin pool receives.
+inline std::vector<Request>
+everyNth(const std::vector<Request> &trace, size_t i, size_t n)
+{
+    std::vector<Request> out;
+    for (size_t k = i; k < trace.size(); k += n)
+        out.push_back(trace[k]);
+    return out;
 }
 
 } // namespace pimba
