@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
-#include <queue>
 #include <unordered_map> // pimba-lint: allow(node-container) per-run handoff bookkeeping
 
 #include "core/event_queue.h"
@@ -28,31 +26,27 @@ loadOf(const ServingEngine &e)
 
 /**
  * Cached per-replica next-event times gating the fleet's advanceTo
- * broadcasts, and (with @c cacheRows) one cached load row per replica
- * for routing. Both are refreshed after every state-changing engine
- * call — advanceTo on a due replica, submit, submitPrefilled, cancel —
- * and every such call in the pump and in Disaggregation goes through
- * advancePool(), advanceOne() or refresh(). So a cached time later
- * than the target proves the replica is idle until after it (advanceTo
- * would be a pure no-op, and the broadcast skips it), and a cached row
- * equals what the engine would report now. Per-arrival cost is then
- * O(replicas with due work) engine calls plus an O(pool) row copy,
- * while every engine ends in exactly the state the eager broadcast
- * produced (routing snapshots, and therefore reports, are
- * byte-identical). Without @c cacheRows — the lockstep reference —
- * snapshot() reads every engine afresh, which keeps that driver an
- * independent check on the rows.
+ * broadcasts, and one cached load row per replica for routing. Both
+ * are refreshed after every state-changing engine call — advanceTo on
+ * a due replica, submit, submitPrefilled, cancel — and every such call
+ * in the pump and in Disaggregation goes through advancePool(),
+ * advanceOne() or refresh(). So a cached time later than the target
+ * proves the replica is idle until after it (advanceTo would be a pure
+ * no-op, and the broadcast skips it), and a cached row equals what the
+ * engine would report now. Per-arrival cost is then O(replicas with
+ * due work) engine calls plus an O(pool) row copy, while every engine
+ * ends in exactly the state an eager broadcast would leave. Debug
+ * builds compare every row snapshot() copies with a fresh engine read,
+ * the only check on the cache that does not rely on it.
  */
 class AdvanceGate
 {
   public:
-    AdvanceGate(std::vector<ServingEngine> &engines_, bool cacheRows_)
-        : engines(engines_), cacheRows(cacheRows_),
-          nextEvent(engines_.size(), Seconds(0.0))
+    explicit AdvanceGate(std::vector<ServingEngine> &engines_)
+        : engines(engines_), nextEvent(engines_.size(), Seconds(0.0))
     {
-        if (cacheRows)
-            for (const ServingEngine &e : engines)
-                rows.push_back(loadOf(e));
+        for (const ServingEngine &e : engines)
+            rows.push_back(loadOf(e));
     }
 
     /** advanceTo(@p t) on every pool replica not provably idle past t. */
@@ -79,8 +73,7 @@ class AdvanceGate
     refresh(size_t i)
     {
         nextEvent[i] = engines[i].nextEventTime();
-        if (cacheRows)
-            rows[i] = loadOf(engines[i]);
+        rows[i] = loadOf(engines[i]);
     }
 
     /**
@@ -88,8 +81,9 @@ class AdvanceGate
      * the caller's reused buffer (one routing decision per request
      * makes this a per-request allocation otherwise). The prefix
      * locality signal depends on the arriving request, so it is read
-     * from the engine, and only for a request with a prefix id; legacy
-     * call sites route without a request and leave it zero.
+     * from the engine, and only for a request with a prefix id; the
+     * decode landing, the one caller that routes without a request,
+     * leaves it zero.
      */
     void
     snapshot(const std::vector<size_t> &pool,
@@ -99,7 +93,7 @@ class AdvanceGate
         snap.clear();
         snap.reserve(pool.size());
         for (size_t i : pool) {
-            ReplicaSnapshot s = cacheRows ? rows[i] : loadOf(engines[i]);
+            ReplicaSnapshot s = rows[i];
 #ifndef NDEBUG
             // A row is stale when some engine call bypassed refresh().
             const ReplicaSnapshot fresh = loadOf(engines[i]);
@@ -118,9 +112,8 @@ class AdvanceGate
 
   private:
     std::vector<ServingEngine> &engines;
-    const bool cacheRows;
     std::vector<Seconds> nextEvent;
-    std::vector<ReplicaSnapshot> rows; ///< empty without cacheRows
+    std::vector<ReplicaSnapshot> rows;
 };
 
 /** Completion instant of a fleet-level record. */
@@ -157,25 +150,11 @@ struct Handoff
     uint64_t prefillPreemptions = 0;
 };
 
-/** Min-first by (ready, id): deterministic hand-off order (the
- *  lockstep reference driver's queue; the event pump encodes the same
- *  order in its calendar keys). */
-struct HandoffLater
-{
-    bool
-    operator()(const Handoff &a, const Handoff &b) const
-    {
-        if (a.ready != b.ready)
-            return a.ready > b.ready;
-        return a.req.id > b.req.id;
-    }
-};
-
 /// Fleet calendar event kinds. The enumerator value is the calendar
 /// class, so at one instant: a warm-up completion makes its replica
-/// routable before a same-time arrival routes; an arrival dispatches
-/// before a hand-off (the lockstep loop's `arrival <= handoff` rule)
-/// and before any deadline timer (a request admitted at its exact
+/// routable before a same-time arrival routes; an arrival routes before
+/// a same-time hand-off lands, and hand-offs land in (ready, id) order;
+/// both come before any deadline timer (a request admitted at its exact
 /// deadline instant still gets its chance); autoscaler ticks observe
 /// the settled state last.
 enum class EventKind : uint32_t
@@ -199,11 +178,10 @@ struct FleetEvent
 
 /**
  * Prefill -> decode hand-off bookkeeping of one run, and the fleet's
- * record path, shared by the calendar pump and the lockstep reference
- * so both cost transfers and build records the same way. The first
- * @c prefillReplicas replicas form the prefill pool, the rest the
- * decode pool; constructed with 0 (a colocated fleet) the prefill pool
- * is empty and every prefill-side call is a no-op.
+ * record path: it costs each transfer and builds every fleet-level
+ * record. The first @c prefillReplicas replicas form the prefill pool,
+ * the rest the decode pool; constructed with 0 (a colocated fleet) the
+ * prefill pool is empty and every prefill-side call is a no-op.
  *
  * Construction begins every engine's session with the sink its
  * completions go to. A colocated engine's is @c stream, if any. A
@@ -636,11 +614,10 @@ Fleet::runStreamed(ArrivalSource &arrivals, StreamingMetrics &stream)
 
 /**
  * The fleet's event pump: one calendar of FleetEvent entries, pulled
- * one arrival ahead from the source. Every arrival runs the engine-call
- * sequence the lockstep loop ran — advance the routing pool to the
- * arrival instant (gated by cached next-event times), snapshot, route,
- * submit — so reports are byte-identical to runLockstep() on the same
- * trace. Three things depend on the fleet's shape:
+ * one arrival ahead from the source. Every arrival advances the routing
+ * pool to the arrival instant (gated by cached next-event times),
+ * snapshots its load rows, routes and submits. Three things depend on
+ * the fleet's shape:
  *
  *  - the routing pool: the control plane's routable replicas (every
  *    replica when it is off), or the prefill pool when disaggregated;
@@ -682,7 +659,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     const ControlPlaneConfig &cpCfg = cfg.controlPlane;
     ControlPlane cp(cpCfg, engines.size());
     auto router = makeRouter(cfg.router, cfg.routerSeed);
-    AdvanceGate gate(engines, /*cacheRows=*/true);
+    AdvanceGate gate(engines);
     std::vector<ReplicaSnapshot> snap;
 
     EventQueue<FleetEvent> calendar;
@@ -844,85 +821,6 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     report.metrics.cancelledRequests =
         report.controlPlane.cancelledRequests;
     report.metrics.wastedTokens = report.controlPlane.wastedTokens;
-    return report;
-}
-
-FleetReport
-Fleet::runLockstep(const std::vector<Request> &trace)
-{
-    // The pre-event-core driver's dispatch order, kept independent of
-    // the pump: it walks the sorted trace eagerly, keeps its own
-    // hand-off priority queue, and re-derives the event order per
-    // iteration. The equivalence suite holds the calendar pump to this
-    // implementation's exact output; do not "improve" one without the
-    // other.
-    PIMBA_ASSERT(!cfg.controlPlane.anyEnabled(),
-                 "runLockstep() predates the control plane; use run()");
-    std::vector<Request> sorted = trace;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.arrival < b.arrival;
-                     });
-
-    FleetReport report;
-    report.mode = cfg.mode;
-    report.router = cfg.router;
-    report.assignments.reserve(sorted.size());
-
-    const bool colocated = cfg.mode == FleetMode::Colocated;
-    auto router = makeRouter(cfg.router, cfg.routerSeed);
-    AdvanceGate gate(engines, /*cacheRows=*/false);
-    std::vector<ReplicaSnapshot> snap;
-    Disaggregation disagg(engines, gate, model, cfg, obs,
-                          colocated ? 0 : cfg.prefillReplicas,
-                          /*stream=*/nullptr);
-
-    if (colocated) {
-        std::vector<size_t> pool(engines.size());
-        std::iota(pool.begin(), pool.end(), size_t{0});
-        for (const Request &r : sorted) {
-            gate.advancePool(pool, r.arrival);
-            gate.snapshot(pool, snap);
-            size_t pick = pool[router->route(snap, r)];
-            engines[pick].submit(r);
-            gate.refresh(pick);
-            report.assignments.push_back(Assignment{r.id, pick, -1});
-        }
-    } else {
-        const std::vector<size_t> &prefills = disagg.prefillPool();
-        std::priority_queue<Handoff, std::vector<Handoff>, HandoffLater>
-            due;
-        auto enqueue = [&](const Handoff &h) { due.push(h); };
-        size_t next = 0;
-        while (next < sorted.size() || !due.empty() ||
-               disagg.prefillBusy()) {
-            Seconds ta =
-                next < sorted.size() ? sorted[next].arrival : kInf;
-            Seconds th = due.empty() ? kInf : due.top().ready;
-            Seconds t = std::min(ta, th);
-            // At t = +inf this runs the prefill work out to discover
-            // the remaining hand-offs.
-            disagg.advancePrefill(t, report.transfer, enqueue);
-            if (t == kInf)
-                continue;
-            th = due.empty() ? kInf : due.top().ready;
-
-            if (ta <= th) {
-                const Request &r = sorted[next++];
-                gate.snapshot(prefills, snap);
-                size_t pick = prefills[router->route(snap, r)];
-                disagg.admit(r, pick, report.assignments.size());
-                gate.refresh(pick);
-                report.assignments.push_back(Assignment{r.id, pick, -1});
-            } else {
-                Handoff h = due.top();
-                due.pop();
-                disagg.land(h, report.assignments);
-            }
-        }
-    }
-
-    disagg.finish(report, cfg.slo);
     return report;
 }
 

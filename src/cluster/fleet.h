@@ -15,9 +15,10 @@
  * pressure; re-read only after an engine call that changes it), and
  * letting the router commit the request. Arrivals are pulled lazily
  * from an ArrivalSource, so a replay-scale run never holds the whole
- * trace. The retired lockstep
- * driver survives as runLockstep(), the reference the pump is proven
- * byte-identical against. Two fleet modes:
+ * trace. On a static round-robin fleet every replica equals, bit for
+ * bit, a standalone engine fed its share of the trace (in a decode
+ * pool, of the hand-offs); tests hold the pump to that, and goldens
+ * pin the other routers and event kinds. Two fleet modes:
  *
  *  - Colocated: every replica both prefills and decodes its own
  *    requests — the classic replicated deployment.
@@ -188,12 +189,6 @@ class Fleet
     /// takes the transfer p95 from a sketch too.
     FleetReport runStreamed(ArrivalSource &arrivals,
                             StreamingMetrics &stream);
-
-    /// The pre-event-core lockstep driver, kept as the debug reference
-    /// the event pump is proven byte-identical against
-    /// (tests/cluster/event_equivalence_test.cpp). Not for new
-    /// callers: it holds the whole trace and advances eagerly.
-    FleetReport runLockstep(const std::vector<Request> &trace);
 
     const FleetConfig &config() const { return cfg; }
     /// Replica @p i's engine.

@@ -7,9 +7,8 @@
  *  - time      — the simulated instant the event is due;
  *  - class     — event kind priority at equal times (the fleet's event
  *                kinds, in class order: warm-up, arrival, hand-off,
- *                deadline, scale tick — so arrivals dispatch before
- *                hand-offs, the lockstep loop's `arrival <= handoff`
- *                rule);
+ *                deadline, scale tick — so an arrival routes before a
+ *                same-time hand-off lands);
  *  - tiebreak  — caller-chosen order within a class (e.g. request id, so
  *                simultaneous hand-offs dispatch by id);
  *  - sequence  — automatic insertion counter, making equal keys FIFO.

@@ -1,10 +1,12 @@
 /**
  * @file
  * Bit-exact report comparison for the tests that pin two runs as the
- * same simulation: traced against untraced, and so the per-iteration
- * path against the engine's quiet-run fast path. Doubles compare by
- * their bit patterns, not by EXPECT_DOUBLE_EQ's 4-ulp window, so a
- * reordered floating-point sum fails.
+ * same simulation: traced against untraced (and so the per-iteration
+ * path against the engine's quiet-run fast path), a round-robin fleet
+ * against standalone engines, a streamed source against a materialized
+ * trace. Doubles compare by their bit patterns, not by
+ * EXPECT_DOUBLE_EQ's 4-ulp window, so a reordered floating-point sum
+ * fails.
  */
 
 #ifndef PIMBA_TESTS_BIT_EQUAL_H
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/fleet.h"
 #include "serving/engine.h"
 
 namespace pimba {
@@ -121,6 +124,43 @@ expectBitEqual(const ServingReport &a, const ServingReport &b)
     expectSameBits(a.avgBlockUtil, b.avgBlockUtil, "avgBlockUtil");
     EXPECT_EQ(a.policy, b.policy);
     EXPECT_EQ(a.executionMode, b.executionMode);
+}
+
+/// Every simulated field of two fleet reports, each replica's included.
+inline void
+expectBitEqual(const FleetReport &a, const FleetReport &b)
+{
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.router, b.router);
+    EXPECT_EQ(a.assignments, b.assignments);
+    expectBitEqual(a.completed, b.completed);
+    expectBitEqual(a.metrics, b.metrics);
+    expectSameBits(a.makespan.value(), b.makespan.value(),
+                   "fleet makespan");
+    EXPECT_EQ(a.load.requestsPerReplica, b.load.requestsPerReplica);
+    EXPECT_EQ(a.load.tokensPerReplica, b.load.tokensPerReplica);
+    EXPECT_EQ(a.transfer.transfers, b.transfer.transfers);
+    expectSameBits(a.transfer.totalBytes.value(),
+                   b.transfer.totalBytes.value(), "transfer bytes");
+    expectSameBits(a.transfer.totalSeconds.value(),
+                   b.transfer.totalSeconds.value(), "transfer seconds");
+    expectSameBits(a.transfer.totalEnergyJ.value(),
+                   b.transfer.totalEnergyJ.value(), "transfer energy");
+    expectBitEqual(a.transfer.perTransfer, b.transfer.perTransfer,
+                   "perTransfer");
+    expectSameBits(a.transfer.meanTtftShare, b.transfer.meanTtftShare,
+                   "meanTtftShare");
+    EXPECT_EQ(a.controlPlane.cancelledRequests,
+              b.controlPlane.cancelledRequests);
+    EXPECT_EQ(a.controlPlane.wastedTokens, b.controlPlane.wastedTokens);
+    expectSameBits(a.controlPlane.replicaSeconds.value(),
+                   b.controlPlane.replicaSeconds.value(),
+                   "replicaSeconds");
+    ASSERT_EQ(a.replicas.size(), b.replicas.size());
+    for (size_t i = 0; i < a.replicas.size(); ++i) {
+        SCOPED_TRACE("replica " + std::to_string(i));
+        expectBitEqual(a.replicas[i], b.replicas[i]);
+    }
 }
 
 } // namespace pimba

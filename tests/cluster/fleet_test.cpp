@@ -11,6 +11,7 @@
 
 #include <set>
 
+#include "bit_equal.h"
 #include "cluster/fleet.h"
 #include "presets.h"
 
@@ -111,23 +112,24 @@ TEST(ClusterFleet, TokenConservationAndCompleteness)
 
 TEST(ClusterFleet, SingleReplicaFleetMatchesPlainEngine)
 {
+    // One replica leaves every router one choice, so the fleet is the
+    // plain engine: its replica report, records and metrics bit for bit.
     auto trace = presetTrace(routers(), 16.0, 48);
     ModelConfig model = mamba2_2p7b();
-
-    FleetReport fleet =
-        Fleet(model, homogeneousFleet(SystemKind::PIMBA, 1))
-            .run(trace);
-
     ServingSimulator sim(makeSystem(SystemKind::PIMBA));
-    ServingReport engine =
-        ServingEngine(sim, model).run(trace);
-
-    EXPECT_DOUBLE_EQ(fleet.makespan.value(), engine.makespan.value());
-    EXPECT_DOUBLE_EQ(fleet.metrics.ttft.p95, engine.metrics.ttft.p95);
-    EXPECT_DOUBLE_EQ(fleet.metrics.tpot.p95, engine.metrics.tpot.p95);
-    EXPECT_EQ(fleet.metrics.generatedTokens,
-              engine.metrics.generatedTokens);
-    EXPECT_EQ(fleet.replicas[0].iterations, engine.iterations);
+    const ServingReport engine = ServingEngine(sim, model).run(trace);
+    for (RouterPolicy policy : allRouterPolicies()) {
+        SCOPED_TRACE(routerName(policy));
+        FleetConfig fc = homogeneousFleet(SystemKind::PIMBA, 1);
+        fc.router = policy;
+        const FleetReport fleet = Fleet(model, fc).run(trace);
+        ASSERT_EQ(fleet.replicas.size(), 1u);
+        expectBitEqual(fleet.replicas[0], engine);
+        expectBitEqual(fleet.completed, engine.completed);
+        expectBitEqual(fleet.metrics, engine.metrics);
+        expectSameBits(fleet.makespan.value(), engine.makespan.value(),
+                       "makespan");
+    }
 }
 
 TEST(ClusterFleet, LoadAwareRoutersBeatRoundRobinAtSaturation)

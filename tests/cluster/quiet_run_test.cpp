@@ -39,29 +39,6 @@ fastForwardedOf(const FleetReport &r)
     return n;
 }
 
-void
-expectBitEqual(const FleetReport &a, const FleetReport &b)
-{
-    EXPECT_EQ(a.assignments, b.assignments);
-    expectBitEqual(a.completed, b.completed);
-    expectBitEqual(a.metrics, b.metrics);
-    expectSameBits(a.makespan.value(), b.makespan.value(),
-                   "fleet makespan");
-    EXPECT_EQ(a.load.requestsPerReplica, b.load.requestsPerReplica);
-    EXPECT_EQ(a.load.tokensPerReplica, b.load.tokensPerReplica);
-    EXPECT_EQ(a.controlPlane.cancelledRequests,
-              b.controlPlane.cancelledRequests);
-    EXPECT_EQ(a.controlPlane.wastedTokens, b.controlPlane.wastedTokens);
-    expectSameBits(a.controlPlane.replicaSeconds.value(),
-                   b.controlPlane.replicaSeconds.value(),
-                   "replicaSeconds");
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (size_t i = 0; i < a.replicas.size(); ++i) {
-        SCOPED_TRACE("replica " + std::to_string(i));
-        expectBitEqual(a.replicas[i], b.replicas[i]);
-    }
-}
-
 TraceConfig
 traceFor(ArrivalProcess arrivals, uint32_t seed)
 {

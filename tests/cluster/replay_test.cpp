@@ -1,19 +1,22 @@
 /**
  * @file
- * Bounded-memory replay tests: Fleet::runStreamed must agree with the
- * record-retaining run on everything exact (counts, tokens, goodput,
- * makespan, transfers), keep its sketch percentiles within the 1%
- * agreement bound, retain no per-request state in the report, and
- * leave the fleet reusable — on colocated and disaggregated fleets
- * alike.
+ * Replay tests. A lazy arrival source must drive the pump to the same
+ * report, bit for bit, as the materialized trace. Bounded-memory
+ * replay (Fleet::runStreamed) must agree with the record-retaining run
+ * on everything exact (counts, tokens, goodput, makespan, transfers),
+ * keep its sketch percentiles within the 1% agreement bound, retain no
+ * per-request state in the report, and leave the fleet reusable — on
+ * colocated and disaggregated fleets alike.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "bit_equal.h"
 #include "cluster/fleet.h"
 #include "presets.h"
+#include "serving/trace_io.h"
 
 namespace pimba {
 namespace {
@@ -42,6 +45,19 @@ replayTraceConfig(int n)
     cfg.numRequests = n;
     cfg.seed = 0x5EEDC0DEu;
     return cfg;
+}
+
+TEST(EventEquivalence, StreamedSourceMatchesMaterializedRun)
+{
+    // run(ArrivalSource&) must agree with run(vector): the lazy pull
+    // path and the sorted-copy path drive the same calendar.
+    const auto sc = preset<FleetScenario>("cluster_routers.json",
+                                          /*smoke=*/true);
+    const FleetConfig &fc = sc.cases.front().fleet;
+    const FleetReport fromVector =
+        Fleet(sc.model, fc).run(materializeTrace(sc.trace));
+    ArrivalStream stream(sc.trace);
+    expectBitEqual(fromVector, Fleet(sc.model, fc).run(stream));
 }
 
 TEST(FleetReplay, StreamedRunMatchesExactRun)

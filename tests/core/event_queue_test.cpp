@@ -3,8 +3,9 @@
  * Event-calendar tests: min-first dispatch over (time, class, tiebreak,
  * sequence), FIFO among fully-equal keys, interleaved push/pop, the
  * empty-calendar sentinel, and the never-runs-backward guard. The
- * ordering pinned here is the contract the event-driven fleet's
- * byte-identity to the lockstep loop rests on.
+ * fleet's same-instant rules rest on the ordering pinned here: an
+ * arrival routes before a hand-off lands, and simultaneous hand-offs
+ * land by request id.
  */
 
 #include <gtest/gtest.h>
