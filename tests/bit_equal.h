@@ -6,7 +6,8 @@
  * against standalone engines, a streamed source against a materialized
  * trace. Doubles compare by their bit patterns, not by
  * EXPECT_DOUBLE_EQ's 4-ulp window, so a reordered floating-point sum
- * fails.
+ * fails. RecordingSink keeps the records of a session begun with a
+ * sink, which keeps none in its report, for such comparisons.
  */
 
 #ifndef PIMBA_TESTS_BIT_EQUAL_H
@@ -29,6 +30,13 @@ bitsOf(double v)
 {
     return std::bit_cast<uint64_t>(v);
 }
+
+/// Keeps every record a session hands it, in arrival order at the sink.
+struct RecordingSink final : CompletionSink
+{
+    void observe(const CompletedRequest &c) override { seen.push_back(c); }
+    std::vector<CompletedRequest> seen;
+};
 
 /// EXPECT that doubles @p a and @p b have the same bits.
 inline void

@@ -271,14 +271,6 @@ TEST(ClusterDisagg, DeterministicReplayForEveryRouterPolicy)
     }
 }
 
-/// Keeps every record an engine session hands its sink.
-struct CollectingSink final : CompletionSink
-{
-    void observe(const CompletedRequest &c) override { records.push_back(c); }
-
-    std::vector<CompletedRequest> records;
-};
-
 /**
  * Check a round-robin disaggregated run of @p trace against standalone
  * engines, one per replica. Prefill replica i is an engine fed the
@@ -286,9 +278,9 @@ struct CollectingSink final : CompletionSink
  * fleet runs it). Each of its multi-token records becomes a hand-off
  * that is ready at the prefill finish plus the link time of the
  * request's state + KV at prompt + 1 tokens. Ordered by (ready, id),
- * every Nd-th hand-off, arriving when ready, is decode replica j's
- * trace, fed through submitPrefilled. Returns the decode pool's
- * evictions.
+ * hand-offs j, j + Nd, j + 2Nd, ..., each arriving when ready, are
+ * decode replica j's trace, fed through submitPrefilled. Returns the
+ * decode pool's evictions.
  */
 uint64_t
 expectSplitEqualsStages(const ModelConfig &model, const FleetConfig &fc,
@@ -318,9 +310,9 @@ expectSplitEqualsStages(const ModelConfig &model, const FleetConfig &fc,
         const ReplicaConfig &rc = fc.replicas[i];
         ServingEngine alone(ServingSimulator(makeSystem(rc.kind, rc.nGpus)),
                             model, rc.engine);
-        CollectingSink sink;
+        RecordingSink sink;
         expectBitEqual(fleet.replicas[i], alone.run(firstTokens, &sink));
-        for (const CompletedRequest &c : sink.records) {
+        for (const CompletedRequest &c : sink.seen) {
             Request r = original.at(c.req.id);
             if (r.outputLen == 1)
                 continue;

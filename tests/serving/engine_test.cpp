@@ -391,13 +391,6 @@ TEST(ServingEngine, WorksForAllFiveSystems)
     }
 }
 
-/// Keeps every record a session hands it, in arrival order at the sink.
-struct RecordingSink final : CompletionSink
-{
-    void observe(const CompletedRequest &c) override { seen.push_back(c); }
-    std::vector<CompletedRequest> seen;
-};
-
 TEST(ServingEngine, SinkSessionKeepsNoRecordsAndMatchesTheRetainingRun)
 {
     // OPT under a tight budget evicts, so the counters a sink session
