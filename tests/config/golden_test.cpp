@@ -21,6 +21,10 @@
  * every event kind (arrival, hand-off, warm-up, deadline, scale tick)
  * dispatches exactly as before.
  *
+ * lot_evictions.txt is the output of the test-only lot_evictions.json
+ * next to it, captured while the fleet still cached each replica's load
+ * row and the engine walked its queues for every signal.
+ *
  * fig16_full.txt and execution_modes_smoke.txt were captured from the
  * presets just before the C++ built-in studies they mirror were
  * deleted, while both definitions still printed the same tables.
@@ -193,6 +197,17 @@ TEST(GoldenOutput, ControlDeadlinesMatchesCapture)
                           "/control_deadlines.json",
                       false),
               readFixture("control_deadlines.txt"));
+}
+
+TEST(GoldenOutput, LotEvictionsMatchesCapture)
+{
+    // LOT and JSQ read every load signal the engines keep as running
+    // sums; this fixture moves each of them (evictions, queued and
+    // resident cancels, tiers, prefix hits, prefilled imports), so a
+    // wrong update changes a routing decision and the report.
+    EXPECT_EQ(runFile(std::string(PIMBA_GOLDEN_DIR) + "/lot_evictions.json",
+                      false),
+              readFixture("lot_evictions.txt"));
 }
 
 /// FNV-1a-64 of @p bytes, as "%016x".
