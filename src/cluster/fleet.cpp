@@ -13,108 +13,40 @@ namespace {
 
 constexpr Seconds kInf{std::numeric_limits<double>::infinity()};
 
-/** The request-independent load signals of @p e, read fresh. */
-ReplicaSnapshot
-loadOf(const ServingEngine &e)
+/** advanceTo(@p t) on each replica of @p pool whose next event is due
+ *  by @p t; on the others it would be a pure no-op. */
+void
+advanceDue(std::vector<ServingEngine> &engines,
+           const std::vector<size_t> &pool, Seconds t)
 {
-    ReplicaSnapshot s;
-    s.queueDepth = e.queueDepth();
-    s.outstandingTokens = e.outstandingTokens();
-    s.tierPressure = e.tierPressure();
-    return s;
+    for (size_t i : pool)
+        if (engines[i].nextEventTime() <= t)
+            engines[i].advanceTo(t);
 }
 
 /**
- * Cached per-replica next-event times gating the fleet's advanceTo
- * broadcasts, and one cached load row per replica for routing. Both
- * are refreshed after every state-changing engine call — advanceTo on
- * a due replica, submit, submitPrefilled, cancel — and every such call
- * in the pump and in Disaggregation goes through advancePool(),
- * advanceOne() or refresh(). So a cached time later than the target
- * proves the replica is idle until after it (advanceTo would be a pure
- * no-op, and the broadcast skips it), and a cached row equals what the
- * engine would report now. Per-arrival cost is then O(replicas with
- * due work) engine calls plus an O(pool) row copy, while every engine
- * ends in exactly the state an eager broadcast would leave. Debug
- * builds compare every row snapshot() copies with a fresh engine read,
- * the only check on the cache that does not rely on it.
+ * Load snapshots of @p pool, in pool order, into the caller's reused
+ * buffer. The prefix locality signal depends on the arriving request:
+ * it is read only for a request with a prefix id, and the decode
+ * landing, which routes without a request, leaves it zero.
  */
-class AdvanceGate
-{
-  public:
-    explicit AdvanceGate(std::vector<ServingEngine> &engines_)
-        : engines(engines_), nextEvent(engines_.size(), Seconds(0.0))
-    {
-        for (const ServingEngine &e : engines)
-            rows.push_back(loadOf(e));
-    }
-
-    /** advanceTo(@p t) on every pool replica not provably idle past t. */
-    void
-    advancePool(const std::vector<size_t> &pool, Seconds t)
-    {
-        for (size_t i : pool)
-            advanceOne(i, t);
-    }
-
-    /** advanceTo(@p t) on replica @p i alone (deadline timers target
-     *  the one replica the request was routed to). */
-    void
-    advanceOne(size_t i, Seconds t)
-    {
-        if (nextEvent[i] > t)
-            return;
-        engines[i].advanceTo(t);
-        refresh(i);
-    }
-
-    /** Refresh replica @p i's caches after a submit or cancel on it. */
-    void
-    refresh(size_t i)
-    {
-        nextEvent[i] = engines[i].nextEventTime();
-        rows[i] = loadOf(engines[i]);
-    }
-
-    /**
-     * Load snapshots of the replicas in @p pool, in pool order, into
-     * the caller's reused buffer (one routing decision per request
-     * makes this a per-request allocation otherwise). The prefix
-     * locality signal depends on the arriving request, so it is read
-     * from the engine, and only for a request with a prefix id; the
-     * decode landing, the one caller that routes without a request,
-     * leaves it zero.
-     */
-    void
-    snapshot(const std::vector<size_t> &pool,
+void
+snapshotPool(const std::vector<ServingEngine> &engines,
+             const std::vector<size_t> &pool,
              std::vector<ReplicaSnapshot> &snap,
-             const Request *req = nullptr) const
-    {
-        snap.clear();
-        snap.reserve(pool.size());
-        for (size_t i : pool) {
-            ReplicaSnapshot s = rows[i];
-#ifndef NDEBUG
-            // A row is stale when some engine call bypassed refresh().
-            const ReplicaSnapshot fresh = loadOf(engines[i]);
-            PIMBA_ASSERT(s.queueDepth == fresh.queueDepth &&
-                             s.outstandingTokens ==
-                                 fresh.outstandingTokens &&
-                             s.tierPressure == fresh.tierPressure,
-                         "stale load row for replica ", i);
-#endif
-            if (req && req->prefixLen > 0)
-                s.cachedPrefixBlocks =
-                    engines[i].cachedPrefixBlocks(req->classId);
-            snap.push_back(s);
-        }
+             const Request *req = nullptr)
+{
+    snap.clear();
+    for (size_t i : pool) {
+        const ServingEngine &e = engines[i];
+        ReplicaSnapshot &s = snap.emplace_back();
+        s.queueDepth = e.queueDepth();
+        s.outstandingTokens = e.outstandingTokens();
+        s.tierPressure = e.tierPressure();
+        if (req && req->prefixLen > 0)
+            s.cachedPrefixBlocks = e.cachedPrefixBlocks(req->classId);
     }
-
-  private:
-    std::vector<ServingEngine> &engines;
-    std::vector<Seconds> nextEvent;
-    std::vector<ReplicaSnapshot> rows;
-};
+}
 
 /** Completion instant of a fleet-level record. */
 Seconds
@@ -196,11 +128,11 @@ struct FleetEvent
 class Disaggregation
 {
   public:
-    Disaggregation(std::vector<ServingEngine> &engines_, AdvanceGate &gate_,
+    Disaggregation(std::vector<ServingEngine> &engines_,
                    const ModelConfig &model_, const FleetConfig &cfg,
                    const FleetObservers &obs_, size_t prefillReplicas,
                    StreamingMetrics *stream_)
-        : engines(engines_), gate(gate_), model(model_), obs(obs_),
+        : engines(engines_), model(model_), obs(obs_),
           // Decouple the two stages' sampling streams but keep both
           // seeded.
           decodeRouter(makeRouter(cfg.router, cfg.routerSeed ^ 0x9E3779B9u)),
@@ -263,7 +195,7 @@ class Disaggregation
     void
     advancePrefill(Seconds t, TransferStats &transfer, Schedule &&schedule)
     {
-        gate.advancePool(prefills, t);
+        advanceDue(engines, prefills, t);
         for (const auto &[i, c] : prefilled) {
             auto node = prefilling.extract(c.req.id);
             PIMBA_ASSERT(!node.empty(), "prefill completion of unknown "
@@ -314,14 +246,13 @@ class Disaggregation
     void
     land(const Handoff &h, std::vector<Assignment> &assignments)
     {
-        gate.advancePool(decodes, h.ready);
-        gate.snapshot(decodes, snap);
+        advanceDue(engines, decodes, h.ready);
+        snapshotPool(engines, decodes, snap);
         size_t pick = decodes[decodeRouter->route(snap, h.req)];
         Request dr = h.req;
         dr.arrival = h.ready;
         decoding.emplace(h.req.id, h);
         engines[pick].submitPrefilled(dr);
-        gate.refresh(pick);
         if (!stream)
             assignments[h.assignment].decodeReplica =
                 static_cast<int>(pick);
@@ -436,7 +367,6 @@ class Disaggregation
     }
 
     std::vector<ServingEngine> &engines;
-    AdvanceGate &gate;
     const ModelConfig &model;
     const FleetObservers &obs;
     std::unique_ptr<Router> decodeRouter;
@@ -615,9 +545,9 @@ Fleet::runStreamed(ArrivalSource &arrivals, StreamingMetrics &stream)
 /**
  * The fleet's event pump: one calendar of FleetEvent entries, pulled
  * one arrival ahead from the source. Every arrival advances the routing
- * pool to the arrival instant (gated by cached next-event times),
- * snapshots its load rows, routes and submits. Three things depend on
- * the fleet's shape:
+ * pool to the arrival instant (skipping replicas with nothing due),
+ * snapshots the pool's load signals, routes and submits. Three things
+ * depend on the fleet's shape:
  *
  *  - the routing pool: the control plane's routable replicas (every
  *    replica when it is off), or the prefill pool when disaggregated;
@@ -659,7 +589,6 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     const ControlPlaneConfig &cpCfg = cfg.controlPlane;
     ControlPlane cp(cpCfg, engines.size());
     auto router = makeRouter(cfg.router, cfg.routerSeed);
-    AdvanceGate gate(engines);
     std::vector<ReplicaSnapshot> snap;
 
     EventQueue<FleetEvent> calendar;
@@ -668,7 +597,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
         ev.kind = kind;
         calendar.push(t, static_cast<uint32_t>(kind), tie, std::move(ev));
     };
-    Disaggregation disagg(engines, gate, model, cfg, obs,
+    Disaggregation disagg(engines, model, cfg, obs,
                           disaggregated ? cfg.prefillReplicas : 0, stream);
     auto scheduleHandoff = [&](const Handoff &h) {
         FleetEvent ev;
@@ -717,14 +646,13 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
                 r.prefixLen = cpCfg.prefixTokensOf(r.classId);
             const std::vector<size_t> &pool =
                 disaggregated ? disagg.prefillPool() : cp.pool();
-            gate.advancePool(pool, t);
-            gate.snapshot(pool, snap, &r);
+            advanceDue(engines, pool, t);
+            snapshotPool(engines, pool, snap, &r);
             size_t pick = pool[router->route(snap, r)];
             if (disaggregated)
                 disagg.admit(r, pick, report.assignments.size());
             else
                 engines[pick].submit(r);
-            gate.refresh(pick);
             // decodeReplica is set when the hand-off lands; a colocated
             // replica decodes its own work and leaves it -1.
             if (!stream)
@@ -750,15 +678,17 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
         case EventKind::Handoff:
             disagg.land(ev.handoff, report.assignments);
             break;
-        case EventKind::Deadline:
+        case EventKind::Deadline: {
             // Bring the one engine the request lives on up to the
             // deadline instant, then cancel. Completed / already
             // cancelled / kept-its-first-token requests return false —
             // a stale timer, nothing to unwind.
-            gate.advanceOne(ev.replica, t);
-            engines[ev.replica].cancel(ev.req.id, t, ev.ttftOnly);
-            gate.refresh(ev.replica);
+            ServingEngine &e = engines[ev.replica];
+            if (e.nextEventTime() <= t)
+                e.advanceTo(t);
+            e.cancel(ev.req.id, t, ev.ttftOnly);
             break;
+        }
         case EventKind::ScaleTick: {
             // Sample the signals on settled state: routable replicas
             // advanced to the tick, draining replicas too (their
@@ -766,8 +696,8 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
             // here just keeps queueDepth() — the re-activation warmth
             // test — current).
             const std::vector<size_t> &pool = cp.pool();
-            gate.advancePool(pool, t);
-            gate.advancePool(cp.drainingReplicas(), t);
+            advanceDue(engines, pool, t);
+            advanceDue(engines, cp.drainingReplicas(), t);
             double depthSum = 0.0;
             Seconds oldest = kInf;
             for (size_t i : pool) {

@@ -10,10 +10,10 @@
  * event calendar (core/event_queue.h) holding arrivals, disaggregation
  * hand-offs, and the control plane's warm-up, deadline and scale-tick
  * timers. It pops the earliest event — advancing only the replicas
- * whose cached nextEventTime() says they have due work, copying each
- * candidate's cached load row (queue depth, outstanding tokens, tier
- * pressure; re-read only after an engine call that changes it), and
- * letting the router commit the request. Arrivals are pulled lazily
+ * whose nextEventTime() says they have due work, reading each
+ * candidate's load signals (queue depth, outstanding tokens, tier
+ * pressure: O(1) reads the engine keeps current), and letting the
+ * router commit the request. Arrivals are pulled lazily
  * from an ArrivalSource, so a replay-scale run never holds the whole
  * trace. On a static round-robin fleet every replica equals, bit for
  * bit, a standalone engine fed its share of the trace (in a decode

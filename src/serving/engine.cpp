@@ -175,8 +175,25 @@ ServingEngine::begin(CompletionSink *sink_)
     running.clear();
     prefixCache.clear();
     quietLeft = 0;
+    advancedTo = Seconds(-std::numeric_limits<double>::infinity());
+    load = LoadSignals{};
     active = true;
 }
+
+namespace {
+
+/// @p rs's share of outstandingTokens(). A queued prefilled import
+/// (generated == 0 until admission) owes its output but the first.
+uint64_t
+outstandingOf(const RequestState &rs)
+{
+    if (rs.preloaded && rs.generated == 0)
+        return rs.req.outputLen - 1;
+    return (rs.req.inputLen - rs.prefilled) +
+           (rs.req.outputLen - rs.generated);
+}
+
+} // namespace
 
 void
 ServingEngine::submit(const Request &r)
@@ -187,8 +204,15 @@ ServingEngine::submit(const Request &r)
     PIMBA_ASSERT(pendingArrivals.empty() ||
                      r.arrival >= pendingArrivals.back().req.arrival,
                  "arrivals must be submitted in non-decreasing order");
+    PIMBA_ASSERT(r.arrival >= advancedTo, "request ", r.id, " arrives at ",
+                 r.arrival.value(), ", before the engine was advanced to ",
+                 advancedTo.value());
     pendingArrivals.push_back(RequestState{.req = r});
     ++submitted;
+    ++load.queueDepth;
+    load.outstandingTokens += r.inputLen + r.outputLen;
+    load.tierPressure += tierWeight(r.classId);
+    publishNextEvent();
     if (obs.tracer) {
         // One lane per request: open its span at arrival time; the
         // retire path closes it at completion.
@@ -211,6 +235,8 @@ ServingEngine::submitPrefilled(const Request &r)
                  "complete at the prefill stage");
     submit(r);
     pendingArrivals.back().preloaded = true;
+    // Its prompt and first token were served upstream.
+    load.outstandingTokens -= r.inputLen + 1;
 }
 
 int
@@ -218,6 +244,14 @@ ServingEngine::tierOf(uint32_t classId) const
 {
     return classId < cfg.tierByClass.size() ? cfg.tierByClass[classId]
                                             : 0;
+}
+
+uint64_t
+ServingEngine::tierWeight(uint32_t classId) const
+{
+    return cfg.tierByClass.empty()
+               ? 0
+               : static_cast<uint64_t>(tierOf(classId)) + 1;
 }
 
 void
@@ -267,6 +301,7 @@ Seconds
 ServingEngine::advanceTo(Seconds t)
 {
     PIMBA_ASSERT(active, "advanceTo() outside a session");
+    advancedTo = t;
     while (true) {
         if (quietLeft > 0)
             fastForward(t);
@@ -284,6 +319,7 @@ ServingEngine::advanceTo(Seconds t)
             break;
         iterate();
     }
+    publishNextEvent();
     return clock;
 }
 
@@ -351,58 +387,15 @@ ServingEngine::waitingCount() const
     return waiting.size() + pendingArrivals.size();
 }
 
-Seconds
-ServingEngine::nextEventTime() const
+void
+ServingEngine::publishNextEvent()
 {
     if (!running.empty() || !waiting.empty())
-        return clock; // resident or revealed work: actionable now
-    if (!pendingArrivals.empty())
-        return pendingArrivals.front().req.arrival;
-    return Seconds(std::numeric_limits<double>::infinity());
-}
-
-size_t
-ServingEngine::queueDepth() const
-{
-    return waitingCount() + running.size();
-}
-
-uint64_t
-ServingEngine::outstandingTokens() const
-{
-    uint64_t total = 0;
-    auto queued = [&](const RequestState &rs) {
-        // A preloaded prompt is already computed; only its remaining
-        // decode steps are outstanding work.
-        total += rs.preloaded ? rs.req.outputLen - 1
-                              : rs.req.inputLen + rs.req.outputLen;
-    };
-    for (const RequestState &rs : waiting)
-        queued(rs);
-    for (const RequestState &rs : pendingArrivals)
-        queued(rs);
-    for (const RequestState &rs : running)
-        total += (rs.req.inputLen - rs.prefilled) +
-                 (rs.req.outputLen - rs.generated);
-    return total;
-}
-
-uint64_t
-ServingEngine::tierPressure() const
-{
-    if (cfg.tierByClass.empty())
-        return 0;
-    uint64_t total = 0;
-    auto weight = [&](uint32_t classId) {
-        total += static_cast<uint64_t>(tierOf(classId)) + 1;
-    };
-    for (const RequestState &rs : waiting)
-        weight(rs.req.classId);
-    for (const RequestState &rs : pendingArrivals)
-        weight(rs.req.classId);
-    for (const RequestState &rs : running)
-        weight(rs.req.classId);
-    return total;
+        load.nextEvent = clock; // resident or revealed work: due now
+    else if (!pendingArrivals.empty())
+        load.nextEvent = pendingArrivals.front().req.arrival;
+    else
+        load.nextEvent = Seconds(std::numeric_limits<double>::infinity());
 }
 
 uint64_t
@@ -474,6 +467,13 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
             obs.tracer->end(obs.pid, requestLane(id),
                             std::max(now, clock));
     };
+    auto unload = [&](const RequestState &rs) {
+        --load.queueDepth;
+        load.outstandingTokens -= outstandingOf(rs);
+        load.tierPressure -= tierWeight(rs.req.classId);
+        ++report.cancelledRequests;
+        closeLane();
+    };
     // Queued (never admitted, or evicted back to the queue): nothing
     // was computed since the last eviction — the eviction path already
     // billed any discarded work as recompute debt — so only the
@@ -482,15 +482,15 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
         for (auto it = q.begin(); it != q.end(); ++it) {
             if (it->req.id != id)
                 continue;
+            unload(*it);
             q.erase(it);
-            ++report.cancelledRequests;
-            closeLane();
             return true;
         }
         return false;
     };
     if (dropQueued(waiting) || dropQueued(pendingArrivals)) {
-        auditBlockLedger();
+        publishNextEvent();
+        auditLedgers();
         return true;
     }
 
@@ -506,12 +506,12 @@ ServingEngine::cancel(uint64_t id, Seconds now, bool onlyIfNoFirstToken)
             localWork(rs, report.generatedTokens, "cancel");
         report.generatedTokens -= w.delivered;
         report.wastedTokens += w.computed;
-        ++report.cancelledRequests;
         blocks->release(rs.heldBlocks);
-        closeLane();
+        unload(rs);
         running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
         quietLeft = 0; // the batch and its decode mean changed
-        auditBlockLedger();
+        publishNextEvent();
+        auditLedgers();
         return true;
     }
     return false; // already completed or cancelled — stale timer
@@ -568,6 +568,7 @@ ServingEngine::iterate()
                 {prefixCache[r.classId], r.prefixLen, r.inputLen - 1});
             rs.prefilled = hit;
             rs.prefixSkipped = hit;
+            load.outstandingTokens -= hit;
         }
         if (obs.tracer)
             obs.tracer->instant(
@@ -675,12 +676,14 @@ ServingEngine::iterate()
         report.generatedTokens -= w.delivered;
         report.recomputedTokens += w.computed;
         // Re-queue a fresh record: only the request, its preloaded flag
-        // and its lifecycle survive.
-        enqueueWaiting(RequestState{.req = victim.req,
+        // and its lifecycle survive. Its work is owed again in full.
+        const RequestState requeued{.req = victim.req,
                                     .preloaded = victim.preloaded,
                                     .firstAdmitted = victim.firstAdmitted,
-                                    .preemptions = victim.preemptions + 1},
-                       /*atSegmentFront=*/true);
+                                    .preemptions = victim.preemptions + 1};
+        load.outstandingTokens +=
+            outstandingOf(requeued) - outstandingOf(victim);
+        enqueueWaiting(requeued, /*atSegmentFront=*/true);
     }
 
     // Cost the iteration: either a fused step (Sarathi) or decode and
@@ -735,9 +738,11 @@ ServingEngine::iterate()
         ++running[i].generated;
         ++report.generatedTokens;
     }
+    load.outstandingTokens -= plan.decodeIdx.size();
     for (const PrefillSlice &s : plan.prefill) {
         RequestState &rs = running[s.idx];
         rs.prefilled += s.tokens.value();
+        load.outstandingTokens -= s.tokens.value();
         if (obs.tracer)
             obs.tracer->instant(
                 obs.pid, requestLane(rs.req.id), clock, "prefill chunk",
@@ -749,6 +754,7 @@ ServingEngine::iterate()
             rs.generated = 1;
             rs.firstToken = clock;
             ++report.generatedTokens;
+            --load.outstandingTokens;
             if (rs.req.prefixLen > 0) {
                 // This class's shared prefix is now cached here: later
                 // arrivals of the class skip it at admission.
@@ -799,6 +805,8 @@ ServingEngine::iterate()
         if (obs.tracer)
             obs.tracer->end(obs.pid, requestLane(rs.req.id), clock);
         ++report.completedRequests;
+        --load.queueDepth;
+        load.tierPressure -= tierWeight(rs.req.classId);
         if (sink)
             sink->observe(done);
         else
@@ -809,14 +817,12 @@ ServingEngine::iterate()
     }
 
     // Load counters and the periodic timeline sample, on the
-    // post-retire state of this iteration. queueDepth() and
-    // outstandingTokens() walk the queues, so they run once, and only
-    // when a tracer is attached or a timeline sample is due.
+    // post-retire state of this iteration: the live running sums.
     const bool sampleDue =
         obs.timeline && obs.timeline->due(obs.timelineTrack, clock);
     if (obs.tracer || sampleDue) {
-        const uint64_t depth = queueDepth();
-        const uint64_t outstanding = outstandingTokens();
+        const uint64_t depth = load.queueDepth;
+        const uint64_t outstanding = load.outstandingTokens;
         const double liveUtil = blocks->utilization();
         if (obs.tracer) {
             obs.tracer->counter(obs.pid, clock, "queue depth",
@@ -832,7 +838,7 @@ ServingEngine::iterate()
                                  outstanding, running.size(), liveUtil);
     }
     armQuietRun();
-    auditBlockLedger();
+    auditLedgers();
 }
 
 void
@@ -889,13 +895,14 @@ ServingEngine::fastForward(Seconds t)
     report.iterations += k;
     report.fastForwardedIterations += k;
     report.generatedTokens += k * static_cast<uint64_t>(batch);
+    load.outstandingTokens -= k * static_cast<uint64_t>(batch);
     quietLeft -= k;
     quietMean += k;
-    auditBlockLedger();
+    auditLedgers();
 }
 
 void
-ServingEngine::auditBlockLedger() const
+ServingEngine::auditLedgers() const
 {
 #ifndef NDEBUG
     Blocks held{0};
@@ -916,6 +923,19 @@ ServingEngine::auditBlockLedger() const
                  "block ledger: residents hold ", held.value(),
                  " blocks but the pool has ", blocks->usedBlocks().value(),
                  " in use");
+
+    LoadSignals walked;
+    auto add = [&](const RequestState &rs) {
+        walked.outstandingTokens += outstandingOf(rs);
+        walked.tierPressure += tierWeight(rs.req.classId);
+    };
+    std::for_each(pendingArrivals.begin(), pendingArrivals.end(), add);
+    std::for_each(waiting.begin(), waiting.end(), add);
+    std::for_each(running.begin(), running.end(), add);
+    PIMBA_ASSERT(load.queueDepth == waitingCount() + running.size() &&
+                     load.outstandingTokens == walked.outstandingTokens &&
+                     load.tierPressure == walked.tierPressure,
+                 "load signals differ from a walk of the queues");
 #endif
 }
 

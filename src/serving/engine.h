@@ -30,6 +30,11 @@
  * heldBlocks to the pool. Debug builds check after every iteration and
  * cancel that the residents' heldBlocks sum to the pool's count.
  *
+ * The router's load signals (queue depth, outstanding tokens, tier
+ * pressure) are running sums kept with the next-event time in one
+ * cache line, so reading them walks no queue; Debug builds check them
+ * against a walk wherever they check the block ledger.
+ *
  * Each request has one RequestState from submit() to retire or cancel:
  * it moves from the pending queue to the waiting queue to the running
  * batch, and carries its preloaded flag and the lifecycle (first
@@ -72,6 +77,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -229,7 +235,9 @@ class ServingEngine
     /// ServingReport::completed keeps them all.
     void begin(CompletionSink *sink = nullptr);
 
-    /// Feed one arrival. Arrival times must be non-decreasing.
+    /// Feed one arrival. Arrival times must be non-decreasing and not
+    /// earlier than the last advanceTo() target: the engine may already
+    /// have run past it.
     void submit(const Request &r);
 
     /// Feed one request whose prompt was prefilled on another replica
@@ -274,27 +282,27 @@ class ServingEngine
     Seconds now() const { return clock; }
     /// Earliest time this replica has anything to do: the clock when
     /// work is resident or revealed, the next pending arrival when
-    /// idle, +inf when fully drained. The fleet skips advanceTo()
-    /// broadcasts to replicas whose next event lies beyond the target
-    /// time — a pure no-op there — turning the per-request
-    /// O(replicas) advance into O(replicas with due work).
-    Seconds nextEventTime() const;
+    /// idle, +inf when fully drained. The fleet skips advanceTo() on
+    /// replicas whose next event lies beyond the target time — a pure
+    /// no-op there. Like the three load signals below, an O(1) read.
+    Seconds nextEventTime() const { return load.nextEvent; }
     /// Submitted requests not yet admitted (queued work).
     size_t waitingCount() const;
     /// Blocks of the pool the residents hold (the sum of their
     /// RequestState::heldBlocks); zero once a session is drained.
     Blocks usedBlocks() const { return blocks->usedBlocks(); }
     /// Submitted requests not yet completed (waiting + running).
-    size_t queueDepth() const;
+    size_t queueDepth() const { return load.queueDepth; }
     /// Total tokens of work still to serve across queued and resident
     /// requests: unprocessed prompt tokens plus ungenerated output
-    /// tokens. The least-outstanding-tokens router's load signal.
-    uint64_t outstandingTokens() const;
+    /// tokens (a queued prefilled import: its output tokens but the
+    /// first). The least-outstanding-tokens router's load signal.
+    uint64_t outstandingTokens() const { return load.outstandingTokens; }
     /// Priority-weighted unfinished work: sum of (tier + 1) over every
     /// queued and resident request. Routers use it to break load ties
-    /// toward the replica hosting less important work. O(1) zero when
+    /// toward the replica hosting less important work. Zero when
     /// tiering is disabled (EngineConfig::tierByClass empty).
-    uint64_t tierPressure() const;
+    uint64_t tierPressure() const { return load.tierPressure; }
     /// Blocks of class @p classId's shared prefix this replica's prefix
     /// cache holds (warmed when a request of the class finishes
     /// prefill). The cache-affinity router's locality signal.
@@ -323,6 +331,16 @@ class ServingEngine
     void attachObservers(const EngineObservers &o);
 
   private:
+    /// The router's load signals (file comment). The sums are live;
+    /// nextEvent is set as a state-changing public call returns.
+    struct alignas(32) LoadSignals
+    {
+        Seconds nextEvent{std::numeric_limits<double>::infinity()};
+        size_t queueDepth = 0;
+        uint64_t outstandingTokens = 0;
+        uint64_t tierPressure = 0;
+    };
+
     /// Emit one substep's gpu/pim/sync slices on the phase tracks.
     /// @p start is the substep's start time; under Blocked execution
     /// the phases run back-to-back, under Overlapped gpu and pim start
@@ -334,6 +352,8 @@ class ServingEngine
     void traceIteration(Seconds start, Seconds dur, int decodeBatch,
                         uint64_t prefillTokens);
 
+    /// Set load.nextEvent from the queues and the clock.
+    void publishNextEvent();
     /// Move pending arrivals with arrival <= clock into the queue.
     void revealArrivals();
     /// One scheduler iteration (admission, planning, costing, retire).
@@ -346,11 +366,14 @@ class ServingEngine
     void fastForward(Seconds t);
     /// Priority tier of @p classId (0 when untiered / out of range).
     int tierOf(uint32_t classId) const;
+    /// A request's share of tierPressure(): tier + 1, or 0 untiered.
+    uint64_t tierWeight(uint32_t classId) const;
     /// Debug builds: check the block ledger — the residents' heldBlocks
     /// sum to the pool's usedBlocks(), and each resident holds at least
-    /// the blocks its locally cached tokens need. Compiled out under
-    /// NDEBUG.
-    void auditBlockLedger() const;
+    /// the blocks its locally cached tokens need — and that the load
+    /// signals' running sums equal a walk of the queues. Compiled out
+    /// under NDEBUG.
+    void auditLedgers() const;
     /// Queue @p rs respecting tier order (plain push_back when
     /// untiered; see EngineConfig::tierByClass). Evicted requests
     /// re-queue at the *front* of their tier segment instead.
@@ -364,9 +387,11 @@ class ServingEngine
     EngineObservers obs;
 
     // ------------------------------------------------ session state
+    LoadSignals load;
     bool active = false;
     CompletionSink *sink = nullptr; ///< null: records are retained
     Seconds clock{0.0};
+    Seconds advancedTo{0.0}; ///< last advanceTo() target; -inf before
     double utilSum = 0.0;
     Bytes weightBytes{0.0};
     uint64_t submitted = 0;

@@ -6,10 +6,14 @@
  * timers as no-ops, freed capacity being reusable, and the
  * unsigned-wrap clamps in the cancellation/eviction token accounting —
  * the delivered-token counter must never underflow when a request is
- * cancelled before producing anything.
+ * cancelled before producing anything. Also pins the running load
+ * signals a cancel must unwind, and that a submit may not arrive in
+ * the engine's past.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "serving/engine.h"
 #include "serving/trace.h"
@@ -25,10 +29,12 @@ makeEngine(EngineConfig cfg = {})
 }
 
 Request
-makeRequest(uint64_t id, double arrival, uint64_t in, uint64_t out)
+makeRequest(uint64_t id, double arrival, uint64_t in, uint64_t out,
+            uint32_t classId = 0)
 {
     Request r;
     r.id = id;
+    r.classId = classId;
     r.arrival = Seconds(arrival);
     r.inputLen = in;
     r.outputLen = out;
@@ -175,6 +181,76 @@ TEST(EngineCancel, PreloadedCancelClampsAtImportedFirstToken)
     EXPECT_EQ(rep.completedRequests, 0u);
     EXPECT_EQ(rep.wastedTokens, 0u);
     EXPECT_EQ(rep.generatedTokens, 0u);
+}
+
+TEST(EngineCancel, LoadSignalsCountEachRequestsShare)
+{
+    // Class 0 sits at tier 1 (weight 2), class 1 at tier 0 (weight 1).
+    // Before any advance every request is queued and owes its whole
+    // prompt and output; a prefilled import owes its output but the
+    // first token.
+    EngineConfig cfg;
+    cfg.maxBatch = 1;
+    cfg.tierByClass = {1, 0};
+    auto engine = makeEngine(cfg);
+    engine.begin();
+    engine.submit(makeRequest(1, 0.0, 64, 256, 0));
+    engine.submit(makeRequest(2, 0.0, 100, 20, 1));
+    engine.submit(makeRequest(3, 0.01, 50, 10, 0));
+    engine.submitPrefilled(makeRequest(4, 0.02, 80, 30, 1));
+    EXPECT_EQ(engine.queueDepth(), 4u);
+    EXPECT_EQ(engine.outstandingTokens(),
+              (64u + 256u) + (100u + 20u) + (50u + 10u) + (30u - 1u));
+    EXPECT_EQ(engine.tierPressure(), 2u + 1u + 2u + 1u);
+    EXPECT_EQ(engine.nextEventTime(), Seconds(0.0));
+
+    // Request 1 is resident and the other three queued behind it.
+    engine.advanceTo(Seconds(0.05));
+    ASSERT_EQ(engine.queueDepth(), 4u);
+    ASSERT_EQ(engine.waitingCount(), 3u);
+    const uint64_t before = engine.outstandingTokens();
+
+    // A queued cancel removes exactly its whole share.
+    EXPECT_TRUE(engine.cancel(2, engine.now(), false));
+    EXPECT_EQ(engine.outstandingTokens(), before - (100u + 20u));
+    EXPECT_EQ(engine.tierPressure(), 2u + 2u + 1u);
+    EXPECT_EQ(engine.queueDepth(), 3u);
+
+    // A resident cancel removes exactly its remaining share: what is
+    // left is the two queued requests' shares.
+    EXPECT_TRUE(engine.cancel(1, engine.now(), false));
+    EXPECT_EQ(engine.outstandingTokens(), (50u + 10u) + (30u - 1u));
+    EXPECT_EQ(engine.tierPressure(), 2u + 1u);
+    EXPECT_EQ(engine.queueDepth(), 2u);
+
+    engine.drain();
+    EXPECT_EQ(engine.queueDepth(), 0u);
+    EXPECT_EQ(engine.outstandingTokens(), 0u);
+    EXPECT_EQ(engine.tierPressure(), 0u);
+    EXPECT_EQ(engine.nextEventTime(),
+              Seconds(std::numeric_limits<double>::infinity()));
+    ServingReport rep = engine.finish();
+    EXPECT_EQ(rep.completedRequests, 2u);
+    EXPECT_EQ(rep.cancelledRequests, 2u);
+
+    // Untiered, tier pressure is zero whatever is queued.
+    auto untiered = makeEngine();
+    untiered.begin();
+    untiered.submit(makeRequest(1, 0.0, 64, 32));
+    EXPECT_EQ(untiered.tierPressure(), 0u);
+    EXPECT_EQ(untiered.outstandingTokens(), 64u + 32u);
+}
+
+TEST(EngineCancelDeathTest, SubmitBeforeTheAdvanceTargetPanics)
+{
+    // advanceTo(1.0) may run the clock past 1.0; an arrival at 0.5
+    // would then count its latencies from an instant the engine has
+    // already served past.
+    auto engine = makeEngine();
+    engine.begin();
+    engine.advanceTo(Seconds(1.0));
+    EXPECT_DEATH(engine.submit(makeRequest(1, 0.5, 64, 8)),
+                 "before the engine was advanced to");
 }
 
 } // namespace
