@@ -1,8 +1,9 @@
 /**
  * @file
  * Router policy unit tests: deterministic picks, documented tie
- * breaking (lowest replica index), and seeded power-of-two sampling
- * that replays identically for a given seed.
+ * breaking (tier pressure, then the lowest replica index), seeded
+ * power-of-two sampling that replays identically for a given seed, and
+ * cache affinity's queue slack and prefix locality.
  */
 
 #include <gtest/gtest.h>
@@ -87,6 +88,62 @@ TEST(ClusterRouter, PowerOfTwoIsSeedDeterministic)
         size_t pa = a->route(snap, req(i));
         EXPECT_EQ(pa, b->route(snap, req(i))) << i;
         EXPECT_LT(pa, snap.size());
+    }
+}
+
+TEST(ClusterRouter, TierPressureBreaksLoadTies)
+{
+    // Equal load on the policy's own signal: the replica hosting less
+    // important work (lower tier pressure) wins, before the index.
+    auto jsq = makeRouter(RouterPolicy::JoinShortestQueue);
+    EXPECT_EQ(jsq->route({{2, 100, 4}, {2, 900, 1}, {2, 0, 1}}, req(0)),
+              1u);
+    auto lot = makeRouter(RouterPolicy::LeastOutstandingTokens);
+    EXPECT_EQ(lot->route({{1, 100, 4}, {9, 100, 1}, {0, 100, 1}}, req(0)),
+              1u);
+    // A two-replica pool always samples the pair {0, 1}; with equal
+    // outstanding tokens the lower tier pressure wins either way round.
+    auto p2c = makeRouter(RouterPolicy::PowerOfTwoChoices, 42);
+    for (uint64_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(p2c->route({{1, 100, 5}, {1, 100, 1}}, req(i)), 1u) << i;
+        EXPECT_EQ(p2c->route({{1, 100, 1}, {1, 100, 5}}, req(i)), 0u) << i;
+    }
+}
+
+TEST(ClusterRouter, CacheAffinityCompetesWithinTwoRequestsOfTheShortest)
+{
+    auto ca = makeRouter(RouterPolicy::CacheAffinity);
+    // Shortest queue is 1: replica 1 at depth 3 is within the slack and
+    // holds prefix blocks; replica 2 at depth 4 holds more but is out.
+    EXPECT_EQ(ca->route({{1, 0, 0, 0}, {3, 0, 0, 5}, {4, 0, 0, 9}}, req(0)),
+              1u);
+    EXPECT_EQ(ca->route({{1, 0, 0, 0}, {4, 0, 0, 5}}, req(1)), 0u);
+}
+
+TEST(ClusterRouter, CacheAffinityPrefersTheWarmestReplica)
+{
+    auto ca = makeRouter(RouterPolicy::CacheAffinity);
+    EXPECT_EQ(ca->route({{0, 0, 0, 2}, {1, 0, 0, 7}, {2, 0, 0, 3}}, req(0)),
+              1u);
+    // Equally warm: the shorter queue, then the lower tier pressure.
+    EXPECT_EQ(ca->route({{1, 0, 0, 4}, {0, 0, 0, 4}, {0, 0, 0, 1}}, req(1)),
+              1u);
+    EXPECT_EQ(ca->route({{0, 0, 3, 4}, {0, 0, 1, 4}}, req(2)), 1u);
+}
+
+TEST(ClusterRouter, CacheAffinityWithoutPrefixFollowsJsq)
+{
+    auto ca = makeRouter(RouterPolicy::CacheAffinity);
+    auto jsq = makeRouter(RouterPolicy::JoinShortestQueue);
+    const std::vector<std::vector<ReplicaSnapshot>> pools = {
+        {{2, 0, 3}, {2, 0, 1}, {3, 0, 0}},
+        {{4, 0, 0}, {1, 0, 2}, {1, 0, 2}, {0, 0, 9}},
+        {{5, 0, 1}, {5, 0, 1}},
+    };
+    const size_t expected[] = {1, 3, 0};
+    for (size_t k = 0; k < pools.size(); ++k) {
+        EXPECT_EQ(ca->route(pools[k], req(k)), expected[k]) << k;
+        EXPECT_EQ(jsq->route(pools[k], req(k)), expected[k]) << k;
     }
 }
 

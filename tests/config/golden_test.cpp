@@ -25,6 +25,10 @@
  * next to it, captured while the fleet still cached each replica's load
  * row and the engine walked its queues for every signal.
  *
+ * p2c_disagg.txt is the output of the test-only p2c_disagg.json next
+ * to it, captured while each router policy was its own class behind a
+ * virtual interface.
+ *
  * fig16_full.txt and execution_modes_smoke.txt were captured from the
  * presets just before the C++ built-in studies they mirror were
  * deleted, while both definitions still printed the same tables.
@@ -208,6 +212,16 @@ TEST(GoldenOutput, LotEvictionsMatchesCapture)
     EXPECT_EQ(runFile(std::string(PIMBA_GOLDEN_DIR) + "/lot_evictions.json",
                       false),
               readFixture("lot_evictions.txt"));
+}
+
+TEST(GoldenOutput, P2cDisaggMatchesCapture)
+{
+    // Both disaggregated stages route by seeded P2C; the decode router
+    // samples from its own seed, so seeding it like the prefill router
+    // moves the 2p+4d case's decode picks and the report.
+    EXPECT_EQ(runFile(std::string(PIMBA_GOLDEN_DIR) + "/p2c_disagg.json",
+                      false),
+              readFixture("p2c_disagg.txt"));
 }
 
 /// FNV-1a-64 of @p bytes, as "%016x".
