@@ -111,11 +111,6 @@ struct ControlPlaneConfig
                !deadlines.empty() || !prefixTokensByClass.empty();
     }
 
-    int tierOf(uint32_t classId) const
-    {
-        return classId < tierByClass.size() ? tierByClass[classId] : 0;
-    }
-
     uint64_t prefixTokensOf(uint32_t classId) const
     {
         return classId < prefixTokensByClass.size()

@@ -135,7 +135,7 @@ class Disaggregation
         : engines(engines_), model(model_), obs(obs_),
           // Decouple the two stages' sampling streams but keep both
           // seeded.
-          decodeRouter(makeRouter(cfg.router, cfg.routerSeed ^ 0x9E3779B9u)),
+          decodeRouter(cfg.router, cfg.routerSeed ^ 0x9E3779B9u),
           link(cfg.link), stream(stream_)
     {
         sinks.reserve(engines.size());
@@ -248,7 +248,7 @@ class Disaggregation
     {
         advanceDue(engines, decodes, h.ready);
         snapshotPool(engines, decodes, snap);
-        size_t pick = decodes[decodeRouter->route(snap, h.req)];
+        size_t pick = decodes[decodeRouter.route(snap, h.req)];
         Request dr = h.req;
         dr.arrival = h.ready;
         decoding.emplace(h.req.id, h);
@@ -369,7 +369,7 @@ class Disaggregation
     std::vector<ServingEngine> &engines;
     const ModelConfig &model;
     const FleetObservers &obs;
-    std::unique_ptr<Router> decodeRouter;
+    Router decodeRouter;
     const LinkModel link;
     StreamingMetrics *stream; ///< null: records are retained
     std::vector<size_t> prefills, decodes;
@@ -588,7 +588,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     const bool disaggregated = cfg.mode == FleetMode::Disaggregated;
     const ControlPlaneConfig &cpCfg = cfg.controlPlane;
     ControlPlane cp(cpCfg, engines.size());
-    auto router = makeRouter(cfg.router, cfg.routerSeed);
+    Router router(cfg.router, cfg.routerSeed);
     std::vector<ReplicaSnapshot> snap;
 
     EventQueue<FleetEvent> calendar;
@@ -613,10 +613,21 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
         else
             arrivalsExhausted = true;
     };
+    // Whether a replica still has work with a next event. Asked once
+    // the trace is exhausted, when nothing else can wake a replica: one
+    // holding work without a next event would re-arm the ticks forever.
     auto anyBusy = [&]() {
-        for (const ServingEngine &e : engines)
-            if (e.queueDepth() > 0)
+        size_t stuck = engines.size();
+        for (size_t i = 0; i < engines.size(); ++i) {
+            if (engines[i].queueDepth() == 0)
+                continue;
+            if (engines[i].nextEventTime() < kInf)
                 return true;
+            stuck = i;
+        }
+        PIMBA_ASSERT(stuck == engines.size(), "replica ", stuck, " holds ",
+                     engines[stuck].queueDepth(),
+                     " requests but has no next event");
         return false;
     };
 
@@ -628,11 +639,15 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
     while (!calendar.empty() || disagg.prefillBusy()) {
         // A prefill completion before the next event may ready an
         // earlier hand-off; on an empty calendar (+inf) this runs the
-        // prefill work out.
+        // prefill work out, so a calendar still empty means an idle
+        // pool.
         disagg.advancePrefill(calendar.nextTime(), report.transfer,
                               scheduleHandoff);
-        if (calendar.empty())
-            continue;
+        if (calendar.empty()) {
+            PIMBA_ASSERT(!disagg.prefillBusy(), "the prefill pool holds "
+                         "work it cannot run out");
+            break;
+        }
         CalendarEntry<FleetEvent> e = calendar.pop();
         const Seconds t = e.time;
         FleetEvent &ev = e.payload;
@@ -648,7 +663,7 @@ Fleet::pump(ArrivalSource &arrivals, StreamingMetrics *stream)
                 disaggregated ? disagg.prefillPool() : cp.pool();
             advanceDue(engines, pool, t);
             snapshotPool(engines, pool, snap, &r);
-            size_t pick = pool[router->route(snap, r)];
+            size_t pick = pool[router.route(snap, r)];
             if (disaggregated)
                 disagg.admit(r, pick, report.assignments.size());
             else

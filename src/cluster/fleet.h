@@ -1,8 +1,8 @@
 /**
  * @file
- * Cluster fleet simulator: N serving-engine replicas behind a pluggable
- * request router, driven by one shared arrival source on one global
- * clock.
+ * Cluster fleet simulator: N serving-engine replicas behind a request
+ * router (cluster/router.h, one value type switching on its policy),
+ * driven by one shared arrival source on one global clock.
  *
  * Replicas are full ServingEngine instances (homogeneous or
  * heterogeneous SystemKind mixes, per-replica EngineConfig). The fleet
@@ -40,10 +40,12 @@
  * both pools, which is not modeled.
  *
  * Runs are deterministic: engines are seeded-trace-driven, router ties
- * break by replica index, PowerOfTwoChoices randomness flows from the
- * router seed, and hand-offs are ordered by (ready time, request id) —
- * the same trace + config always reproduces the same assignment and
- * metrics.
+ * break by (tier pressure, replica index), and hand-offs are ordered by
+ * (ready time, request id). Each run builds its routers afresh by value:
+ * the arrival router from the router seed and, when disaggregated, the
+ * decode pool's from the seed XOR a constant, so PowerOfTwoChoices
+ * samples the two stages independently. The same trace + config always
+ * reproduces the same assignment and metrics.
  */
 
 #ifndef PIMBA_CLUSTER_FLEET_H

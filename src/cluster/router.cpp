@@ -1,8 +1,8 @@
 #include "cluster/router.h"
 
 #include <tuple>
+#include <utility>
 
-#include "core/lfsr.h"
 #include "core/logging.h"
 
 namespace pimba {
@@ -21,79 +21,34 @@ argminBy(const std::vector<ReplicaSnapshot> &pool, Key key)
     return best;
 }
 
-class RoundRobinRouter : public Router
-{
-  public:
-    RouterPolicy policy() const override
-    {
-        return RouterPolicy::RoundRobin;
-    }
+// A policy's own load signal, then tier pressure: a load tie breaks
+// toward the replica hosting less important work (tierPressure is zero
+// in untiered fleets, so legacy picks are unchanged).
+constexpr auto depthKey = [](const ReplicaSnapshot &s) {
+    return std::make_tuple(s.queueDepth, s.tierPressure);
+};
 
-    size_t
-    route(const std::vector<ReplicaSnapshot> &pool,
-          const Request &) override
-    {
+constexpr auto tokensKey = [](const ReplicaSnapshot &s) {
+    return std::make_tuple(s.outstandingTokens, s.tierPressure);
+};
+
+/// CacheAffinity: replicas within this many requests of the shortest
+/// queue compete on cache.
+constexpr size_t kQueueSlack = 2;
+
+} // namespace
+
+size_t
+Router::route(const std::vector<ReplicaSnapshot> &pool, const Request &)
+{
+    switch (kind) {
+      case RouterPolicy::RoundRobin:
         return next++ % pool.size();
-    }
-
-  private:
-    size_t next = 0;
-};
-
-class JsqRouter : public Router
-{
-  public:
-    RouterPolicy policy() const override
-    {
-        return RouterPolicy::JoinShortestQueue;
-    }
-
-    size_t
-    route(const std::vector<ReplicaSnapshot> &pool,
-          const Request &) override
-    {
-        // Queue-depth ties break toward the replica hosting less
-        // important work (tierPressure is zero in untiered fleets, so
-        // legacy picks are unchanged), then the lower index.
-        return argminBy(pool, [](const ReplicaSnapshot &s) {
-            return std::make_tuple(s.queueDepth, s.tierPressure);
-        });
-    }
-};
-
-class LeastTokensRouter : public Router
-{
-  public:
-    RouterPolicy policy() const override
-    {
-        return RouterPolicy::LeastOutstandingTokens;
-    }
-
-    size_t
-    route(const std::vector<ReplicaSnapshot> &pool,
-          const Request &) override
-    {
-        return argminBy(pool, [](const ReplicaSnapshot &s) {
-            return std::make_tuple(s.outstandingTokens,
-                                   s.tierPressure);
-        });
-    }
-};
-
-class PowerOfTwoRouter : public Router
-{
-  public:
-    explicit PowerOfTwoRouter(uint32_t seed) : rng(seed) {}
-
-    RouterPolicy policy() const override
-    {
-        return RouterPolicy::PowerOfTwoChoices;
-    }
-
-    size_t
-    route(const std::vector<ReplicaSnapshot> &pool,
-          const Request &) override
-    {
+      case RouterPolicy::JoinShortestQueue:
+        return argminBy(pool, depthKey);
+      case RouterPolicy::LeastOutstandingTokens:
+        return argminBy(pool, tokensKey);
+      case RouterPolicy::PowerOfTwoChoices: {
         size_t n = pool.size();
         if (n == 1)
             return 0;
@@ -102,68 +57,26 @@ class PowerOfTwoRouter : public Router
         size_t b = rng.next() % (n - 1);
         if (b >= a)
             ++b;
-        // Less token-loaded of the pair; then less tier pressure
-        // (zero in untiered fleets); tie to the lower index.
-        auto key = [&](size_t i) {
-            return std::make_tuple(pool[i].outstandingTokens,
-                                   pool[i].tierPressure);
-        };
-        if (key(a) < key(b))
-            return a;
-        if (key(b) < key(a))
-            return b;
-        return std::min(a, b);
+        // Less token-loaded of the pair; a tie goes to the lower index.
+        if (b < a)
+            std::swap(a, b);
+        return tokensKey(pool[b]) < tokensKey(pool[a]) ? b : a;
+      }
+      case RouterPolicy::CacheAffinity: {
+        // Pure locality would pile a hot class onto one replica
+        // forever, so replicas beyond the slack sort last. The rest
+        // rank by most warm prefix blocks (~ reverses the order), then
+        // JSQ's order — exactly JSQ when no replica holds the prefix.
+        const size_t cutoff =
+            pool[argminBy(pool, depthKey)].queueDepth + kQueueSlack;
+        return argminBy(pool, [cutoff](const ReplicaSnapshot &s) {
+            return std::make_tuple(s.queueDepth > cutoff,
+                                   ~s.cachedPrefixBlocks, depthKey(s));
+        });
+      }
     }
-
-  private:
-    Lfsr32 rng;
-};
-
-/** Most warm prefix blocks among the near-shortest queues. Pure
- *  locality would pile a hot class onto one replica forever, so only
- *  replicas within kQueueSlack requests of the shortest queue compete
- *  on cache; ties fall back to (queue depth, tier pressure, index) —
- *  i.e. exactly JSQ when no replica holds any of the class's prefix. */
-class CacheAffinityRouter : public Router
-{
-  public:
-    RouterPolicy policy() const override
-    {
-        return RouterPolicy::CacheAffinity;
-    }
-
-    size_t
-    route(const std::vector<ReplicaSnapshot> &pool,
-          const Request &) override
-    {
-        size_t minDepth = pool[0].queueDepth;
-        for (const ReplicaSnapshot &s : pool)
-            minDepth = std::min(minDepth, s.queueDepth);
-        size_t best = pool.size();
-        for (size_t i = 0; i < pool.size(); ++i) {
-            const ReplicaSnapshot &s = pool[i];
-            if (s.queueDepth > minDepth + kQueueSlack)
-                continue;
-            if (best == pool.size() || better(s, pool[best]))
-                best = i;
-        }
-        return best;
-    }
-
-  private:
-    static constexpr size_t kQueueSlack = 2;
-
-    static bool
-    better(const ReplicaSnapshot &a, const ReplicaSnapshot &b)
-    {
-        if (a.cachedPrefixBlocks != b.cachedPrefixBlocks)
-            return a.cachedPrefixBlocks > b.cachedPrefixBlocks;
-        return std::make_tuple(a.queueDepth, a.tierPressure) <
-               std::make_tuple(b.queueDepth, b.tierPressure);
-    }
-};
-
-} // namespace
+    PIMBA_PANIC("unknown router policy");
+}
 
 std::string
 routerName(RouterPolicy policy)
@@ -191,24 +104,6 @@ allRouterPolicies()
         RouterPolicy::LeastOutstandingTokens,
         RouterPolicy::PowerOfTwoChoices};
     return kAll;
-}
-
-std::unique_ptr<Router>
-makeRouter(RouterPolicy policy, uint32_t seed)
-{
-    switch (policy) {
-      case RouterPolicy::RoundRobin:
-        return std::make_unique<RoundRobinRouter>();
-      case RouterPolicy::JoinShortestQueue:
-        return std::make_unique<JsqRouter>();
-      case RouterPolicy::LeastOutstandingTokens:
-        return std::make_unique<LeastTokensRouter>();
-      case RouterPolicy::PowerOfTwoChoices:
-        return std::make_unique<PowerOfTwoRouter>(seed);
-      case RouterPolicy::CacheAffinity:
-        return std::make_unique<CacheAffinityRouter>();
-    }
-    PIMBA_PANIC("unknown router policy");
 }
 
 } // namespace pimba

@@ -1,10 +1,12 @@
 /**
  * @file
- * Pluggable request routers for the cluster fleet.
+ * Request routers for the cluster fleet.
  *
  * A Router picks which replica serves each arriving request, given a
  * snapshot of every candidate replica's load at the arrival instant.
- * Four policies ship:
+ * It is one value type: the policy, plus the only state a policy
+ * carries between picks (the round-robin cursor and the
+ * PowerOfTwoChoices sampler). Five policies ship:
  *
  *  - RoundRobin: rotate through the replicas regardless of load — the
  *    baseline every load-aware policy must beat, and the one that
@@ -16,10 +18,13 @@
  *  - PowerOfTwoChoices: sample two distinct replicas with a seeded
  *    LFSR, send to the less token-loaded of the pair — near-JSQ balance
  *    at O(1) state inspection (The Power of Two Choices, Mitzenmacher).
+ *  - CacheAffinity: the most warm blocks of the request's class prefix
+ *    among the replicas near the shortest queue; JSQ without a prefix.
  *
- * Every policy is deterministic: ties break toward the lowest replica
- * index, and the only randomness (PowerOfTwoChoices sampling) flows
- * from the seed, so a fleet run is a pure function of trace + config.
+ * Every policy is deterministic: load ties break toward the lower tier
+ * pressure, then the lowest replica index, and the only randomness
+ * (PowerOfTwoChoices sampling) flows from the seed, so a fleet run is a
+ * pure function of trace + config.
  */
 
 #ifndef PIMBA_CLUSTER_ROUTER_H
@@ -30,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/lfsr.h"
 #include "serving/request.h"
 
 namespace pimba {
@@ -74,26 +80,37 @@ struct ReplicaSnapshot
     uint64_t cachedPrefixBlocks = 0;
 };
 
-/** Request-to-replica routing policy. */
+/** Request-to-replica router for one policy. */
 class Router
 {
   public:
-    virtual ~Router() = default;
+    /** @p seed drives PowerOfTwoChoices sampling. */
+    explicit Router(RouterPolicy policy, uint32_t seed = 0x5EEDC4A5u)
+        : kind(policy), rng(seed)
+    {}
 
-    virtual RouterPolicy policy() const = 0;
+    RouterPolicy policy() const { return kind; }
 
     /**
      * Index into @p pool of the replica that serves @p r. @p pool holds
      * one snapshot per candidate replica, in replica order; it is never
      * empty.
      */
-    virtual size_t route(const std::vector<ReplicaSnapshot> &pool,
-                         const Request &r) = 0;
+    size_t route(const std::vector<ReplicaSnapshot> &pool,
+                 const Request &r);
+
+  private:
+    RouterPolicy kind;
+    size_t next = 0; ///< RoundRobin cursor
+    Lfsr32 rng;      ///< PowerOfTwoChoices sampler
 };
 
-/** Build a router. @p seed drives PowerOfTwoChoices sampling. */
-std::unique_ptr<Router> makeRouter(RouterPolicy policy,
-                                   uint32_t seed = 0x5EEDC4A5u);
+/** A heap-allocated Router (@p seed as in the constructor). */
+inline std::unique_ptr<Router>
+makeRouter(RouterPolicy policy, uint32_t seed = 0x5EEDC4A5u)
+{
+    return std::make_unique<Router>(policy, seed);
+}
 
 } // namespace pimba
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
+#include <utility>
 
 #include "serving/step_cost_store.h"
 #include "serving/trace_io.h"
@@ -460,37 +462,41 @@ saturationPoint(const SaturationScenario &sc,
 }
 
 /// Highest rate in [startRate, maxRate] sustaining the SLO fraction:
-/// geometric gallop up from startRate, then bisect the knee.
+/// geometric gallop up from startRate, then bisect the knee. @p at_knee
+/// gets the metrics of the last passing probe — the returned rate's —
+/// or of the failing startRate probe when the result is 0.
 double
 saturationRate(const SaturationScenario &sc,
                const std::shared_ptr<StepCostStore> &costs,
                SchedulerPolicy policy, ServingMetrics &at_knee)
 {
     double lo = sc.startRate;
-    ServingMetrics m = saturationPoint(sc, costs, policy, lo);
-    if (!sustainsSlo(m, sc.sloFraction)) {
-        at_knee = m;
+    at_knee = saturationPoint(sc, costs, policy, lo);
+    if (!sustainsSlo(at_knee, sc.sloFraction))
         return 0.0;
-    }
+    auto passes = [&](double rate) {
+        ServingMetrics m = saturationPoint(sc, costs, policy, rate);
+        if (!sustainsSlo(m, sc.sloFraction))
+            return false;
+        at_knee = std::move(m);
+        return true;
+    };
     double hi = lo;
     while (hi < sc.maxRate) {
         // Clamp the gallop so no probe (and no reported rate) ever
         // exceeds the configured search ceiling.
         hi = std::min(hi * 2.0, sc.maxRate);
-        if (!sustainsSlo(saturationPoint(sc, costs, policy, hi),
-                         sc.sloFraction))
+        if (!passes(hi))
             break;
         lo = hi;
     }
     for (int i = 0; i < sc.bisectSteps; ++i) {
         double mid = 0.5 * (lo + hi);
-        if (sustainsSlo(saturationPoint(sc, costs, policy, mid),
-                        sc.sloFraction))
+        if (passes(mid))
             lo = mid;
         else
             hi = mid;
     }
-    at_knee = saturationPoint(sc, costs, policy, lo);
     return lo;
 }
 
@@ -530,21 +536,29 @@ runSaturation(const Scenario &scenario, bool quiet)
 
 // ---------------------------------------------------- fleet planning
 
-/// True if an n-replica homogeneous fleet of @p kind meets the SLO.
+/// True if an n-replica homogeneous fleet of @p kind meets the SLO;
+/// its metrics then go to @p passed.
 bool
 plannerMeetsSlo(const PlannerScenario &sc, StepCostStores &stores,
-                SystemKind kind, size_t n, const std::vector<Request> &trace)
+                SystemKind kind, size_t n, const std::vector<Request> &trace,
+                ServingMetrics &passed)
 {
     FleetConfig cfg = homogeneousFleet(kind, n, sc.engine);
     cfg.router = sc.router;
     FleetReport rep = Fleet(stores, cfg).run(trace);
-    return sustainsSlo(rep.metrics, sc.sloFraction);
+    if (!sustainsSlo(rep.metrics, sc.sloFraction))
+        return false;
+    passed = std::move(rep.metrics);
+    return true;
 }
 
 /// Smallest replica count in [1, maxReplicas] meeting the SLO, or 0.
+/// @p at_min gets that fleet's metrics: every probe that passes sets
+/// the upper bound, so the last one is the answer's.
 size_t
 plannerMinReplicas(const PlannerScenario &sc, StepCostStores &stores,
-                   SystemKind kind, const std::vector<Request> &trace)
+                   SystemKind kind, const std::vector<Request> &trace,
+                   ServingMetrics &at_min)
 {
     // Gallop to a passing upper bound, clamped to maxReplicas so the
     // ceiling itself is probed even when it is not a power of two,
@@ -552,7 +566,7 @@ plannerMinReplicas(const PlannerScenario &sc, StepCostStores &stores,
     size_t lo = 1, hi = 1;
     bool found = false;
     while (true) {
-        if (plannerMeetsSlo(sc, stores, kind, hi, trace)) {
+        if (plannerMeetsSlo(sc, stores, kind, hi, trace, at_min)) {
             found = true;
             break;
         }
@@ -565,7 +579,7 @@ plannerMinReplicas(const PlannerScenario &sc, StepCostStores &stores,
         return 0;
     while (lo < hi) {
         size_t mid = (lo + hi) / 2;
-        if (plannerMeetsSlo(sc, stores, kind, mid, trace))
+        if (plannerMeetsSlo(sc, stores, kind, mid, trace, at_min))
             hi = mid;
         else
             lo = mid + 1;
@@ -585,28 +599,25 @@ runPlanner(const Scenario &scenario, bool quiet)
     Table t({"system", "min replicas", "goodput", "TTFT p95",
              "vs Pimba"});
     size_t pimba_count = 0;
-    std::vector<std::pair<SystemKind, size_t>> results;
+    std::vector<std::tuple<SystemKind, size_t, ServingMetrics>> results;
     for (SystemKind kind : sc.systems) {
-        size_t n = plannerMinReplicas(sc, stores, kind, trace);
+        ServingMetrics m;
+        size_t n = plannerMinReplicas(sc, stores, kind, trace, m);
         if (kind == SystemKind::PIMBA)
             pimba_count = n;
-        results.emplace_back(kind, n);
+        results.emplace_back(kind, n, std::move(m));
         if (!quiet)
             fprintf(stderr, "  %s done\n", systemName(kind).c_str());
     }
-    for (auto [kind, n] : results) {
+    for (const auto &[kind, n, m] : results) {
         if (n == 0) {
             t.addRow({systemName(kind),
                       "> " + std::to_string(sc.maxReplicas), "-", "-",
                       "-"});
             continue;
         }
-        FleetConfig cfg = homogeneousFleet(kind, n, sc.engine);
-        cfg.router = sc.router;
-        FleetReport r = Fleet(stores, cfg).run(trace);
         t.addRow({systemName(kind), fmt(static_cast<double>(n), 0),
-                  fmt(r.metrics.goodput.value(), 2),
-                  fmt(r.metrics.ttft.p95, 3),
+                  fmt(m.goodput.value(), 2), fmt(m.ttft.p95, 3),
                   pimba_count > 0
                       ? fmtRatio(static_cast<double>(n) /
                                  static_cast<double>(pimba_count))
