@@ -32,14 +32,21 @@
  * Storage: each event is one fixed-size record (80 bytes) holding its
  * phase, pid, tid, timestamp and duration, its name and category as
  * interned ids, and up to kMaxArgs numeric args keyed by interned ids.
- * Records sit in fixed-size chunks that never move, so recording never
- * copies the trace. writeFile() streams the document to disk through a
+ * The tracer is an external merge sort, so its event memory stays
+ * bounded at any trace length. Records collect in one in-memory run
+ * of at most kRunEvents; a full run is sorted by (timestamp, insertion
+ * index) and appended to an unlinked temporary spill file. Rendering
+ * sorts the in-memory tail the same way and k-way merges it with the
+ * spilled runs, ties going to the earlier run: the result is the
+ * stable timestamp sort of every record. Metadata and interned strings
+ * stay in memory. writeFile() streams the document to disk through a
  * buffer of about kFlushBytes instead of building it as one string.
  */
 
 #ifndef PIMBA_OBS_TRACER_H
 #define PIMBA_OBS_TRACER_H
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -130,6 +137,10 @@ class Tracer
     /// Buffered output writeFile() hands to the file at a time.
     static constexpr size_t kFlushBytes = size_t{1} << 20;
 
+    /// Events held in memory before they are sorted and spilled as one
+    /// run (about 2.6 MB of records).
+    static constexpr size_t kRunEvents = size_t{1} << 15;
+
   private:
     struct Event
     {
@@ -156,24 +167,65 @@ class Tracer
         uint32_t name = 0; ///< interned label
     };
 
-    /// Events per chunk; chunks are allocated as the trace grows and
-    /// never move, so growth copies nothing.
+    /// Events per chunk of the in-memory run; chunks are allocated as
+    /// the first run grows and reused by later runs.
     static constexpr size_t kChunkEvents = 4096;
+    static_assert(kRunEvents % kChunkEvents == 0);
+    /// Records the merge buffers from the spill file at a time, split
+    /// evenly over the runs but at least kMinReadEvents per run.
+    static constexpr size_t kMergeEvents = 8192;
+    static constexpr size_t kMinReadEvents = 64;
+
+    /// Sort key of one in-memory record: (timestamp, run-local index)
+    /// orders the run as a stable sort by timestamp would.
+    struct Key
+    {
+        double tsUs;
+        uint32_t index;
+        bool operator<(const Key &o) const
+        {
+            return tsUs < o.tsUs || (tsUs == o.tsUs && index < o.index);
+        }
+    };
+
+    struct CloseFile
+    {
+        void operator()(std::FILE *f) const { std::fclose(f); }
+    };
 
     uint32_t intern(std::string_view s);
     Event &push(char ph, int pid, int64_t tid, Seconds ts,
                 std::string_view name, std::string_view cat, Args args);
+    /// Record @p i of the in-memory run.
     const Event &at(size_t i) const
     {
         return chunks[i / kChunkEvents][i % kChunkEvents];
     }
+    /// Events in the in-memory run.
+    size_t tailCount() const { return count - runs * kRunEvents; }
+    /// Sets @p keys to the in-memory run's keys, sorted.
+    void sortTail(std::vector<Key> &keys) const;
+    /// Sorts the full in-memory run onto the end of the spill file and
+    /// empties the run; a failed spill is fatal.
+    void spillRun();
     /// Appends the document to @p out. With @p file, hands @p out to
-    /// it whenever it passes kFlushBytes (and clears it); returns
-    /// false when such a write fails.
+    /// it whenever it passes kFlushBytes (and clears it). Returns false
+    /// when such a write fails or a spilled run cannot be read back
+    /// (the document is then truncated).
     bool emit(std::string &out, std::FILE *file) const;
 
+    /// The in-memory run, in insertion order.
     std::vector<std::unique_ptr<Event[]>> chunks;
     size_t count = 0; ///< events recorded (insertion order)
+    size_t runs = 0;  ///< full runs in the spill file, in order
+    /// Sorted runs of kRunEvents records each, back to back; created
+    /// with the first spill and deleted by the system once closed.
+    std::unique_ptr<std::FILE, CloseFile> spill;
+    /// spillRun()'s scratch, kept so that later spills allocate
+    /// nothing: the run's sorted keys and a block of its records in
+    /// that order.
+    std::vector<Key> spillKeys;
+    std::vector<Event> spillBlock;
     std::vector<Metadata> metadata;
     /// Interned strings by id (id 0 is the empty string); a deque, so
     /// the views @c ids keys on never move.

@@ -217,11 +217,10 @@ ServingEngine::submit(const Request &r)
         // One lane per request: open its span at arrival time; the
         // retire path closes it at completion.
         int64_t lane = requestLane(r.id);
-        obs.tracer->threadName(obs.pid, lane,
-                               "req " + std::to_string(r.id));
+        const std::string label = "req " + std::to_string(r.id);
+        obs.tracer->threadName(obs.pid, lane, label);
         obs.tracer->begin(
-            obs.pid, lane, r.arrival, "req " + std::to_string(r.id),
-            "request",
+            obs.pid, lane, r.arrival, label, "request",
             {{"input_len", static_cast<double>(r.inputLen)},
              {"output_len", static_cast<double>(r.outputLen)}});
     }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Event-tracer tests: trace-event structure (metadata first, globally
- * monotonic timestamps, nested B/E lanes), the renderer's text contract
+ * monotonic timestamps, nested B/E lanes), the spill-and-merge order
+ * of traces longer than one in-memory run, the renderer's text contract
  * (numbers as printf's %.9g, writeFile() streaming the exact bytes of
  * renderJson(), labels escaped into valid JSON), and the engine
  * integration — a traced run must emit the full request lifecycle and
@@ -12,11 +13,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <csignal>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -101,6 +107,129 @@ TEST(Tracer, RequestLanesStayExactPastThirtyTwoBits)
     EXPECT_EQ(countOf(json, "\"tid\":2147483753,"), 2u);
     EXPECT_EQ(countOf(json, "\"tid\":1099511627876,"), 1u);
     EXPECT_EQ(countOf(json, "\"tid\":-"), 0u);
+}
+
+TEST(Tracer, SpilledRunsMergeIntoTheStableTimestampOrder)
+{
+    // More than three spilled runs, timestamps from a small set so
+    // ties cross run boundaries, every event kind, and metadata
+    // interleaved. Each event carries its insertion index ("E" cannot
+    // carry args, so it is matched by position against the expected
+    // order instead).
+    struct Recorded
+    {
+        int tsMs;
+        char ph;
+        int64_t tid;
+        double index;
+    };
+    std::vector<Recorded> recorded;
+    Tracer t;
+    Lfsr32 rng(0x5eedu);
+    constexpr int kStamps = 16;
+    constexpr int kLanes = 48;
+    std::vector<int> laneClock(kLanes, 0), laneDepth(kLanes, 0);
+    size_t metadataCount = 0;
+    const size_t total = 3 * Tracer::kRunEvents + 5000;
+    for (size_t i = 0; i < total; ++i) {
+        const double idx = static_cast<double>(i);
+        const uint32_t pick = rng.next() % 10;
+        int tsMs = static_cast<int>(rng.next() % kStamps);
+        const int lane = static_cast<int>(rng.next() % kLanes);
+        const int64_t tid = requestLane(static_cast<uint64_t>(lane));
+        if (pick < 4) {
+            // A lane's B/E stream never goes back in time, so a stable
+            // sort keeps it nested.
+            if (rng.next() % 64 == 0 && laneClock[lane] + 1 < kStamps)
+                ++laneClock[lane];
+            tsMs = laneClock[lane];
+            if (laneDepth[lane] > 0 && (pick < 2 || laneDepth[lane] > 3)) {
+                t.end(2, tid, Seconds(tsMs * 1e-3));
+                --laneDepth[lane];
+                recorded.push_back({tsMs, 'E', tid, -1.0});
+            } else {
+                t.begin(2, tid, Seconds(tsMs * 1e-3), "span", "request",
+                        {{"i", idx}, {"depth", 1.0 * laneDepth[lane]}});
+                ++laneDepth[lane];
+                recorded.push_back({tsMs, 'B', tid, idx});
+            }
+        } else if (pick < 7) {
+            t.complete(1, kTraceIterTid, Seconds(tsMs * 1e-3),
+                       Seconds(2e-4), "decode", "iteration",
+                       {{"i", idx}, {"batch", 3.0}, {"tokens", 0.5}});
+            recorded.push_back({tsMs, 'X', kTraceIterTid, idx});
+        } else if (pick < 9) {
+            t.instant(2, tid, Seconds(tsMs * 1e-3), "admitted", "request",
+                      {{"i", idx}});
+            recorded.push_back({tsMs, 'i', tid, idx});
+        } else {
+            t.counter(1, Seconds(tsMs * 1e-3), "queue depth", idx);
+            recorded.push_back({tsMs, 'C', 0, idx});
+        }
+        if (i % 997 == 0) {
+            t.threadName(2, tid, "req " + std::to_string(lane));
+            ++metadataCount;
+        }
+        if (i % 20011 == 0) {
+            t.processName(1, "engine " + std::to_string(i));
+            ++metadataCount;
+        }
+    }
+    for (int lane = 0; lane < kLanes; ++lane)
+        for (; laneDepth[lane] > 0; --laneDepth[lane]) {
+            const int64_t tid = requestLane(static_cast<uint64_t>(lane));
+            t.end(2, tid, Seconds((kStamps - 1) * 1e-3));
+            recorded.push_back({kStamps - 1, 'E', tid, -1.0});
+        }
+    ASSERT_EQ(t.eventCount(), recorded.size());
+
+    std::vector<Recorded> expected = recorded;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Recorded &a, const Recorded &b) {
+                         return a.tsMs < b.tsMs;
+                     });
+
+    const std::string json = t.renderJson();
+    const JsonValue doc = parseJson(json);
+    const std::vector<JsonValue> &events = doc.find("traceEvents")->items();
+    ASSERT_EQ(events.size(), metadataCount + expected.size());
+    for (size_t m = 0; m < metadataCount; ++m)
+        ASSERT_EQ(events[m].find("ph")->asString(), "M") << "event " << m;
+    std::map<int64_t, int> depth;
+    for (size_t k = 0; k < expected.size(); ++k) {
+        const JsonValue &e = events[metadataCount + k];
+        const Recorded &want = expected[k];
+        const std::string ph = e.find("ph")->asString();
+        ASSERT_EQ(ph, std::string(1, want.ph)) << "event " << k;
+        ASSERT_EQ(e.find("ts")->asNumber(), want.tsMs * 1e3)
+            << "event " << k;
+        ASSERT_EQ(e.find("tid")->asNumber(), static_cast<double>(want.tid))
+            << "event " << k;
+        if (want.ph != 'E') {
+            const JsonValue &args = *e.find("args");
+            const JsonValue *index =
+                args.find(want.ph == 'C' ? "value" : "i");
+            ASSERT_EQ(index->asNumber(), want.index) << "event " << k;
+        }
+        if (want.ph == 'B')
+            ++depth[want.tid];
+        if (want.ph == 'E') {
+            ASSERT_GT(depth[want.tid]--, 0) << "unmatched E, event " << k;
+        }
+    }
+    for (const auto &[tid, open] : depth)
+        EXPECT_EQ(open, 0) << "lane " << tid;
+
+    // Rendering reads the spill file without consuming it.
+    EXPECT_TRUE(t.renderJson() == json);
+    const std::string path = testing::TempDir() + "tracer_spill.json";
+    ASSERT_TRUE(t.writeFile(path));
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    std::remove(path.c_str());
+    EXPECT_TRUE(buf.str() == json) << "writeFile wrote " << buf.str().size()
+                                   << " bytes, renderJson " << json.size();
 }
 
 /// printf("%.9g", v), the format every rendered number must match.
@@ -198,6 +327,26 @@ TEST(TracerDeathTest, RejectsMoreThanThreeArgs)
                            {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}}),
                  "trace event \"crowded\" has 4 args; an event holds at "
                  "most 3");
+}
+
+/// Records one event more than a run under a file-size cap well below
+/// one run (but above the death message gtest captures in a file), so
+/// the first spill's write fails.
+void
+spillUnderFileCap()
+{
+    std::signal(SIGXFSZ, SIG_IGN); // EFBIG instead of the signal
+    const rlimit cap{64 << 10, 64 << 10};
+    setrlimit(RLIMIT_FSIZE, &cap);
+    Tracer t;
+    for (size_t i = 0; i <= Tracer::kRunEvents; ++i)
+        t.counter(1, Seconds(1e-3 * (i % 7)), "queue depth", 1.0);
+}
+
+TEST(TracerDeathTest, FailedSpillWriteIsFatal)
+{
+    EXPECT_EXIT(spillUnderFileCap(), testing::ExitedWithCode(1),
+                "short write to the trace spill file");
 }
 
 /// Replace the first @p from in @p text with @p to.

@@ -15,12 +15,22 @@ same trace on a disaggregated fleet). Two claims are checked:
     quantum) on a --small-requests prefix, and the exactly-maintained
     columns (goodput) match byte-for-byte.
 
-Exit 0 with a summary when both hold; exit 1 listing violations.
+With --traced it checks one claim instead, on a traced run:
+
+ 3. The tracer's memory is independent of trace length: `pimba run` on
+    a copy of the scenario at TRACED_LARGE requests with
+    observability.trace set may not use more than --rss-ratio times the
+    RSS of the same run at TRACED_SMALL requests, plus the slack. CI's
+    trace-smoke job runs it on the fleet_replay preset.
+
+Exit 0 with a summary when the checks hold; exit 1 listing violations.
 """
 
 import argparse
+import json
 import os
 import sys
+import tempfile
 
 # Table columns of the fleet report CSV, by index (tools keep this in
 # sync with runFleetStudy's header in src/config/runner.cpp).
@@ -57,6 +67,51 @@ def run_measured(args):
     return rusage.ru_maxrss * 1024, out.decode()
 
 
+# Request counts of the traced pass's two runs.
+TRACED_SMALL = 5000
+TRACED_LARGE = 20000
+
+
+def rss_bound(rss_small, opts):
+    """Largest peak RSS a longer run may reach over @p rss_small."""
+    return rss_small * opts.rss_ratio + opts.rss_slack_mb * 1e6
+
+
+def traced_rss(pimba, scenario, requests, tmp):
+    """Peak RSS of `pimba run` on a copy of @p scenario cut to
+    @p requests requests, with its trace written under @p tmp."""
+    with open(scenario) as f:
+        sc = json.load(f)
+    sc["trace"]["numRequests"] = requests
+    obs = sc.setdefault("observability", {})
+    obs["trace"] = os.path.join(tmp, f"trace-{requests}.json")
+    path = os.path.join(tmp, f"scenario-{requests}.json")
+    with open(path, "w") as f:
+        json.dump(sc, f)
+    rss, _ = run_measured([pimba, "run", path])
+    os.remove(obs["trace"])
+    return rss
+
+
+def check_traced(opts):
+    """Claim 3: traced peak RSS does not grow with trace length."""
+    with tempfile.TemporaryDirectory() as tmp:
+        rss_small = traced_rss(opts.pimba, opts.scenario, TRACED_SMALL, tmp)
+        rss_large = traced_rss(opts.pimba, opts.scenario, TRACED_LARGE, tmp)
+    bound = rss_bound(rss_small, opts)
+    if rss_large > bound:
+        print(f"check_replay: traced peak RSS grows with trace length: "
+              f"{TRACED_LARGE} requests {rss_large / 1e6:.1f}MB > "
+              f"{bound / 1e6:.1f}MB ({opts.rss_ratio}x the "
+              f"{rss_small / 1e6:.1f}MB at {TRACED_SMALL} requests + "
+              f"{opts.rss_slack_mb}MB slack)", file=sys.stderr)
+        return 1
+    print(f"check_replay: ok (traced run {rss_large / 1e6:.1f}MB peak RSS "
+          f"at {TRACED_LARGE} requests vs {rss_small / 1e6:.1f}MB at "
+          f"{TRACED_SMALL})")
+    return 0
+
+
 def data_row(csv_text):
     """The first non-comment, non-header CSV row, split into cells."""
     for line in csv_text.splitlines():
@@ -86,14 +141,20 @@ def main():
     ap.add_argument("--rss-slack-mb", type=float, default=16.0,
                     help="absolute allocator-noise slack added to the "
                          "ratio bound (MB)")
+    ap.add_argument("--traced", action="store_true",
+                    help=f"check only that a traced run's peak RSS at "
+                         f"{TRACED_LARGE} requests stays within the bound "
+                         f"over {TRACED_SMALL} requests")
     opts = ap.parse_args()
+    if opts.traced:
+        return check_traced(opts)
     errors = []
 
     small = str(opts.small_requests)
     rss_small, _ = run_measured(
         [opts.pimba, "replay", opts.scenario, "--requests", small])
     rss_full, _ = run_measured([opts.pimba, "replay", opts.scenario])
-    bound = rss_small * opts.rss_ratio + opts.rss_slack_mb * 1e6
+    bound = rss_bound(rss_small, opts)
     if rss_full > bound:
         errors.append(
             f"peak RSS grows with trace length: full replay "
