@@ -84,13 +84,9 @@ runFleetCase(StepCostStores &stores, const FleetScenario &sc,
         cfg.router = *router;
     Fleet fleet(stores, cfg);
     fleet.attachObservers(fo);
-    if (!stream)
-        return fleet.run(materializeTrace(sc.trace));
-    // The bounded-memory shape: arrivals stream from the source and
-    // completions fold into sketches, so a million-request replay never
-    // materializes its trace or its per-request records.
     auto arrivals = openArrivalSource(sc.trace);
-    return fleet.runStreamed(*arrivals, *stream);
+    return stream ? fleet.runStreamed(*arrivals, *stream)
+                  : fleet.run(*arrivals);
 }
 
 namespace {

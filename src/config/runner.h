@@ -71,11 +71,12 @@ ServingReport runServingPoint(const ServingScenario &sc,
  * One fleet run of a fleet scenario, costing its steps in @p stores
  * (shared by every row of a fleet study), with @p fo attached to the
  * fleet before the run. @p router overrides the case's configured
- * router when set (router-shootout expansion). With @p stream set it is
- * the bounded-memory run (Fleet::runStreamed): arrivals stream straight
+ * router when set (router-shootout expansion). Arrivals stream straight
  * from the scenario's trace config (generator or replay file, never
- * materialized) and completions fold into @p stream, so peak memory is
- * independent of trace length — the shape million-request replays need.
+ * materialized). With @p stream set it is the bounded-memory run
+ * (Fleet::runStreamed): completions fold into @p stream, so peak memory
+ * is independent of trace length — the shape million-request replays
+ * need.
  */
 FleetReport runFleetCase(StepCostStores &stores, const FleetScenario &sc,
                          const FleetCase &c,

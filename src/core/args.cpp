@@ -69,6 +69,15 @@ ArgParser::findOption(const std::string &name) const
     return nullptr;
 }
 
+bool
+ArgParser::given(const std::string &name) const
+{
+    for (const std::string &g : givenOptions)
+        if (g == name)
+            return true;
+    return false;
+}
+
 std::string
 ArgParser::usage() const
 {
@@ -125,6 +134,7 @@ ArgParser::parse(int argc, char **argv)
             continue;
         }
         if (const Option *o = findOption(name)) {
+            givenOptions.push_back(name);
             std::string value;
             if (has_inline) {
                 value = inline_value;

@@ -57,6 +57,10 @@ class ArgParser
     /// Process exit status to use when parse() returned false.
     int exitCode() const { return code; }
 
+    /// True when parse() met option @p name, so a caller can tell an
+    /// explicit value from the default.
+    bool given(const std::string &name) const;
+
     /// The generated usage/help text.
     std::string usage() const;
 
@@ -87,6 +91,7 @@ class ArgParser
     std::vector<Flag> flags;
     std::vector<Option> options;
     std::vector<Positional> positionals;
+    std::vector<std::string> givenOptions;
     int code = 0;
 };
 

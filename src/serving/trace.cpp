@@ -157,7 +157,7 @@ ArrivalStream::ArrivalStream(const TraceConfig &cfg_)
         PIMBA_FATAL(err);
     PIMBA_ASSERT(cfg.file.empty(),
                  "ArrivalStream generates traces; replay files go "
-                 "through materializeTrace() (serving/trace_io.h)");
+                 "through openArrivalSource() (serving/trace_io.h)");
     diurnalAmp = diurnalAmplitude(cfg.diurnal.peakToTrough);
     double weightSum = 0.0;
     for (const TraceClass &tc : cfg.classes) {

@@ -223,7 +223,7 @@ std::string validateTraceConfig(const TraceConfig &cfg);
  * Generate the trace described by @p cfg: requests with ids 0..n-1 in
  * non-decreasing arrival order starting at time 0. An invalid config
  * (see validateTraceConfig) or one naming a replay file (use
- * materializeTrace() from serving/trace_io.h) is a fatal error.
+ * openArrivalSource() from serving/trace_io.h) is a fatal error.
  */
 std::vector<Request> generateTrace(const TraceConfig &cfg);
 

@@ -280,14 +280,6 @@ loadTrace(const std::string &path, int limit)
     return trace;
 }
 
-std::vector<Request>
-materializeTrace(const TraceConfig &cfg)
-{
-    if (!cfg.file.empty())
-        return loadTrace(cfg.file, cfg.numRequests);
-    return generateTrace(cfg);
-}
-
 std::unique_ptr<ArrivalSource>
 openArrivalSource(const TraceConfig &cfg)
 {

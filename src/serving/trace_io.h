@@ -20,8 +20,7 @@
  * 1-based line in the config-layer ConfigError style.
  *
  * TraceFileReader streams one request at a time (the fleet replay
- * path's bounded-memory shape); loadTrace/materializeTrace are the
- * eager wrappers.
+ * path's bounded-memory shape); loadTrace is the eager wrapper.
  */
 
 #ifndef PIMBA_SERVING_TRACE_IO_H
@@ -96,15 +95,11 @@ class TraceFileReader : public ArrivalSource
 /// Read a whole trace file eagerly. @p limit as in TraceFileReader.
 std::vector<Request> loadTrace(const std::string &path, int limit = 0);
 
-/// The trace a TraceConfig denotes: loadTrace(cfg.file) when a replay
-/// file is named (cfg.numRequests > 0 limits the prefix), else
-/// generateTrace(cfg). Throws ConfigError for replay-file problems;
-/// generation-side validation stays fatal as in generateTrace.
-std::vector<Request> materializeTrace(const TraceConfig &cfg);
-
-/// The ArrivalSource a TraceConfig denotes, for streaming consumers:
-/// a TraceFileReader when a replay file is named, else an
-/// ArrivalStream generator.
+/// The ArrivalSource a TraceConfig denotes: a TraceFileReader when a
+/// replay file is named (cfg.numRequests > 0 limits the prefix), else
+/// an ArrivalStream generator. Throws ConfigError for replay-file
+/// problems; generation-side validation stays fatal as in
+/// generateTrace.
 std::unique_ptr<ArrivalSource> openArrivalSource(const TraceConfig &cfg);
 
 } // namespace pimba

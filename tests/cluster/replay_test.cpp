@@ -16,7 +16,7 @@
 #include "bit_equal.h"
 #include "cluster/fleet.h"
 #include "presets.h"
-#include "serving/trace_io.h"
+#include "serving/trace.h"
 
 namespace pimba {
 namespace {
@@ -55,7 +55,7 @@ TEST(EventEquivalence, StreamedSourceMatchesMaterializedRun)
                                           /*smoke=*/true);
     const FleetConfig &fc = sc.cases.front().fleet;
     const FleetReport fromVector =
-        Fleet(sc.model, fc).run(materializeTrace(sc.trace));
+        Fleet(sc.model, fc).run(generateTrace(sc.trace));
     ArrivalStream stream(sc.trace);
     expectBitEqual(fromVector, Fleet(sc.model, fc).run(stream));
 }

@@ -9,12 +9,17 @@
  *         --trace trace.json --timeline load.csv --stream-metrics
  *     pimba sweep scenarios/policy_shootout.json --grid rate=1..32:x2
  *     pimba run scenarios/fleet_planner.json
+ *     pimba trace scenarios/fleet_replay.json --requests 5000 --out a.trace
+ *     pimba run scenarios/fleet_replay.json --trace-file a.trace
  *     pimba validate scenarios/cluster_routers.json
  *
  * `run` executes any scenario kind; `sweep` fans one grid axis across
  * a thread pool (same scenario + seed => byte-identical report at any
- * thread count); `validate` parses and type-checks without running.
- * Schema errors print as `file: line L, column C: message`.
+ * thread count); `trace` saves a scenario's arrival trace as a
+ * pimba-trace-v1 file, which `run --trace-file` replays into a fleet;
+ * `validate` parses and type-checks without running. `--requests n`
+ * (run, trace) is the sweep's `requests` parameter, validated the same
+ * way. Schema errors print as `file: line L, column C: message`.
  */
 
 #include <cstdio>
@@ -42,8 +47,6 @@ printTopLevelHelp()
         "  sweep     run a scenario once per grid point, in parallel\n"
         "  trace     save a scenario's arrival trace as a "
         "pimba-trace-v1 file\n"
-        "  replay    run a fleet scenario with bounded-memory "
-        "streaming metrics\n"
         "  validate  parse and type-check a scenario without running\n"
         "\n"
         "common options:\n"
@@ -59,6 +62,10 @@ printTopLevelHelp()
         "(run only)\n"
         "  --stream-metrics  streaming quantile-sketch metrics "
         "(run only)\n"
+        "  --requests <n>    keep the trace's first n requests "
+        "(run, trace)\n"
+        "  --trace-file <f>  replay a pimba-trace-v1 file into a "
+        "fleet (run only)\n"
         "  --help        this message, or per-command usage\n",
         stdout);
 }
@@ -69,8 +76,9 @@ runCommand(const std::string &command, int argc, char **argv)
     std::string path, grid;
     bool smoke = false, csv = false;
     int threads = 1;
-    std::string tracePath, timelinePath;
+    std::string tracePath, timelinePath, traceFile;
     bool streamMetrics = false;
+    double requests = 0;
 
     ArgParser args("pimba " + command,
                    command == "sweep"
@@ -106,12 +114,34 @@ runCommand(const std::string &command, int argc, char **argv)
                   "derive report metrics through streaming quantile "
                   "sketches",
                   &streamMetrics);
+        args.option("--requests", "n",
+                    "keep only the first n requests of the trace",
+                    &requests);
+        args.option("--trace-file", "file",
+                    "replay this pimba-trace-v1 file instead of the "
+                    "scenario's own trace (fleet only; all of it unless "
+                    "--requests caps it)",
+                    &traceFile);
     }
     if (!args.parse(argc, argv))
         return args.exitCode();
 
     try {
         Scenario sc = loadScenarioFile(path, smoke);
+        if (!traceFile.empty()) {
+            auto *fs = std::get_if<FleetScenario>(&sc.spec);
+            if (!fs)
+                throw ConfigError("--trace-file needs a fleet scenario; " +
+                                  path + " is a " +
+                                  scenarioKindName(sc.kind) +
+                                  " scenario");
+            fs->trace.file = traceFile;
+            // The scenario's generation-side request count must not
+            // silently truncate the substituted file.
+            fs->trace.numRequests = 0;
+        }
+        if (args.given("--requests"))
+            applyGridParam(sc, "requests", requests);
         // CLI observability flags override (or enable) the scenario's
         // "observability" block. Only the serving and fleet kinds run
         // engines to observe.
@@ -169,7 +199,7 @@ traceCommand(int argc, char **argv)
 {
     std::string path, out;
     bool smoke = false;
-    int requests = 0;
+    double requests = 0;
 
     ArgParser args("pimba trace",
                    "Generate a scenario's arrival trace and save it as "
@@ -207,12 +237,8 @@ traceCommand(int argc, char **argv)
                     path.c_str(), tc->file.c_str());
             return 1;
         }
-        if (requests > 0)
-            tc->numRequests = requests;
-        if (std::string err = validateTraceConfig(*tc); !err.empty()) {
-            fprintf(stderr, "pimba trace: %s\n", err.c_str());
-            return 1;
-        }
+        if (args.given("--requests"))
+            applyGridParam(sc, "requests", requests);
         std::vector<Request> trace = generateTrace(*tc);
         saveTrace(out, trace);
         printf("wrote %s (%zu requests, last arrival %.3fs)\n",
@@ -221,65 +247,6 @@ traceCommand(int argc, char **argv)
         return 0;
     } catch (const ConfigError &e) {
         fprintf(stderr, "pimba trace: %s\n", e.what());
-        return 1;
-    }
-}
-
-int
-replayCommand(int argc, char **argv)
-{
-    std::string path, traceFile;
-    bool smoke = false, csv = false, exact = false;
-    int requests = 0;
-
-    ArgParser args("pimba replay",
-                   "Run a fleet scenario with bounded-memory streaming "
-                   "metrics: arrivals stream from the generator or a "
-                   "pimba-trace-v1 file, completions fold into quantile "
-                   "sketches, and peak memory stays independent of "
-                   "trace length.");
-    args.positional("scenario.json", "fleet scenario to replay", &path);
-    args.option("--trace-file", "file",
-                "replay this pimba-trace-v1 file instead of the "
-                "scenario's own trace",
-                &traceFile);
-    args.option("--requests", "n",
-                "replay only the first n requests", &requests);
-    args.flag("--exact-metrics",
-              "retain per-request records and report exact percentiles "
-              "(O(requests) memory)",
-              &exact);
-    args.flag("--smoke", "apply the scenario's \"smoke\" overlay",
-              &smoke);
-    args.flag("--csv", "emit CSV instead of aligned tables", &csv);
-    if (!args.parse(argc, argv))
-        return args.exitCode();
-
-    try {
-        Scenario sc = loadScenarioFile(path, smoke);
-        if (sc.kind != ScenarioKind::Fleet) {
-            fprintf(stderr,
-                    "pimba replay: %s is a %s scenario; replay needs "
-                    "kind fleet\n",
-                    path.c_str(), scenarioKindName(sc.kind).c_str());
-            return 1;
-        }
-        auto &fs = std::get<FleetScenario>(sc.spec);
-        if (!traceFile.empty()) {
-            fs.trace.file = traceFile;
-            // The scenario's generation-side request count must not
-            // silently truncate the substituted file.
-            fs.trace.numRequests = 0;
-        }
-        if (requests > 0)
-            fs.trace.numRequests = requests;
-        sc.obs.streamMetrics = !exact;
-        ScenarioReport rep = runScenario(sc);
-        fputs(csv ? rep.renderCsv().c_str() : rep.renderText().c_str(),
-              stdout);
-        return 0;
-    } catch (const ConfigError &e) {
-        fprintf(stderr, "pimba replay: %s\n", e.what());
         return 1;
     }
 }
@@ -297,8 +264,6 @@ main(int argc, char **argv)
     std::string command = argv[1];
     if (command == "trace")
         return traceCommand(argc - 1, argv + 1);
-    if (command == "replay")
-        return replayCommand(argc - 1, argv + 1);
     if (command != "run" && command != "sweep" && command != "validate") {
         fprintf(stderr, "pimba: unknown command '%s' (try --help)\n",
                 command.c_str());
