@@ -120,6 +120,30 @@ TEST(TraceIo, StreamingReaderHonorsLimitAndReportsHeader)
     std::remove(path.c_str());
 }
 
+TEST(TraceIo, MaterializeTraceLoadsNamedFileWithPrefixLimit)
+{
+    TraceConfig gen;
+    gen.numRequests = 20;
+    auto trace = generateTrace(gen);
+    std::string path = writeFile("materialize.csv", renderTrace(trace));
+
+    auto count = [](const TraceConfig& cfg) {
+        auto src = openArrivalSource(cfg);
+        Request r;
+        size_t n = 0;
+        while (src->next(r))
+            ++n;
+        return n;
+    };
+    TraceConfig replay;
+    replay.file = path;
+    replay.numRequests = 0; // all of the file
+    EXPECT_EQ(count(replay), 20u);
+    replay.numRequests = 5; // prefix
+    EXPECT_EQ(count(replay), 5u);
+    std::remove(path.c_str());
+}
+
 TEST(TraceIo, OpenArrivalSourcePicksReaderOrGenerator)
 {
     TraceConfig gen;
@@ -138,13 +162,6 @@ TEST(TraceIo, OpenArrivalSourcePicksReaderOrGenerator)
         ++i;
     }
     EXPECT_EQ(i, trace.size());
-
-    replay.numRequests = 5; // prefix cap
-    src = openArrivalSource(replay);
-    i = 0;
-    while (src->next(r))
-        ++i;
-    EXPECT_EQ(i, 5u);
 
     auto genSrc = openArrivalSource(gen);
     i = 0;
