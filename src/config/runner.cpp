@@ -157,51 +157,123 @@ modesFor(const ServingScenario &sc, SystemKind kind)
     return modes;
 }
 
-ScenarioReport
-runThroughput(const Scenario &scenario, bool quiet)
+/// One system's value in a step cell: its tokens/s (throughput
+/// report), or its step total or @p category of it (latency, energy).
+double
+cellValue(StepReport report, const StepResult &step, int batch,
+          std::optional<BreakdownKey> category = {})
 {
-    const auto &ts = std::get<ThroughputScenario>(scenario.spec);
+    switch (report) {
+      case StepReport::Throughput:
+        return (Tokens(batch) / step.seconds).value();
+      case StepReport::Latency:
+        return category ? step.latency.get(*category)
+                        : step.seconds.value();
+      case StepReport::Energy:
+        return category ? step.energy.get(*category)
+                        : step.energy.total();
+    }
+    return 0.0;
+}
+
+/**
+ * Step study: per grid, one generationStep per (model, batch, system)
+ * at the scenario's position. A throughput table has one row per
+ * (model, batch) and one normalized column per system. A latency or
+ * energy table has one row per (model, batch, system): leading model,
+ * system and batch columns (each left out when its axis holds one
+ * value in the table), the step total, and the report's categories
+ * normalized to the baseline system's total.
+ */
+ScenarioReport
+runStep(const Scenario &scenario, bool quiet)
+{
+    const auto &ts = std::get<StepScenario>(scenario.spec);
+    const bool breakdown = ts.report != StepReport::Throughput;
     ScenarioReport rep;
 
     // (mean, max) ratio accumulators per summary, over all grid cells.
     std::vector<Accumulator> ratios(ts.summaries.size());
 
-    for (const ThroughputGrid &grid : ts.grids) {
-        std::vector<std::string> header = {"model", "batch"};
-        for (SystemKind kind : ts.systems)
-            header.push_back(systemName(kind));
+    for (const StepGrid &grid : ts.grids) {
+        const bool byModel = !breakdown || grid.models.size() > 1;
+        const bool bySystem = breakdown && ts.systems.size() > 1;
+        const bool byBatch = !breakdown || grid.batches.size() > 1;
+        std::vector<std::string> header;
+        if (byModel)
+            header.push_back("model");
+        if (bySystem)
+            header.push_back("system");
+        if (byBatch)
+            header.push_back("batch");
+        if (breakdown) {
+            header.push_back(ts.report == StepReport::Latency ? "total(ms)"
+                                                              : "total(J)");
+            for (const StepColumn &col : stepColumns(ts.report))
+                header.push_back(col.header);
+        } else {
+            for (SystemKind kind : ts.systems)
+                header.push_back(systemName(kind));
+        }
         Table t(header);
         for (const ModelConfig &model : grid.models) {
             for (int batch : grid.batches) {
-                std::vector<double> thr;
+                std::vector<StepResult> steps;
                 for (SystemKind kind : ts.systems) {
                     SystemConfig sys = makeSystem(kind, grid.nGpus,
                                                   grid.gpu, grid.hbm);
                     sys.executionMode = ts.executionMode;
-                    ServingSimulator sim(sys);
-                    thr.push_back(
-                        sim.generationThroughput(model, batch,
-                                                 ts.inputLen,
-                                                 ts.outputLen)
-                            .value());
+                    steps.push_back(ServingSimulator(sys).generationStep(
+                        model, batch, ts.position));
                 }
-                double base = thr[0];
-                std::vector<std::string> row = {
-                    model.name, std::to_string(batch)};
-                for (double v : thr)
-                    row.push_back(fmt(v / base, 2));
-                t.addRow(row);
+                const double base = cellValue(ts.report, steps[0], batch);
+                if (breakdown) {
+                    for (size_t i = 0; i < steps.size(); ++i) {
+                        std::vector<std::string> row;
+                        if (byModel)
+                            row.push_back(model.name);
+                        if (bySystem)
+                            row.push_back(systemName(ts.systems[i]));
+                        if (byBatch)
+                            row.push_back(std::to_string(batch));
+                        const double total =
+                            cellValue(ts.report, steps[i], batch);
+                        row.push_back(ts.report == StepReport::Latency
+                                          ? fmt(total * 1e3, 2)
+                                          : fmt(total, 3));
+                        for (const StepColumn &col : stepColumns(ts.report))
+                            row.push_back(
+                                fmt(cellValue(ts.report, steps[i], batch,
+                                              col.key) /
+                                        base,
+                                    3));
+                        t.addRow(row);
+                    }
+                } else {
+                    std::vector<std::string> row = {model.name,
+                                                    std::to_string(batch)};
+                    for (const StepResult &step : steps)
+                        row.push_back(
+                            fmt(cellValue(ts.report, step, batch) / base,
+                                2));
+                    t.addRow(row);
+                }
                 for (size_t s = 0; s < ts.summaries.size(); ++s) {
-                    const ThroughputSummary &sum = ts.summaries[s];
-                    double num = 0.0, den = 0.0;
+                    const StepSummary &sum = ts.summaries[s];
+                    if (sum.batch && *sum.batch != batch)
+                        continue;
+                    double mine = 0.0, theirs = 0.0;
                     for (size_t i = 0; i < ts.systems.size(); ++i) {
                         if (ts.systems[i] == sum.system)
-                            num = thr[i];
+                            mine = cellValue(ts.report, steps[i], batch,
+                                             sum.category);
                         if (ts.systems[i] == sum.versus)
-                            den = thr[i];
+                            theirs = cellValue(ts.report, steps[i], batch,
+                                               sum.category);
                     }
-                    if (num > 0.0 && den > 0.0)
-                        ratios[s].add(num / den);
+                    if (mine > 0.0 && theirs > 0.0)
+                        ratios[s].add(breakdown ? theirs / mine
+                                                : mine / theirs);
                 }
             }
             if (!quiet)
@@ -214,11 +286,15 @@ runThroughput(const Scenario &scenario, bool quiet)
     if (!ts.summaries.empty()) {
         ReportSection sec;
         for (size_t s = 0; s < ts.summaries.size(); ++s) {
-            const ThroughputSummary &sum = ts.summaries[s];
-            std::string line = systemName(sum.system) + " vs " +
-                               systemName(sum.versus) + ": avg " +
-                               fmtRatio(ratios[s].mean()) + ", max " +
-                               fmtRatio(ratios[s].max());
+            const StepSummary &sum = ts.summaries[s];
+            std::string line =
+                systemName(sum.system) + " vs " + systemName(sum.versus);
+            if (sum.category)
+                line += std::string(" ") + breakdownKeyName(*sum.category);
+            if (sum.batch)
+                line += " at batch " + std::to_string(*sum.batch);
+            line += ": avg " + fmtRatio(ratios[s].mean()) + ", max " +
+                    fmtRatio(ratios[s].max());
             if (!sum.note.empty())
                 line += " (" + sum.note + ")";
             sec.lines.push_back(std::move(line));
@@ -634,8 +710,8 @@ runScenario(const Scenario &sc, bool quiet)
 {
     ScenarioReport rep;
     switch (sc.kind) {
-      case ScenarioKind::Throughput:
-        rep = runThroughput(sc, quiet);
+      case ScenarioKind::Step:
+        rep = runStep(sc, quiet);
         break;
       case ScenarioKind::Serving:
         rep = runServing(sc, quiet);

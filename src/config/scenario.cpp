@@ -5,6 +5,8 @@
 #include <initializer_list>
 #include <limits>
 
+#include "serving/step_memo.h"
+
 namespace pimba {
 
 TraceConfig *
@@ -24,13 +26,42 @@ std::string
 scenarioKindName(ScenarioKind kind)
 {
     switch (kind) {
-      case ScenarioKind::Throughput: return "throughput";
+      case ScenarioKind::Step: return "step";
       case ScenarioKind::Serving: return "serving";
       case ScenarioKind::Fleet: return "fleet";
       case ScenarioKind::Saturation: return "saturation";
       case ScenarioKind::Planner: return "planner";
     }
     return "unknown";
+}
+
+std::span<const StepColumn>
+stepColumns(StepReport report)
+{
+    // The headers of the paper's Fig. 13 and Fig. 14 legends.
+    static constexpr StepColumn kLatency[] = {
+        {BreakdownKey::StateUpdate, "StateUpdate"},
+        {BreakdownKey::Attention, "Attention"},
+        {BreakdownKey::Discretization, "Discretization"},
+        {BreakdownKey::CausalConv, "CausalConv"},
+        {BreakdownKey::GEMM, "GEMM"},
+        {BreakdownKey::Communication, "Communication"},
+        {BreakdownKey::Others, "Others"},
+    };
+    static constexpr StepColumn kEnergy[] = {
+        {BreakdownKey::StateUpdateIo, "SU I/O"},
+        {BreakdownKey::StateUpdateCompute, "SU Comp"},
+        {BreakdownKey::AttentionIo, "Attn I/O"},
+        {BreakdownKey::AttentionCompute, "Attn Comp"},
+        {BreakdownKey::GEMM, "GEMM"},
+        {BreakdownKey::Others, "Others"},
+    };
+    switch (report) {
+      case StepReport::Latency: return kLatency;
+      case StepReport::Energy: return kEnergy;
+      case StepReport::Throughput: break;
+    }
+    return {};
 }
 
 namespace {
@@ -628,21 +659,63 @@ parseModelList(const JsonValue &v)
     return out;
 }
 
-ThroughputScenario
-parseThroughput(const JsonValue &root)
+StepReport
+parseReport(const JsonValue &v)
 {
-    ThroughputScenario ts;
+    std::string name = lowered(v.asString());
+    if (name == "throughput")
+        return StepReport::Throughput;
+    if (name == "latency")
+        return StepReport::Latency;
+    if (name == "energy")
+        return StepReport::Energy;
+    failAt(v, "unknown report \"" + v.asString() +
+                  "\" (expected throughput, latency, energy)");
+}
+
+/// A summary's breakdown category: one of @p report's columns.
+BreakdownKey
+parseCategory(const JsonValue &v, StepReport report)
+{
+    std::string name = lowered(v.asString());
+    std::string names;
+    for (const StepColumn &col : stepColumns(report)) {
+        if (name == lowered(breakdownKeyName(col.key)))
+            return col.key;
+        names += std::string(names.empty() ? "" : ", ") +
+                 breakdownKeyName(col.key);
+    }
+    if (names.empty())
+        failAt(v, "a throughput report has no \"category\"");
+    failAt(v, "unknown category \"" + v.asString() +
+                  "\" for this report (expected one of: " + names + ")");
+}
+
+StepScenario
+parseStep(const JsonValue &root)
+{
+    StepScenario ts;
     ts.systems = parseSystems(root, root);
-    ts.inputLen = getUint(root, "inputLen", ts.inputLen);
-    ts.outputLen = getUint(root, "outputLen", ts.outputLen);
+    const JsonValue *pos = root.find("position");
+    if (!pos)
+        failAt(root, "a step scenario needs a \"position\" (the cache "
+                     "position every step is costed at)");
+    int64_t position = pos->asInt();
+    if (position < 0 || static_cast<uint64_t>(position) > kMemoMaxPosition)
+        failAt(*pos, "\"position\" must be in [0, " +
+                         std::to_string(kMemoMaxPosition) + "], got " +
+                         std::to_string(position));
+    ts.position = static_cast<uint64_t>(position);
     if (const JsonValue *m = root.find("executionMode"))
         ts.executionMode = parseMode(*m);
+    if (const JsonValue *r = root.find("report"))
+        ts.report = parseReport(*r);
     const JsonValue *grids = root.find("grids");
     if (!grids)
-        failAt(root, "a throughput scenario needs a \"grids\" array");
+        failAt(root, "a step scenario needs a \"grids\" array");
     for (const JsonValue &g : grids->items()) {
         checkKeys(g, {"label", "gpu", "nGpus", "models", "batches"});
-        ThroughputGrid grid;
+        StepGrid grid;
         grid.label = getString(g, "label", "");
         grid.hbm = hbm2eConfig();
         grid.gpu = a100Config();
@@ -674,12 +747,27 @@ parseThroughput(const JsonValue &root)
         failAt(*grids, "\"grids\" must hold at least one grid");
     if (const JsonValue *sums = root.find("summaries")) {
         for (const JsonValue &s : sums->items()) {
-            checkKeys(s, {"system", "versus", "note"});
-            ThroughputSummary sum;
+            checkKeys(s, {"system", "versus", "category", "batch", "note"});
+            StepSummary sum;
             if (const JsonValue *sys = s.find("system"))
                 sum.system = parseSystemKind(*sys);
             if (const JsonValue *vs = s.find("versus"))
                 sum.versus = parseSystemKind(*vs);
+            if (const JsonValue *c = s.find("category"))
+                sum.category = parseCategory(*c, ts.report);
+            if (const JsonValue *b = s.find("batch")) {
+                int batch = getInt32(s, "batch", 0);
+                if (std::none_of(ts.grids.begin(), ts.grids.end(),
+                                 [&](const StepGrid &grid) {
+                                     return std::count(
+                                                grid.batches.begin(),
+                                                grid.batches.end(),
+                                                batch) > 0;
+                                 }))
+                    failAt(*b, "no grid holds batch " +
+                                   std::to_string(batch));
+                sum.batch = batch;
+            }
             sum.note = getString(s, "note", "");
             ts.summaries.push_back(std::move(sum));
         }
@@ -870,9 +958,9 @@ parseScenario(const JsonValue &root, bool smoke)
     // The merged document still carries the "smoke" member; it is an
     // allowed (and already consumed) key for every kind.
     static const std::initializer_list<const char *> kByKind[] = {
-        /* throughput */
-        {"name", "description", "kind", "smoke", "systems", "inputLen",
-         "outputLen", "executionMode", "grids", "summaries"},
+        /* step */
+        {"name", "description", "kind", "smoke", "systems", "position",
+         "executionMode", "report", "grids", "summaries"},
         /* serving */
         {"name", "description", "kind", "smoke", "systems", "nGpus",
          "policies", "modes", "rates", "rate", "model", "engine",
@@ -894,11 +982,11 @@ parseScenario(const JsonValue &root, bool smoke)
     sc.description = getString(doc, "description", "");
     const JsonValue *kind = doc.find("kind");
     if (!kind)
-        failAt(doc, "missing required key \"kind\" (throughput, "
-                    "serving, fleet, saturation, planner)");
+        failAt(doc, "missing required key \"kind\" (step, serving, "
+                    "fleet, saturation, planner)");
     std::string kind_name = lowered(kind->asString());
-    if (kind_name == "throughput")
-        sc.kind = ScenarioKind::Throughput;
+    if (kind_name == "step")
+        sc.kind = ScenarioKind::Step;
     else if (kind_name == "serving")
         sc.kind = ScenarioKind::Serving;
     else if (kind_name == "fleet")
@@ -909,12 +997,12 @@ parseScenario(const JsonValue &root, bool smoke)
         sc.kind = ScenarioKind::Planner;
     else
         failAt(*kind, "unknown scenario kind \"" + kind->asString() +
-                          "\" (expected throughput, serving, fleet, "
+                          "\" (expected step, serving, fleet, "
                           "saturation, planner)");
     checkKeys(doc, kByKind[static_cast<size_t>(sc.kind)]);
     switch (sc.kind) {
-      case ScenarioKind::Throughput:
-        sc.spec = parseThroughput(doc);
+      case ScenarioKind::Step:
+        sc.spec = parseStep(doc);
         break;
       case ScenarioKind::Serving:
         sc.spec = parseServing(doc);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Declarative scenario registry: a typed description of everything the
- * simulator stack can currently express — step-level throughput grids
- * (the paper's Fig. 12/16 shape), request-level serving runs over
+ * simulator stack can currently express — step-level grids (the
+ * paper's Figs. 3, 12, 13, 14 and 16), request-level serving runs over
  * synthetic traces, cluster fleets (router shootouts, colocated vs.
  * disaggregated pools, execution-mode mixes), saturation-point searches,
  * and fleet-capacity planning — loaded from JSON with located schema
@@ -10,8 +10,10 @@
  *
  * Five scenario kinds:
  *
- *  - `throughput`: generationThroughput over grids of (model, batch),
- *    one column per system, normalized to the first system.
+ *  - `step`: one generationStep per (grid, model, batch, system) at a
+ *    fixed cache position, reported as throughput (one column per
+ *    system), or as the latency or energy breakdown (one row per
+ *    system), normalized to the first system.
  *  - `serving`: one ServingEngine run per (system x policy x mode x
  *    rate) combination on a shared seeded trace.
  *  - `fleet`: one Fleet run per labelled fleet case (optionally
@@ -39,12 +41,15 @@
 #ifndef PIMBA_CONFIG_SCENARIO_H
 #define PIMBA_CONFIG_SCENARIO_H
 
+#include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "cluster/fleet.h"
 #include "config/json.h"
+#include "core/stats.h"
 #include "obs/observability.h"
 #include "serving/trace.h"
 
@@ -53,18 +58,26 @@ namespace pimba {
 /// The experiment shapes a scenario can describe.
 enum class ScenarioKind
 {
-    Throughput, ///< step-level normalized-throughput grids (Fig. 12/16)
+    Step,       ///< step-level grids (Figs. 3, 12, 13, 14, 16)
     Serving,    ///< request-level engine runs over a trace
     Fleet,      ///< multi-replica fleet cases on one trace
     Saturation, ///< highest SLO-sustaining Poisson rate per config
     Planner,    ///< minimum replica count per system at a target rate
 };
 
-/// Lower-case kind name ("throughput", "serving", ...).
+/// Lower-case kind name ("step", "serving", ...).
 std::string scenarioKindName(ScenarioKind kind);
 
-/// One (platform, models, batches) grid of a throughput scenario.
-struct ThroughputGrid
+/// What a step scenario's tables print per grid cell.
+enum class StepReport
+{
+    Throughput, ///< one row per (model, batch): tokens/s per system
+    Latency,    ///< one row per system: total(ms) + latency categories
+    Energy,     ///< one row per system: total(J) + energy categories
+};
+
+/// One (platform, models, batches) grid of a step scenario.
+struct StepGrid
 {
     std::string label;            ///< section heading in the report
     GpuConfig gpu;                ///< platform ("a100" / "h100")
@@ -74,25 +87,42 @@ struct ThroughputGrid
     std::vector<int> batches;
 };
 
-/// One summary line: mean/max ratio of @c system over @c versus across
-/// every grid cell, with an optional paper-anchor note.
-struct ThroughputSummary
+/// One breakdown column of a latency or energy report.
+struct StepColumn
+{
+    BreakdownKey key;
+    const char *header;
+};
+
+/// The breakdown columns @p report prints, in order (none for the
+/// throughput report). A summary's category must be one of them.
+std::span<const StepColumn> stepColumns(StepReport report);
+
+/// One summary line: mean/max advantage of @c system over @c versus
+/// across the grid cells where both values are positive, with an
+/// optional paper-anchor note. The value is tokens/s (throughput
+/// report; ratio system/versus) or the step total or one @c category
+/// of its breakdown (latency/energy reports; ratio versus/system).
+struct StepSummary
 {
     SystemKind system = SystemKind::PIMBA;
     SystemKind versus = SystemKind::GPU;
-    std::string note; ///< appended in parentheses when non-empty
+    std::optional<BreakdownKey> category;
+    std::optional<int> batch; ///< only cells at this batch
+    std::string note;         ///< appended in parentheses when non-empty
 };
 
-/// Fig. 12/16-shaped study: systems x models x batches, normalized.
-struct ThroughputScenario
+/// Step-level study (Figs. 3, 12, 13, 14, 16): every cell of every
+/// grid is one generationStep(model, batch, position) per system.
+struct StepScenario
 {
     /// Compared systems; the first is the normalization baseline.
     std::vector<SystemKind> systems;
-    uint64_t inputLen = 2048;  ///< prompt length of the decode window
-    uint64_t outputLen = 2048; ///< generated length of the decode window
+    uint64_t position = 0; ///< cache position every step is costed at
     ExecutionMode executionMode = ExecutionMode::Blocked;
-    std::vector<ThroughputGrid> grids;
-    std::vector<ThroughputSummary> summaries;
+    StepReport report = StepReport::Throughput;
+    std::vector<StepGrid> grids;
+    std::vector<StepSummary> summaries;
 };
 
 /// Request-level engine study: systems x policies x modes x rates.
@@ -163,7 +193,7 @@ struct Scenario
     std::string name;
     std::string description;
     ScenarioKind kind = ScenarioKind::Serving;
-    std::variant<ThroughputScenario, ServingScenario, FleetScenario,
+    std::variant<StepScenario, ServingScenario, FleetScenario,
                  SaturationScenario, PlannerScenario>
         spec;
     /// Telemetry switches (serving and fleet kinds; all off by
@@ -172,8 +202,8 @@ struct Scenario
     ObservabilityConfig obs;
 };
 
-/// The request trace @p sc carries, or null for the trace-free
-/// throughput kind.
+/// The request trace @p sc carries, or null for the trace-free step
+/// kind.
 TraceConfig *traceOf(Scenario &sc);
 
 /**

@@ -33,6 +33,12 @@
  * presets just before the C++ built-in studies they mirror were
  * deleted, while both definitions still printed the same tables.
  *
+ * fig03_full.txt, fig13_full.txt and fig14_full.txt were captured from
+ * the step presets while the bench programs they replace still ran:
+ * every Fig. 13 and Fig. 14 line from the title through the last table
+ * row equalled the program's stdout byte for byte, and every Fig. 3
+ * fraction was the program's percentage over 100.
+ *
  * saturation_search_full.txt and fleet_planner_full.txt were captured
  * while every engine still kept private step-cost memos, before the
  * saturation and planner searches shared one step-cost store per
@@ -130,6 +136,27 @@ TEST(GoldenOutput, Fig16FullMatchesCapture)
 {
     EXPECT_EQ(runPreset("fig16_h100.json", false),
               readFixture("fig16_full.txt"));
+}
+
+TEST(GoldenOutput, Fig03FullMatchesCapture)
+{
+    // Latency report over one system: model and batch lead each row.
+    EXPECT_EQ(runPreset("fig03_breakdown.json", false),
+              readFixture("fig03_full.txt"));
+}
+
+TEST(GoldenOutput, Fig13FullMatchesCapture)
+{
+    // One latency grid per model; category summaries at one batch.
+    EXPECT_EQ(runPreset("fig13_breakdown.json", false),
+              readFixture("fig13_full.txt"));
+}
+
+TEST(GoldenOutput, Fig14FullMatchesCapture)
+{
+    // Energy report at one batch: model and system lead each row.
+    EXPECT_EQ(runPreset("fig14_energy.json", false),
+              readFixture("fig14_full.txt"));
 }
 
 TEST(GoldenOutput, ExecutionModesSmokeMatchesCapture)

@@ -16,6 +16,7 @@
 
 #include "config/runner.h"
 #include "config/scenario.h"
+#include "serving/step_memo.h"
 
 using namespace pimba;
 
@@ -348,6 +349,88 @@ TEST(ScenarioSchema, MissingRequiredKeysFail)
         R"({"kind": "fleet", "model": "mamba2-2.7b",
             "trace": {"rate": 1, "numRequests": 4}})",
         "needs \"fleet\" or \"fleets\"");
+}
+
+/// A one-grid step scenario over GPU and Pimba with @p extra members
+/// spliced in on line 2 (so errors they cause are located there).
+std::string
+stepJson(const std::string &extra)
+{
+    return "{\"kind\": \"step\", \"systems\": [\"gpu\", \"pimba\"],\n" +
+           extra +
+           "\n\"grids\": [{\"models\": [\"retnet-2.7b\"], "
+           "\"batches\": [32, 64]}]}";
+}
+
+TEST(ScenarioSchema, StepPositionIsRequiredAndBounded)
+{
+    // A missing, negative, fractional or memo-overflowing position
+    // fails at load, located, instead of aborting the run.
+    ConfigError e = expectSchemaError(stepJson(""), "needs a \"position\"");
+    EXPECT_EQ(e.line(), 1);
+    const std::string bound = "\"position\" must be in [0, " +
+                              std::to_string(kMemoMaxPosition) + "], got ";
+    e = expectSchemaError(stepJson(R"("position": -1,)"), bound + "-1");
+    EXPECT_EQ(e.line(), 2);
+    e = expectSchemaError(stepJson(R"("position": 3071.5,)"),
+                          "expected an integer");
+    EXPECT_EQ(e.line(), 2);
+    expectSchemaError(
+        stepJson(R"("position": )" +
+                 std::to_string(kMemoMaxPosition + 1) + ","),
+        bound + std::to_string(kMemoMaxPosition + 1));
+    expectSchemaError(stepJson(R"("position": "3071",)"), "expected number");
+    // The bound itself is a valid position.
+    Scenario sc = parseScenarioText(stepJson(
+        R"("position": )" + std::to_string(kMemoMaxPosition) + ","));
+    EXPECT_EQ(std::get<StepScenario>(sc.spec).position, kMemoMaxPosition);
+    // The decode window and the old kind name are gone, not aliased.
+    expectSchemaError(
+        stepJson(R"("position": 3071, "inputLen": 2048,)"),
+        "unknown key \"inputLen\"");
+    expectSchemaError(
+        R"({"kind": "throughput", "systems": ["gpu"], "position": 1,
+            "grids": [{"models": ["retnet-2.7b"], "batches": [1]}]})",
+        "unknown scenario kind \"throughput\"");
+}
+
+TEST(ScenarioSchema, StepReportAndSummaryFieldsAreValidated)
+{
+    ConfigError e = expectSchemaError(
+        stepJson(R"("position": 1, "report": "power",)"),
+        "unknown report \"power\"");
+    EXPECT_EQ(e.line(), 2);
+    // A category names a column of the report: none for throughput,
+    // the energy split is not a latency column, and typos list them.
+    expectSchemaError(
+        stepJson(R"("position": 1, "summaries": [{"category": "GEMM"}],)"),
+        "a throughput report has no \"category\"");
+    expectSchemaError(
+        stepJson(R"j("position": 1, "report": "latency",
+                    "summaries": [{"category": "State update (I/O)"}],)j"),
+        "expected one of: StateUpdate, Attention");
+    e = expectSchemaError(
+        stepJson(R"("position": 1, "report": "energy",
+                    "summaries": [{"category": "SU I/O"}],)"),
+        "unknown category \"SU I/O\"");
+    EXPECT_EQ(e.line(), 3);
+    e = expectSchemaError(
+        stepJson(R"("position": 1, "report": "energy",
+                    "summaries": [{"batch": 128}],)"),
+        "no grid holds batch 128");
+    EXPECT_EQ(e.line(), 3);
+
+    Scenario sc = parseScenarioText(
+        stepJson(R"j("position": 1, "report": "energy",
+                    "summaries": [{"category": "attention (i/o)",
+                                   "batch": 64}, {}],)j"));
+    const auto &ss = std::get<StepScenario>(sc.spec);
+    EXPECT_EQ(ss.report, StepReport::Energy);
+    ASSERT_EQ(ss.summaries.size(), 2u);
+    EXPECT_EQ(ss.summaries[0].category, BreakdownKey::AttentionIo);
+    EXPECT_EQ(ss.summaries[0].batch, 64);
+    EXPECT_FALSE(ss.summaries[1].category.has_value());
+    EXPECT_FALSE(ss.summaries[1].batch.has_value());
 }
 
 TEST(ScenarioSchema, SmokeOverlayAppliesOnlyWhenAsked)

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string_view>
 #include <utility>
+#include <vector>
 
+#include "bit_equal.h"
 #include "sim/serving_sim.h"
 
 namespace pimba {
@@ -136,6 +139,71 @@ TEST(ServingSim, SuLlmThroughputIndependentOfSeqLen)
                                                  8192);
     EXPECT_NEAR(a.seconds.value(), b.seconds.value(),
                 a.seconds.value() * 1e-9);
+}
+
+TEST(ServingSim, AttentionFreeStepIsBitIdenticalAtEveryPosition)
+{
+    // A model without attention layers has no cache-length term, so its
+    // step must be the same bits at any position: Fig. 3 costs such
+    // rows at 3072, where its program costed them at 1.
+    std::vector<ModelConfig> models;
+    for (const ModelConfig &m :
+         {retnet2p7b(), gla2p7b(), hgrn2_2p7b(), mamba2_2p7b()}) {
+        ASSERT_EQ(m.attentionLayers(), 0) << m.name;
+        models.push_back(m);
+        models.push_back(scaleModel(m, 70e9));
+    }
+    int cases = 0;
+    for (SystemKind kind :
+         {SystemKind::GPU, SystemKind::GPU_Q, SystemKind::GPU_PIM,
+          SystemKind::PIMBA, SystemKind::NEUPIMS}) {
+        for (ExecutionMode mode :
+             {ExecutionMode::Blocked, ExecutionMode::Overlapped}) {
+            for (int n_gpus : {1, 8}) {
+                SystemConfig sys = makeSystem(kind, n_gpus);
+                sys.executionMode = mode;
+                ServingSimulator s(sys);
+                for (const ModelConfig &m : models) {
+                    for (int batch : {1, 32, 128}) {
+                        const StepResult at1 = s.generationStep(m, batch, 1);
+                        for (uint64_t pos : {0ull, 3072ull, 1000000ull}) {
+                            SCOPED_TRACE(systemName(kind) + " " +
+                                         executionModeName(mode) + " x" +
+                                         std::to_string(n_gpus) + " " +
+                                         m.name + " b=" +
+                                         std::to_string(batch) +
+                                         " pos=" + std::to_string(pos));
+                            const StepResult at =
+                                s.generationStep(m, batch, pos);
+                            expectSameBits(at.seconds.value(),
+                                           at1.seconds.value(), "seconds");
+                            expectSameBits(at.gpuSeconds.value(),
+                                           at1.gpuSeconds.value(), "gpu");
+                            expectSameBits(at.pimSeconds.value(),
+                                           at1.pimSeconds.value(), "pim");
+                            expectSameBits(at.syncSeconds.value(),
+                                           at1.syncSeconds.value(), "sync");
+                            EXPECT_TRUE(std::ranges::equal(
+                                at.latency.keys(), at1.latency.keys()));
+                            EXPECT_TRUE(std::ranges::equal(
+                                at.energy.keys(), at1.energy.keys()));
+                            for (size_t k = 0; k < kBreakdownKeys; ++k) {
+                                const auto key = static_cast<BreakdownKey>(k);
+                                expectSameBits(at.latency.get(key),
+                                               at1.latency.get(key),
+                                               breakdownKeyName(key));
+                                expectSameBits(at.energy.get(key),
+                                               at1.energy.get(key),
+                                               breakdownKeyName(key));
+                            }
+                            ++cases;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cases, 1440);
 }
 
 TEST(ServingSim, TransformerLatencyGrowsWithSeqLen)
