@@ -188,87 +188,88 @@ cellValue(StepReport report, const StepResult &step, int batch,
 ScenarioReport
 runStep(const Scenario &scenario, bool quiet)
 {
-    const auto &ts = std::get<StepScenario>(scenario.spec);
-    const bool breakdown = ts.report != StepReport::Throughput;
+    const auto &st = std::get<StepScenario>(scenario.spec);
+    const bool breakdown = st.report != StepReport::Throughput;
     ScenarioReport rep;
 
     // (mean, max) ratio accumulators per summary, over all grid cells.
-    std::vector<Accumulator> ratios(ts.summaries.size());
+    std::vector<Accumulator> ratios(st.summaries.size());
 
-    for (const StepGrid &grid : ts.grids) {
+    for (const StepGrid &grid : st.grids) {
         const bool byModel = !breakdown || grid.models.size() > 1;
-        const bool bySystem = breakdown && ts.systems.size() > 1;
+        const bool bySystem = breakdown && st.systems.size() > 1;
         const bool byBatch = !breakdown || grid.batches.size() > 1;
-        std::vector<std::string> header;
-        if (byModel)
-            header.push_back("model");
-        if (bySystem)
-            header.push_back("system");
-        if (byBatch)
-            header.push_back("batch");
+        auto lead = [&](std::string model, std::string system,
+                        std::string batch) {
+            std::vector<std::string> row;
+            if (byModel)
+                row.push_back(std::move(model));
+            if (bySystem)
+                row.push_back(std::move(system));
+            if (byBatch)
+                row.push_back(std::move(batch));
+            return row;
+        };
+        std::vector<std::string> header = lead("model", "system", "batch");
         if (breakdown) {
-            header.push_back(ts.report == StepReport::Latency ? "total(ms)"
+            header.push_back(st.report == StepReport::Latency ? "total(ms)"
                                                               : "total(J)");
-            for (const StepColumn &col : stepColumns(ts.report))
+            for (const StepColumn &col : stepColumns(st.report))
                 header.push_back(col.header);
         } else {
-            for (SystemKind kind : ts.systems)
+            for (SystemKind kind : st.systems)
                 header.push_back(systemName(kind));
         }
         Table t(header);
         for (const ModelConfig &model : grid.models) {
             for (int batch : grid.batches) {
                 std::vector<StepResult> steps;
-                for (SystemKind kind : ts.systems) {
+                for (SystemKind kind : st.systems) {
                     SystemConfig sys = makeSystem(kind, grid.nGpus,
                                                   grid.gpu, grid.hbm);
-                    sys.executionMode = ts.executionMode;
+                    sys.executionMode = st.executionMode;
                     steps.push_back(ServingSimulator(sys).generationStep(
-                        model, batch, ts.position));
+                        model, batch, st.position));
                 }
-                const double base = cellValue(ts.report, steps[0], batch);
+                const double base = cellValue(st.report, steps[0], batch);
                 if (breakdown) {
                     for (size_t i = 0; i < steps.size(); ++i) {
-                        std::vector<std::string> row;
-                        if (byModel)
-                            row.push_back(model.name);
-                        if (bySystem)
-                            row.push_back(systemName(ts.systems[i]));
-                        if (byBatch)
-                            row.push_back(std::to_string(batch));
+                        std::vector<std::string> row =
+                            lead(model.name, systemName(st.systems[i]),
+                                 std::to_string(batch));
                         const double total =
-                            cellValue(ts.report, steps[i], batch);
-                        row.push_back(ts.report == StepReport::Latency
+                            cellValue(st.report, steps[i], batch);
+                        row.push_back(st.report == StepReport::Latency
                                           ? fmt(total * 1e3, 2)
                                           : fmt(total, 3));
-                        for (const StepColumn &col : stepColumns(ts.report))
+                        for (const StepColumn &col : stepColumns(st.report))
                             row.push_back(
-                                fmt(cellValue(ts.report, steps[i], batch,
+                                fmt(cellValue(st.report, steps[i], batch,
                                               col.key) /
                                         base,
                                     3));
                         t.addRow(row);
                     }
                 } else {
-                    std::vector<std::string> row = {model.name,
-                                                    std::to_string(batch)};
+                    std::vector<std::string> row =
+                        lead(model.name, "", std::to_string(batch));
                     for (const StepResult &step : steps)
                         row.push_back(
-                            fmt(cellValue(ts.report, step, batch) / base,
+                            fmt(cellValue(st.report, step, batch) / base,
                                 2));
                     t.addRow(row);
                 }
-                for (size_t s = 0; s < ts.summaries.size(); ++s) {
-                    const StepSummary &sum = ts.summaries[s];
+                for (size_t s = 0; s < st.summaries.size(); ++s) {
+                    const StepSummary &sum = st.summaries[s];
                     if (sum.batch && *sum.batch != batch)
                         continue;
                     double mine = 0.0, theirs = 0.0;
-                    for (size_t i = 0; i < ts.systems.size(); ++i) {
-                        if (ts.systems[i] == sum.system)
-                            mine = cellValue(ts.report, steps[i], batch,
+                    for (size_t i = 0; i < st.systems.size(); ++i) {
+                        if (st.systems[i] == sum.system)
+                            mine = cellValue(st.report, steps[i], batch,
                                              sum.category);
-                        if (ts.systems[i] == sum.versus)
-                            theirs = cellValue(ts.report, steps[i], batch,
+                        if (st.systems[i] == sum.versus)
+                            theirs = cellValue(st.report, steps[i], batch,
                                                sum.category);
                     }
                     if (mine > 0.0 && theirs > 0.0)
@@ -283,10 +284,10 @@ runStep(const Scenario &scenario, bool quiet)
             ReportSection{grid.label, std::move(t), {}});
     }
 
-    if (!ts.summaries.empty()) {
+    if (!st.summaries.empty()) {
         ReportSection sec;
-        for (size_t s = 0; s < ts.summaries.size(); ++s) {
-            const StepSummary &sum = ts.summaries[s];
+        for (size_t s = 0; s < st.summaries.size(); ++s) {
+            const StepSummary &sum = st.summaries[s];
             std::string line =
                 systemName(sum.system) + " vs " + systemName(sum.versus);
             if (sum.category)

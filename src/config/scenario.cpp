@@ -694,8 +694,8 @@ parseCategory(const JsonValue &v, StepReport report)
 StepScenario
 parseStep(const JsonValue &root)
 {
-    StepScenario ts;
-    ts.systems = parseSystems(root, root);
+    StepScenario st;
+    st.systems = parseSystems(root, root);
     const JsonValue *pos = root.find("position");
     if (!pos)
         failAt(root, "a step scenario needs a \"position\" (the cache "
@@ -705,11 +705,11 @@ parseStep(const JsonValue &root)
         failAt(*pos, "\"position\" must be in [0, " +
                          std::to_string(kMemoMaxPosition) + "], got " +
                          std::to_string(position));
-    ts.position = static_cast<uint64_t>(position);
+    st.position = static_cast<uint64_t>(position);
     if (const JsonValue *m = root.find("executionMode"))
-        ts.executionMode = parseMode(*m);
+        st.executionMode = parseMode(*m);
     if (const JsonValue *r = root.find("report"))
-        ts.report = parseReport(*r);
+        st.report = parseReport(*r);
     const JsonValue *grids = root.find("grids");
     if (!grids)
         failAt(root, "a step scenario needs a \"grids\" array");
@@ -741,9 +741,9 @@ parseStep(const JsonValue &root)
         }
         if (grid.models.empty() || grid.batches.empty())
             failAt(g, "a grid needs at least one model and one batch");
-        ts.grids.push_back(std::move(grid));
+        st.grids.push_back(std::move(grid));
     }
-    if (ts.grids.empty())
+    if (st.grids.empty())
         failAt(*grids, "\"grids\" must hold at least one grid");
     if (const JsonValue *sums = root.find("summaries")) {
         for (const JsonValue &s : sums->items()) {
@@ -754,25 +754,22 @@ parseStep(const JsonValue &root)
             if (const JsonValue *vs = s.find("versus"))
                 sum.versus = parseSystemKind(*vs);
             if (const JsonValue *c = s.find("category"))
-                sum.category = parseCategory(*c, ts.report);
+                sum.category = parseCategory(*c, st.report);
             if (const JsonValue *b = s.find("batch")) {
                 int batch = getInt32(s, "batch", 0);
-                if (std::none_of(ts.grids.begin(), ts.grids.end(),
-                                 [&](const StepGrid &grid) {
-                                     return std::count(
-                                                grid.batches.begin(),
-                                                grid.batches.end(),
-                                                batch) > 0;
-                                 }))
+                auto holds = [&](const StepGrid &grid) {
+                    return std::ranges::count(grid.batches, batch) > 0;
+                };
+                if (std::ranges::none_of(st.grids, holds))
                     failAt(*b, "no grid holds batch " +
                                    std::to_string(batch));
                 sum.batch = batch;
             }
             sum.note = getString(s, "note", "");
-            ts.summaries.push_back(std::move(sum));
+            st.summaries.push_back(std::move(sum));
         }
     }
-    return ts;
+    return st;
 }
 
 ServingScenario

@@ -71,9 +71,9 @@ std::string scenarioKindName(ScenarioKind kind);
 /// What a step scenario's tables print per grid cell.
 enum class StepReport
 {
-    Throughput, ///< one row per (model, batch): tokens/s per system
-    Latency,    ///< one row per system: total(ms) + latency categories
-    Energy,     ///< one row per system: total(J) + energy categories
+    Throughput, ///< per (model, batch): each system's tokens/s
+    Latency,    ///< per (model, batch, system): step latency breakdown
+    Energy,     ///< per (model, batch, system): step energy breakdown
 };
 
 /// One (platform, models, batches) grid of a step scenario.
