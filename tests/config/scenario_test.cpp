@@ -150,6 +150,17 @@ expectSchemaError(const std::string &text, const std::string &needle)
     return ConfigError("none");
 }
 
+/// A one-grid step scenario over GPU and Pimba with @p extra members
+/// spliced in on line 2 (so errors they cause are located there).
+std::string
+stepJson(const std::string &extra)
+{
+    return "{\"kind\": \"step\", \"systems\": [\"gpu\", \"pimba\"],\n" +
+           extra +
+           "\n\"grids\": [{\"models\": [\"retnet-2.7b\"], "
+           "\"batches\": [32, 64]}]}";
+}
+
 TEST(ScenarioSchema, UnknownKeysAreLocated)
 {
     ConfigError e = expectSchemaError(
@@ -166,15 +177,78 @@ TEST(ScenarioSchema, UnknownKeysAreLocated)
 
 TEST(ScenarioSchema, UnknownEnumNamesListAlternatives)
 {
-    expectSchemaError(R"({"kind": "sorving"})", "unknown scenario kind");
+    // Every key that names an enum value fails with the whole list of
+    // its names, located at the offending value.
+    expectSchemaError(R"({"name": "x"})",
+                      "missing required key \"kind\" (step, serving, "
+                      "fleet, saturation, planner)");
+    expectSchemaError(R"({"kind": "sorving"})",
+                      "unknown scenario kind \"sorving\" (expected step, "
+                      "serving, fleet, saturation, planner)");
     expectSchemaError(
         R"({"kind": "serving", "systems": ["tpu"], "rate": 1,
             "model": "mamba2-2.7b", "trace": {"numRequests": 4}})",
-        "unknown system \"tpu\"");
+        "unknown system \"tpu\" (expected gpu, gpu+q, gpu+pim, pimba, "
+        "neupims)");
     expectSchemaError(
         R"({"kind": "serving", "systems": ["gpu"], "rate": 1,
             "model": "nanogpt", "trace": {"numRequests": 4}})",
         "unknown model preset");
+
+    // A serving scenario with @p extra members spliced in on line 2.
+    auto serving = [](const std::string &extra) {
+        return "{\"kind\": \"serving\", \"systems\": [\"gpu\"], "
+               "\"rate\": 1, \"model\": \"mamba2-2.7b\",\n" +
+               extra + "}";
+    };
+    ConfigError e = expectSchemaError(
+        serving(R"("policies": ["fcfs", "Lifo"],
+                   "trace": {"numRequests": 4})"),
+        "unknown scheduler policy \"Lifo\" (expected fcfs, sjf, sarathi)");
+    EXPECT_EQ(e.line(), 2);
+    expectSchemaError(
+        serving(R"("modes": ["pipelined"], "trace": {"numRequests": 4})"),
+        "unknown execution mode \"pipelined\" (expected blocked, "
+        "overlapped)");
+    expectSchemaError(
+        serving(R"("engine": {"executionMode": "async"},
+                   "trace": {"numRequests": 4})"),
+        "unknown execution mode \"async\" (expected blocked, overlapped)");
+    expectSchemaError(
+        serving(R"("trace": {"numRequests": 4, "arrivals": "gamma"})"),
+        "unknown arrival process \"gamma\" (expected poisson, fixed, "
+        "diurnal, mmpp)");
+    expectSchemaError(
+        serving(R"("trace": {"numRequests": 4, "lengths": "zipf"})"),
+        "unknown length distribution \"zipf\" (expected fixed, uniform)");
+    e = expectSchemaError(
+        serving(R"("trace": {"numRequests": 4},
+                   "observability": {"timelineFormat": "xml"})"),
+        "unknown timeline format \"xml\" (expected csv, json)");
+    EXPECT_EQ(e.line(), 3);
+
+    // A fleet scenario with @p routers at the top and @p fleet as its
+    // one fleet's extra members.
+    auto fleet = [](const std::string &routers, const std::string &extra) {
+        return "{\"kind\": \"fleet\", \"model\": \"mamba2-2.7b\",\n" +
+               routers +
+               "\"fleet\": {\"replicas\": [{\"system\": \"pimba\"}]" +
+               extra + "},\n\"trace\": {\"numRequests\": 4}}";
+    };
+    e = expectSchemaError(fleet(R"("routers": ["jsq", "random"],)", ""),
+                          "unknown router \"random\" (expected rr, jsq, "
+                          "lot, p2c, cache-affinity)");
+    EXPECT_EQ(e.line(), 2);
+    expectSchemaError(fleet("", R"(, "router": "least-loaded")"),
+                      "unknown router \"least-loaded\" (expected rr, jsq, "
+                      "lot, p2c, cache-affinity)");
+    expectSchemaError(fleet("", R"(, "mode": "split")"),
+                      "unknown fleet mode \"split\" (expected colocated, "
+                      "disaggregated)");
+
+    expectSchemaError(stepJson(R"("position": 1, "report": "power",)"),
+                      "unknown report \"power\" (expected throughput, "
+                      "latency, energy)");
 }
 
 TEST(ScenarioSchema, LayerValidatorsRejectNonsense)
@@ -349,17 +423,6 @@ TEST(ScenarioSchema, MissingRequiredKeysFail)
         R"({"kind": "fleet", "model": "mamba2-2.7b",
             "trace": {"rate": 1, "numRequests": 4}})",
         "needs \"fleet\" or \"fleets\"");
-}
-
-/// A one-grid step scenario over GPU and Pimba with @p extra members
-/// spliced in on line 2 (so errors they cause are located there).
-std::string
-stepJson(const std::string &extra)
-{
-    return "{\"kind\": \"step\", \"systems\": [\"gpu\", \"pimba\"],\n" +
-           extra +
-           "\n\"grids\": [{\"models\": [\"retnet-2.7b\"], "
-           "\"batches\": [32, 64]}]}";
 }
 
 TEST(ScenarioSchema, StepPositionIsRequiredAndBounded)
