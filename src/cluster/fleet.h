@@ -78,6 +78,11 @@ enum class FleetMode
     Disaggregated, ///< prefill pool -> link transfer -> decode pool
 };
 
+inline constexpr Named<FleetMode> kFleetModeNames[] = {
+    {FleetMode::Colocated, "colocated"},
+    {FleetMode::Disaggregated, "disaggregated"},
+};
+
 /// Full description of one fleet.
 struct FleetConfig
 {

@@ -78,24 +78,6 @@ Router::route(const std::vector<ReplicaSnapshot> &pool, const Request &)
     PIMBA_PANIC("unknown router policy");
 }
 
-std::string
-routerName(RouterPolicy policy)
-{
-    switch (policy) {
-      case RouterPolicy::RoundRobin:
-        return "rr";
-      case RouterPolicy::JoinShortestQueue:
-        return "jsq";
-      case RouterPolicy::LeastOutstandingTokens:
-        return "lot";
-      case RouterPolicy::PowerOfTwoChoices:
-        return "p2c";
-      case RouterPolicy::CacheAffinity:
-        return "cache-affinity";
-    }
-    PIMBA_PANIC("unknown router policy");
-}
-
 const std::vector<RouterPolicy> &
 allRouterPolicies()
 {

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/lfsr.h"
+#include "core/names.h"
 #include "serving/request.h"
 
 namespace pimba {
@@ -56,9 +57,19 @@ enum class RouterPolicy
     CacheAffinity,
 };
 
-/** Human-readable policy name ("rr", "jsq", "lot", "p2c",
- *  "cache-affinity"). */
-std::string routerName(RouterPolicy policy);
+inline constexpr Named<RouterPolicy> kRouterNames[] = {
+    {RouterPolicy::RoundRobin, "rr"},
+    {RouterPolicy::JoinShortestQueue, "jsq"},
+    {RouterPolicy::LeastOutstandingTokens, "lot"},
+    {RouterPolicy::PowerOfTwoChoices, "p2c"},
+    {RouterPolicy::CacheAffinity, "cache-affinity"},
+};
+
+inline std::string
+routerName(RouterPolicy policy)
+{
+    return std::string(nameOf(kRouterNames, policy));
+}
 
 /** The load-only routing policies, for sweeps and tests. Excludes
  *  CacheAffinity deliberately: fleet sweeps iterate this list against

@@ -710,7 +710,7 @@ ScenarioReport
 runScenario(const Scenario &sc, bool quiet)
 {
     ScenarioReport rep;
-    switch (sc.kind) {
+    switch (sc.kind()) {
       case ScenarioKind::Step:
         rep = runStep(sc, quiet);
         break;

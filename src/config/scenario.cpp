@@ -1,7 +1,6 @@
 #include "config/scenario.h"
 
 #include <algorithm>
-#include <cctype>
 #include <initializer_list>
 #include <limits>
 
@@ -20,19 +19,6 @@ traceOf(Scenario &sc)
                 return nullptr;
         },
         sc.spec);
-}
-
-std::string
-scenarioKindName(ScenarioKind kind)
-{
-    switch (kind) {
-      case ScenarioKind::Step: return "step";
-      case ScenarioKind::Serving: return "serving";
-      case ScenarioKind::Fleet: return "fleet";
-      case ScenarioKind::Saturation: return "saturation";
-      case ScenarioKind::Planner: return "planner";
-    }
-    return "unknown";
 }
 
 std::span<const StepColumn>
@@ -66,6 +52,13 @@ stepColumns(StepReport report)
 
 namespace {
 
+constexpr Named<ModelConfig (*)()> kModelPresets[] = {
+    {retnet2p7b, "retnet-2.7b"}, {gla2p7b, "gla-2.7b"},
+    {hgrn2_2p7b, "hgrn2-2.7b"},  {mamba2_2p7b, "mamba2-2.7b"},
+    {zamba2_7b, "zamba2-7b"},    {opt7b, "opt-7b"},
+    {opt2p7b, "opt-2.7b"},
+};
+
 [[noreturn]] void
 failAt(const JsonValue &v, const std::string &msg)
 {
@@ -73,14 +66,10 @@ failAt(const JsonValue &v, const std::string &msg)
 }
 
 std::string
-lowered(const std::string &s)
+lowered(std::string s)
 {
-    std::string out = s;
-    std::transform(out.begin(), out.end(), out.begin(),
-                   [](unsigned char c) {
-                       return static_cast<char>(std::tolower(c));
-                   });
-    return out;
+    std::ranges::transform(s, s.begin(), asciiLower);
+    return s;
 }
 
 /// Reject members outside @p allowed so typos are caught, not ignored.
@@ -177,6 +166,32 @@ getBool(const JsonValue &obj, const char *key, bool fallback)
     return v ? v->asBool() : fallback;
 }
 
+/// The value string @p v names in @p table (core/names.h); @p what
+/// names the enum in the error.
+template <class T, size_t N>
+T
+parseName(const JsonValue &v, const char *what, const Named<T> (&table)[N])
+{
+    if (std::optional<T> value = lookupName(table, v.asString()))
+        return *value;
+    failAt(v, std::string("unknown ") + what + " \"" + v.asString() +
+                  "\" (expected " + nameList(table) + ")");
+}
+
+/// A non-empty array of names from @p table.
+template <class T, size_t N>
+std::vector<T>
+parseNames(const JsonValue &v, const char *what, const Named<T> (&table)[N],
+           const char *emptyError)
+{
+    std::vector<T> out;
+    for (const JsonValue &item : v.items())
+        out.push_back(parseName(item, what, table));
+    if (out.empty())
+        failAt(v, emptyError);
+    return out;
+}
+
 /// The optional "observability" block of serving and fleet scenarios
 /// (docs/scenarios.md): telemetry switches, all off when absent.
 ObservabilityConfig
@@ -193,16 +208,9 @@ parseObservability(const JsonValue &doc)
     obs.streamMetrics = getBool(*v, "streamMetrics", false);
     obs.tracePath = getString(*v, "trace", "");
     obs.timelinePath = getString(*v, "timeline", "");
-    if (const JsonValue *fmt = v->find("timelineFormat")) {
-        std::string name = lowered(fmt->asString());
-        if (name == "csv")
-            obs.timelineFormat = TimelineFormat::Csv;
-        else if (name == "json")
-            obs.timelineFormat = TimelineFormat::Json;
-        else
-            failAt(*fmt, "unknown timeline format \"" + fmt->asString() +
-                             "\" (expected csv, json)");
-    }
+    if (const JsonValue *fmt = v->find("timelineFormat"))
+        obs.timelineFormat =
+            parseName(*fmt, "timeline format", kTimelineFormatNames);
     obs.timelineInterval =
         Seconds(getNumber(*v, "timelineInterval",
                           obs.timelineInterval.value()));
@@ -213,105 +221,29 @@ parseObservability(const JsonValue &doc)
     return obs;
 }
 
-SystemKind
-parseSystemKind(const JsonValue &v)
-{
-    std::string name = lowered(v.asString());
-    if (name == "gpu")
-        return SystemKind::GPU;
-    if (name == "gpu+q" || name == "gpu_q")
-        return SystemKind::GPU_Q;
-    if (name == "gpu+pim" || name == "gpu_pim")
-        return SystemKind::GPU_PIM;
-    if (name == "pimba")
-        return SystemKind::PIMBA;
-    if (name == "neupims")
-        return SystemKind::NEUPIMS;
-    failAt(v, "unknown system \"" + v.asString() +
-                  "\" (expected gpu, gpu+q, gpu+pim, pimba, neupims)");
-}
-
 std::vector<SystemKind>
-parseSystems(const JsonValue &obj, const JsonValue &root)
+parseSystems(const JsonValue &root)
 {
-    const JsonValue *v = obj.find("systems");
+    const JsonValue *v = root.find("systems");
     if (!v)
         failAt(root, "missing required key \"systems\"");
-    std::vector<SystemKind> out;
-    for (const JsonValue &item : v->items())
-        out.push_back(parseSystemKind(item));
-    if (out.empty())
-        failAt(*v, "\"systems\" must name at least one system");
-    return out;
-}
-
-SchedulerPolicy
-parsePolicy(const JsonValue &v)
-{
-    std::string name = lowered(v.asString());
-    if (name == "fcfs")
-        return SchedulerPolicy::FCFS;
-    if (name == "sjf")
-        return SchedulerPolicy::SJF;
-    if (name == "sarathi")
-        return SchedulerPolicy::Sarathi;
-    failAt(v, "unknown scheduler policy \"" + v.asString() +
-                  "\" (expected fcfs, sjf, sarathi)");
-}
-
-RouterPolicy
-parseRouter(const JsonValue &v)
-{
-    std::string name = lowered(v.asString());
-    if (name == "rr" || name == "round-robin")
-        return RouterPolicy::RoundRobin;
-    if (name == "jsq")
-        return RouterPolicy::JoinShortestQueue;
-    if (name == "lot")
-        return RouterPolicy::LeastOutstandingTokens;
-    if (name == "p2c")
-        return RouterPolicy::PowerOfTwoChoices;
-    if (name == "cache-affinity" || name == "cache")
-        return RouterPolicy::CacheAffinity;
-    failAt(v, "unknown router \"" + v.asString() +
-                  "\" (expected rr, jsq, lot, p2c, cache-affinity)");
-}
-
-ExecutionMode
-parseMode(const JsonValue &v)
-{
-    std::string name = lowered(v.asString());
-    if (name == "blocked")
-        return ExecutionMode::Blocked;
-    if (name == "overlapped")
-        return ExecutionMode::Overlapped;
-    failAt(v, "unknown execution mode \"" + v.asString() +
-                  "\" (expected blocked, overlapped)");
+    return parseNames(*v, "system", kSystemNames,
+                      "\"systems\" must name at least one system");
 }
 
 /// One model entry: a preset name or {"base", "scaleTo", "name"}.
 ModelConfig
 parseModelValue(const JsonValue &v)
 {
-    if (v.isString()) {
-        try {
-            return modelPreset(v.asString());
-        } catch (const ConfigError &e) {
-            failAt(v, e.what());
-        }
-    }
+    if (v.isString())
+        return parseName(v, "model preset", kModelPresets)();
     if (!v.isObject())
         failAt(v, "expected a model name or object");
     checkKeys(v, {"base", "scaleTo", "name"});
     const JsonValue *base = v.find("base");
     if (!base)
         failAt(v, "a model object needs a \"base\" preset name");
-    ModelConfig m;
-    try {
-        m = modelPreset(base->asString());
-    } catch (const ConfigError &e) {
-        failAt(*base, e.what());
-    }
+    ModelConfig m = parseName(*base, "model preset", kModelPresets)();
     if (const JsonValue *scale = v.find("scaleTo")) {
         std::string base_name = m.name;
         m = scaleModel(m, scale->asNumber());
@@ -328,18 +260,6 @@ parseModel(const JsonValue &obj, const JsonValue &root)
     if (!v)
         failAt(root, "missing required key \"model\"");
     return parseModelValue(*v);
-}
-
-LengthDistribution
-parseLengthDistribution(const JsonValue &v)
-{
-    std::string name = lowered(v.asString());
-    if (name == "fixed")
-        return LengthDistribution::Fixed;
-    if (name == "uniform")
-        return LengthDistribution::Uniform;
-    failAt(v, "unknown length distribution \"" + v.asString() +
-                  "\" (expected fixed, uniform)");
 }
 
 /**
@@ -363,21 +283,8 @@ parseTrace(const JsonValue &obj, const JsonValue &root,
                    "inputLen", "inputLenMax", "outputLen",
                    "outputLenMax", "seed", "diurnal", "mmpp", "classes",
                    "file"});
-    if (const JsonValue *a = v->find("arrivals")) {
-        std::string name = lowered(a->asString());
-        if (name == "poisson")
-            tc.arrivals = ArrivalProcess::Poisson;
-        else if (name == "fixed")
-            tc.arrivals = ArrivalProcess::Fixed;
-        else if (name == "diurnal")
-            tc.arrivals = ArrivalProcess::Diurnal;
-        else if (name == "mmpp")
-            tc.arrivals = ArrivalProcess::Mmpp;
-        else
-            failAt(*a, "unknown arrival process \"" + a->asString() +
-                           "\" (expected poisson, fixed, diurnal, "
-                           "mmpp)");
-    }
+    if (const JsonValue *a = v->find("arrivals"))
+        tc.arrivals = parseName(*a, "arrival process", kArrivalProcessNames);
     tc.ratePerSec = getNumber(*v, "rate", tc.ratePerSec);
     tc.numRequests = getInt32(*v, "numRequests", tc.numRequests);
     tc.inputLen = getUint(*v, "inputLen", tc.inputLen);
@@ -386,7 +293,8 @@ parseTrace(const JsonValue &obj, const JsonValue &root,
     tc.outputLenMax = getUint(*v, "outputLenMax", 0);
     tc.seed = getSeed(*v, "seed", tc.seed);
     if (const JsonValue *l = v->find("lengths")) {
-        tc.lengths = parseLengthDistribution(*l);
+        tc.lengths = parseName(*l, "length distribution",
+                               kLengthDistributionNames);
     } else if (tc.inputLenMax > 0 || tc.outputLenMax > 0) {
         tc.lengths = LengthDistribution::Uniform;
     }
@@ -419,7 +327,8 @@ parseTrace(const JsonValue &obj, const JsonValue &root,
             c.inputLenMax = getUint(cv, "inputLenMax", 0);
             c.outputLenMax = getUint(cv, "outputLenMax", 0);
             if (const JsonValue *l = cv.find("lengths"))
-                c.lengths = parseLengthDistribution(*l);
+                c.lengths = parseName(*l, "length distribution",
+                                      kLengthDistributionNames);
             else if (c.inputLenMax > 0 || c.outputLenMax > 0)
                 c.lengths = LengthDistribution::Uniform;
             tc.classes.push_back(std::move(c));
@@ -481,9 +390,10 @@ parseEngine(const JsonValue &obj)
     ec.iterTokenBudget = Tokens(
         getUint(*v, "iterTokenBudget", ec.iterTokenBudget.value()));
     if (const JsonValue *p = v->find("policy"))
-        ec.policy = parsePolicy(*p);
+        ec.policy = parseName(*p, "scheduler policy", kSchedulerPolicyNames);
     if (const JsonValue *m = v->find("executionMode"))
-        ec.executionMode = parseMode(*m);
+        ec.executionMode =
+            parseName(*m, "execution mode", kExecutionModeNames);
     ec.slo = parseSlo(*v, ec.slo);
     if (std::string err = validateEngineConfig(ec); !err.empty())
         failAt(*v, err);
@@ -525,7 +435,7 @@ parseReplicas(const JsonValue &v)
         if (!sys)
             failAt(item, "a replica entry needs a \"system\"");
         ReplicaConfig rc;
-        rc.kind = parseSystemKind(*sys);
+        rc.kind = parseName(*sys, "system", kSystemNames);
         rc.nGpus = getInt32(item, "nGpus", rc.nGpus);
         rc.engine = parseEngine(item);
         int64_t count = getInt(item, "count", 1);
@@ -591,7 +501,7 @@ parseFleetConfig(const JsonValue &v)
         failAt(v, "a fleet needs a \"replicas\" array");
     cfg.replicas = parseReplicas(*reps);
     if (const JsonValue *r = v.find("router"))
-        cfg.router = parseRouter(*r);
+        cfg.router = parseName(*r, "router", kRouterNames);
     cfg.routerSeed = getSeed(v, "routerSeed", cfg.routerSeed);
     if (const JsonValue *cp = v.find("controlPlane"))
         parseControlPlane(*cp, cfg.controlPlane);
@@ -614,16 +524,8 @@ parseFleetConfig(const JsonValue &v)
                 Seconds(getNumber(item, "totalSec", d.total.value()));
             cfg.controlPlane.deadlines.push_back(d);
         }
-    if (const JsonValue *m = v.find("mode")) {
-        std::string name = lowered(m->asString());
-        if (name == "colocated")
-            cfg.mode = FleetMode::Colocated;
-        else if (name == "disaggregated")
-            cfg.mode = FleetMode::Disaggregated;
-        else
-            failAt(*m, "unknown fleet mode \"" + m->asString() +
-                           "\" (expected colocated, disaggregated)");
-    }
+    if (const JsonValue *m = v.find("mode"))
+        cfg.mode = parseName(*m, "fleet mode", kFleetModeNames);
     cfg.prefillReplicas = static_cast<size_t>(
         getUint(v, "prefillReplicas", cfg.prefillReplicas));
     if (const JsonValue *l = v.find("link"))
@@ -634,20 +536,18 @@ parseFleetConfig(const JsonValue &v)
     return cfg;
 }
 
+/// A GPU preset and the HBM generation it pairs with.
 GpuConfig
 parseGpuPreset(const JsonValue &v, HbmConfig &hbm)
 {
-    std::string name = lowered(v.asString());
-    if (name == "a100") {
-        hbm = hbm2eConfig();
-        return a100Config();
-    }
-    if (name == "h100") {
-        hbm = hbm3Config();
-        return h100Config();
-    }
-    failAt(v, "unknown GPU preset \"" + v.asString() +
-                  "\" (expected a100, h100)");
+    using Preset = std::pair<GpuConfig (*)(), HbmConfig (*)()>;
+    static constexpr Named<Preset> kPresets[] = {
+        {{a100Config, hbm2eConfig}, "a100"},
+        {{h100Config, hbm3Config}, "h100"},
+    };
+    auto [gpu, mem] = parseName(v, "GPU preset", kPresets);
+    hbm = mem();
+    return gpu();
 }
 
 std::vector<ModelConfig>
@@ -657,20 +557,6 @@ parseModelList(const JsonValue &v)
     for (const JsonValue &item : v.items())
         out.push_back(parseModelValue(item));
     return out;
-}
-
-StepReport
-parseReport(const JsonValue &v)
-{
-    std::string name = lowered(v.asString());
-    if (name == "throughput")
-        return StepReport::Throughput;
-    if (name == "latency")
-        return StepReport::Latency;
-    if (name == "energy")
-        return StepReport::Energy;
-    failAt(v, "unknown report \"" + v.asString() +
-                  "\" (expected throughput, latency, energy)");
 }
 
 /// A summary's breakdown category: one of @p report's columns.
@@ -691,11 +577,31 @@ parseCategory(const JsonValue &v, StepReport report)
                   "\" for this report (expected one of: " + names + ")");
 }
 
+/// A summary's @p key system (@p fallback when absent): one of the
+/// scenario's @p systems, or the summary would compare no cells.
+SystemKind
+parseSummarySystem(const JsonValue &summary, const char *key,
+                   const std::vector<SystemKind> &systems,
+                   SystemKind fallback)
+{
+    const JsonValue *v = summary.find(key);
+    SystemKind kind = v ? parseName(*v, "system", kSystemNames) : fallback;
+    if (std::ranges::count(systems, kind) > 0)
+        return kind;
+    std::string names;
+    for (SystemKind s : systems)
+        names += (names.empty() ? "" : ", ") + lowered(systemName(s));
+    failAt(v ? *v : summary,
+           std::string("summary \"") + key + "\" " +
+               lowered(systemName(kind)) + (v ? "" : " (the default)") +
+               " is not one of this scenario's systems (" + names + ")");
+}
+
 StepScenario
 parseStep(const JsonValue &root)
 {
     StepScenario st;
-    st.systems = parseSystems(root, root);
+    st.systems = parseSystems(root);
     const JsonValue *pos = root.find("position");
     if (!pos)
         failAt(root, "a step scenario needs a \"position\" (the cache "
@@ -707,9 +613,10 @@ parseStep(const JsonValue &root)
                          std::to_string(position));
     st.position = static_cast<uint64_t>(position);
     if (const JsonValue *m = root.find("executionMode"))
-        st.executionMode = parseMode(*m);
+        st.executionMode =
+            parseName(*m, "execution mode", kExecutionModeNames);
     if (const JsonValue *r = root.find("report"))
-        st.report = parseReport(*r);
+        st.report = parseName(*r, "report", kStepReportNames);
     const JsonValue *grids = root.find("grids");
     if (!grids)
         failAt(root, "a step scenario needs a \"grids\" array");
@@ -749,10 +656,10 @@ parseStep(const JsonValue &root)
         for (const JsonValue &s : sums->items()) {
             checkKeys(s, {"system", "versus", "category", "batch", "note"});
             StepSummary sum;
-            if (const JsonValue *sys = s.find("system"))
-                sum.system = parseSystemKind(*sys);
-            if (const JsonValue *vs = s.find("versus"))
-                sum.versus = parseSystemKind(*vs);
+            sum.system = parseSummarySystem(s, "system", st.systems,
+                                            sum.system);
+            sum.versus = parseSummarySystem(s, "versus", st.systems,
+                                            sum.versus);
             if (const JsonValue *c = s.find("category"))
                 sum.category = parseCategory(*c, st.report);
             if (const JsonValue *b = s.find("batch")) {
@@ -776,18 +683,15 @@ ServingScenario
 parseServing(const JsonValue &root)
 {
     ServingScenario sc;
-    sc.systems = parseSystems(root, root);
+    sc.systems = parseSystems(root);
     sc.nGpus = getInt32(root, "nGpus", sc.nGpus);
     if (sc.nGpus < 1)
         failAt(root, "\"nGpus\" must be >= 1, got " +
                          std::to_string(sc.nGpus));
-    if (const JsonValue *p = root.find("policies")) {
-        sc.policies.clear();
-        for (const JsonValue &item : p->items())
-            sc.policies.push_back(parsePolicy(item));
-        if (sc.policies.empty())
-            failAt(*p, "\"policies\" must name at least one policy");
-    }
+    if (const JsonValue *p = root.find("policies"))
+        sc.policies =
+            parseNames(*p, "scheduler policy", kSchedulerPolicyNames,
+                       "\"policies\" must name at least one policy");
     if (const JsonValue *m = root.find("modes")) {
         if (m->isString()) {
             if (lowered(m->asString()) != "auto")
@@ -795,11 +699,8 @@ parseServing(const JsonValue &root)
                            "mode names");
             sc.autoModes = true;
         } else {
-            sc.modes.clear();
-            for (const JsonValue &item : m->items())
-                sc.modes.push_back(parseMode(item));
-            if (sc.modes.empty())
-                failAt(*m, "\"modes\" must name at least one mode");
+            sc.modes = parseNames(*m, "execution mode", kExecutionModeNames,
+                                  "\"modes\" must name at least one mode");
         }
     }
     if (const JsonValue *r = root.find("rates")) {
@@ -837,13 +738,11 @@ parseFleet(const JsonValue &root)
     sc.model = parseModel(root, root);
     sc.trace = parseTrace(root, root, /*require=*/true,
                           /*allowReplayFile=*/true);
-    if (const JsonValue *r = root.find("routers")) {
-        for (const JsonValue &item : r->items())
-            sc.routers.push_back(parseRouter(item));
-        if (sc.routers.empty())
-            failAt(*r, "\"routers\" must name at least one router "
-                       "(omit the key to use each fleet's own)");
-    }
+    if (const JsonValue *r = root.find("routers"))
+        sc.routers = parseNames(*r, "router", kRouterNames,
+                                "\"routers\" must name at least one "
+                                "router (omit the key to use each "
+                                "fleet's own)");
     if (const JsonValue *fleets = root.find("fleets")) {
         for (const JsonValue &f : fleets->items()) {
             FleetCase c;
@@ -870,14 +769,11 @@ SaturationScenario
 parseSaturation(const JsonValue &root)
 {
     SaturationScenario sc;
-    sc.systems = parseSystems(root, root);
-    if (const JsonValue *p = root.find("policies")) {
-        sc.policies.clear();
-        for (const JsonValue &item : p->items())
-            sc.policies.push_back(parsePolicy(item));
-        if (sc.policies.empty())
-            failAt(*p, "\"policies\" must name at least one policy");
-    }
+    sc.systems = parseSystems(root);
+    if (const JsonValue *p = root.find("policies"))
+        sc.policies =
+            parseNames(*p, "scheduler policy", kSchedulerPolicyNames,
+                       "\"policies\" must name at least one policy");
     sc.model = parseModel(root, root);
     sc.engine = parseEngine(root);
     sc.trace = parseTrace(root, root);
@@ -899,12 +795,12 @@ PlannerScenario
 parsePlanner(const JsonValue &root)
 {
     PlannerScenario sc;
-    sc.systems = parseSystems(root, root);
+    sc.systems = parseSystems(root);
     sc.model = parseModel(root, root);
     sc.engine = parseEngine(root);
     sc.trace = parseTrace(root, root);
     if (const JsonValue *r = root.find("router"))
-        sc.router = parseRouter(*r);
+        sc.router = parseName(*r, "router", kRouterNames);
     sc.sloFraction = getNumber(root, "sloFraction", sc.sloFraction);
     int64_t max_replicas = getInt(
         root, "maxReplicas", static_cast<int64_t>(sc.maxReplicas));
@@ -921,25 +817,10 @@ parsePlanner(const JsonValue &root)
 ModelConfig
 modelPreset(const std::string &name)
 {
-    std::string key = lowered(name);
-    if (key == "retnet-2.7b")
-        return retnet2p7b();
-    if (key == "gla-2.7b")
-        return gla2p7b();
-    if (key == "hgrn2-2.7b")
-        return hgrn2_2p7b();
-    if (key == "mamba2-2.7b")
-        return mamba2_2p7b();
-    if (key == "zamba2-7b")
-        return zamba2_7b();
-    if (key == "opt-7b")
-        return opt7b();
-    if (key == "opt-2.7b")
-        return opt2p7b();
-    throw ConfigError(
-        "unknown model preset \"" + name +
-        "\" (expected retnet-2.7b, gla-2.7b, hgrn2-2.7b, mamba2-2.7b, "
-        "zamba2-7b, opt-7b, opt-2.7b)");
+    if (std::optional preset = lookupName(kModelPresets, name))
+        return (*preset)();
+    throw ConfigError("unknown model preset \"" + name + "\" (expected " +
+                      nameList(kModelPresets) + ")");
 }
 
 Scenario
@@ -977,27 +858,14 @@ parseScenario(const JsonValue &root, bool smoke)
     Scenario sc;
     sc.name = getString(doc, "name", "scenario");
     sc.description = getString(doc, "description", "");
-    const JsonValue *kind = doc.find("kind");
-    if (!kind)
-        failAt(doc, "missing required key \"kind\" (step, serving, "
-                    "fleet, saturation, planner)");
-    std::string kind_name = lowered(kind->asString());
-    if (kind_name == "step")
-        sc.kind = ScenarioKind::Step;
-    else if (kind_name == "serving")
-        sc.kind = ScenarioKind::Serving;
-    else if (kind_name == "fleet")
-        sc.kind = ScenarioKind::Fleet;
-    else if (kind_name == "saturation")
-        sc.kind = ScenarioKind::Saturation;
-    else if (kind_name == "planner")
-        sc.kind = ScenarioKind::Planner;
-    else
-        failAt(*kind, "unknown scenario kind \"" + kind->asString() +
-                          "\" (expected step, serving, fleet, "
-                          "saturation, planner)");
-    checkKeys(doc, kByKind[static_cast<size_t>(sc.kind)]);
-    switch (sc.kind) {
+    const JsonValue *kind_value = doc.find("kind");
+    if (!kind_value)
+        failAt(doc, "missing required key \"kind\" (" +
+                        nameList(kScenarioKindNames) + ")");
+    ScenarioKind kind =
+        parseName(*kind_value, "scenario kind", kScenarioKindNames);
+    checkKeys(doc, kByKind[static_cast<size_t>(kind)]);
+    switch (kind) {
       case ScenarioKind::Step:
         sc.spec = parseStep(doc);
         break;

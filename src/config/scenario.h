@@ -28,6 +28,10 @@
  *  - `planner`: per system, bisect the minimum replica count whose
  *    homogeneous fleet meets the SLO-attainment fraction.
  *
+ * Keys that name an enum value (systems, policies, routers, ...) read
+ * the one name table beside that enum (core/names.h lists where each
+ * lives): a name matches in any case and has exactly one spelling.
+ *
  * A scenario file may carry a `"smoke"` member: a partial overlay
  * deep-merged over the document when the caller asks for smoke mode
  * (CI-sized runs), so the shrink is declared next to the full-size
@@ -44,11 +48,13 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
 #include "cluster/fleet.h"
 #include "config/json.h"
+#include "core/names.h"
 #include "core/stats.h"
 #include "obs/observability.h"
 #include "serving/trace.h"
@@ -65,8 +71,19 @@ enum class ScenarioKind
     Planner,    ///< minimum replica count per system at a target rate
 };
 
-/// Lower-case kind name ("step", "serving", ...).
-std::string scenarioKindName(ScenarioKind kind);
+inline constexpr Named<ScenarioKind> kScenarioKindNames[] = {
+    {ScenarioKind::Step, "step"},
+    {ScenarioKind::Serving, "serving"},
+    {ScenarioKind::Fleet, "fleet"},
+    {ScenarioKind::Saturation, "saturation"},
+    {ScenarioKind::Planner, "planner"},
+};
+
+inline std::string
+scenarioKindName(ScenarioKind kind)
+{
+    return std::string(nameOf(kScenarioKindNames, kind));
+}
 
 /// What a step scenario's tables print per grid cell.
 enum class StepReport
@@ -74,6 +91,12 @@ enum class StepReport
     Throughput, ///< per (model, batch): each system's tokens/s
     Latency,    ///< per (model, batch, system): step latency breakdown
     Energy,     ///< per (model, batch, system): step energy breakdown
+};
+
+inline constexpr Named<StepReport> kStepReportNames[] = {
+    {StepReport::Throughput, "throughput"},
+    {StepReport::Latency, "latency"},
+    {StepReport::Energy, "energy"},
 };
 
 /// One (platform, models, batches) grid of a step scenario.
@@ -192,7 +215,7 @@ struct Scenario
 {
     std::string name;
     std::string description;
-    ScenarioKind kind = ScenarioKind::Serving;
+    /// Alternatives in ScenarioKind order: kind() is the index.
     std::variant<StepScenario, ServingScenario, FleetScenario,
                  SaturationScenario, PlannerScenario>
         spec;
@@ -200,7 +223,26 @@ struct Scenario
     /// default). Parsed from the `"observability"` block, overridable
     /// by the pimba CLI's --trace/--timeline/--stream-metrics flags.
     ObservabilityConfig obs;
+
+    ScenarioKind kind() const
+    {
+        return static_cast<ScenarioKind>(spec.index());
+    }
 };
+
+// kind() reads the variant index: pin the variant's order to the enum's.
+template <ScenarioKind K, class Spec>
+constexpr bool kSpecAt =
+    std::is_same_v<std::variant_alternative_t<static_cast<size_t>(K),
+                                              decltype(Scenario::spec)>,
+                   Spec>;
+static_assert(kSpecAt<ScenarioKind::Step, StepScenario> &&
+              kSpecAt<ScenarioKind::Serving, ServingScenario> &&
+              kSpecAt<ScenarioKind::Fleet, FleetScenario> &&
+              kSpecAt<ScenarioKind::Saturation, SaturationScenario> &&
+              kSpecAt<ScenarioKind::Planner, PlannerScenario> &&
+              std::variant_size_v<decltype(Scenario::spec)> ==
+                  std::extent_v<decltype(kScenarioKindNames)>);
 
 /// The request trace @p sc carries, or null for the trace-free step
 /// kind.
@@ -225,9 +267,8 @@ Scenario parseScenarioText(const std::string &text, bool smoke = false);
 Scenario loadScenarioFile(const std::string &path, bool smoke = false);
 
 /**
- * Model-zoo lookup by preset name ("retnet-2.7b", "gla-2.7b",
- * "hgrn2-2.7b", "mamba2-2.7b", "zamba2-7b", "opt-7b", "opt-2.7b").
- * Throws ConfigError listing the valid names on a miss.
+ * Model-zoo lookup by preset name ("mamba2-2.7b", "opt-7b", ...; any
+ * case). Throws ConfigError listing the valid names on a miss.
  */
 ModelConfig modelPreset(const std::string &name);
 

@@ -121,6 +121,11 @@ applyGridParam(Scenario &sc, const std::string &param, double value)
                               what + ", got " + gridValueLabel(value));
         return static_cast<int64_t>(rounded);
     };
+    auto inapplicable = [&] {
+        return ConfigError("grid parameter '" + param +
+                           "' does not apply to a " +
+                           scenarioKindName(sc.kind()) + " scenario");
+    };
 
     if (param == "rate") {
         if (!(value > 0.0))
@@ -134,9 +139,7 @@ applyGridParam(Scenario &sc, const std::string &param, double value)
         } else if (auto *ps = std::get_if<PlannerScenario>(&sc.spec)) {
             ps->trace.ratePerSec = value;
         } else {
-            throw ConfigError("grid parameter 'rate' does not apply "
-                              "to a " +
-                              scenarioKindName(sc.kind) + " scenario");
+            throw inapplicable();
         }
         return;
     }
@@ -144,9 +147,7 @@ applyGridParam(Scenario &sc, const std::string &param, double value)
         int64_t n = integral("request count");
         TraceConfig *tc = traceOf(sc);
         if (!tc)
-            throw ConfigError("grid parameter 'requests' does not "
-                              "apply to a " +
-                              scenarioKindName(sc.kind) + " scenario");
+            throw inapplicable();
         tc->numRequests = static_cast<int>(n);
         return;
     }
@@ -161,9 +162,7 @@ applyGridParam(Scenario &sc, const std::string &param, double value)
                               gridValueLabel(value));
         TraceConfig *tc = traceOf(sc);
         if (!tc)
-            throw ConfigError("grid parameter 'seed' does not apply "
-                              "to a " +
-                              scenarioKindName(sc.kind) + " scenario");
+            throw inapplicable();
         tc->seed = static_cast<uint32_t>(rounded);
         return;
     }
@@ -177,9 +176,7 @@ applyGridParam(Scenario &sc, const std::string &param, double value)
         else if (auto *ps = std::get_if<PlannerScenario>(&sc.spec))
             engine = &ps->engine;
         else
-            throw ConfigError("grid parameter 'maxBatch' does not "
-                              "apply to a " +
-                              scenarioKindName(sc.kind) + " scenario");
+            throw inapplicable();
         engine->maxBatch = static_cast<int>(batch);
         // Re-validate here: a bad value must be a located grid error,
         // not a fatal abort inside a worker thread that discards the

@@ -17,6 +17,7 @@
 
 #include <string>
 
+#include "core/names.h"
 #include "core/units.h"
 
 namespace pimba {
@@ -26,6 +27,11 @@ enum class TimelineFormat
 {
     Csv,
     Json,
+};
+
+inline constexpr Named<TimelineFormat> kTimelineFormatNames[] = {
+    {TimelineFormat::Csv, "csv"},
+    {TimelineFormat::Json, "json"},
 };
 
 /// Per-run observability switches (all off by default).

@@ -2,23 +2,7 @@
 
 #include <algorithm>
 
-#include "core/logging.h"
-
 namespace pimba {
-
-std::string
-policyName(SchedulerPolicy policy)
-{
-    switch (policy) {
-      case SchedulerPolicy::FCFS:
-        return "fcfs";
-      case SchedulerPolicy::SJF:
-        return "sjf";
-      case SchedulerPolicy::Sarathi:
-        return "sarathi";
-    }
-    PIMBA_PANIC("unknown scheduler policy");
-}
 
 const std::vector<SchedulerPolicy> &
 allPolicies()

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/names.h"
 #include "core/units.h"
 #include "serving/request.h"
 
@@ -43,8 +44,17 @@ enum class SchedulerPolicy
     Sarathi, ///< fused decode + budgeted multi-request prefill chunks
 };
 
-/** Human-readable policy name ("fcfs", "sjf", "sarathi"). */
-std::string policyName(SchedulerPolicy policy);
+inline constexpr Named<SchedulerPolicy> kSchedulerPolicyNames[] = {
+    {SchedulerPolicy::FCFS, "fcfs"},
+    {SchedulerPolicy::SJF, "sjf"},
+    {SchedulerPolicy::Sarathi, "sarathi"},
+};
+
+inline std::string
+policyName(SchedulerPolicy policy)
+{
+    return std::string(nameOf(kSchedulerPolicyNames, policy));
+}
 
 /** All policies, for sweeps and tests. */
 const std::vector<SchedulerPolicy> &allPolicies();

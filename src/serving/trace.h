@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/lfsr.h"
+#include "core/names.h"
 #include "serving/request.h"
 
 namespace pimba {
@@ -39,11 +40,23 @@ enum class ArrivalProcess
     Mmpp,    ///< 2-state Markov-modulated Poisson (baseline + bursts)
 };
 
+inline constexpr Named<ArrivalProcess> kArrivalProcessNames[] = {
+    {ArrivalProcess::Poisson, "poisson"},
+    {ArrivalProcess::Fixed, "fixed"},
+    {ArrivalProcess::Diurnal, "diurnal"},
+    {ArrivalProcess::Mmpp, "mmpp"},
+};
+
 /** Prompt/output length distribution. */
 enum class LengthDistribution
 {
     Fixed,   ///< every request uses inputLen / outputLen exactly
     Uniform, ///< integer-uniform in [len, lenMax] per request
+};
+
+inline constexpr Named<LengthDistribution> kLengthDistributionNames[] = {
+    {LengthDistribution::Fixed, "fixed"},
+    {LengthDistribution::Uniform, "uniform"},
 };
 
 /** Sinusoidal rate curve of ArrivalProcess::Diurnal: the instantaneous

@@ -4,29 +4,6 @@
 
 namespace pimba {
 
-std::string
-systemName(SystemKind kind)
-{
-    switch (kind) {
-      case SystemKind::GPU: return "GPU";
-      case SystemKind::GPU_Q: return "GPU+Q";
-      case SystemKind::GPU_PIM: return "GPU+PIM";
-      case SystemKind::PIMBA: return "Pimba";
-      case SystemKind::NEUPIMS: return "NeuPIMs";
-    }
-    PIMBA_PANIC("unknown system kind");
-}
-
-std::string
-executionModeName(ExecutionMode mode)
-{
-    switch (mode) {
-      case ExecutionMode::Blocked: return "blocked";
-      case ExecutionMode::Overlapped: return "overlapped";
-    }
-    PIMBA_PANIC("unknown execution mode");
-}
-
 std::optional<PimDesign>
 SystemConfig::pim() const
 {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "core/names.h"
 #include "dram/hbm_config.h"
 #include "gpu/gpu_config.h"
 #include "pim/pim_compute.h"
@@ -28,8 +29,20 @@ enum class SystemKind
     NEUPIMS, ///< GPU + per-bank attention-only PIM, fp16
 };
 
-/// Display name matching the paper's figure legends.
-std::string systemName(SystemKind kind);
+/// Display names matching the paper's figure legends.
+inline constexpr Named<SystemKind> kSystemNames[] = {
+    {SystemKind::GPU, "GPU"},
+    {SystemKind::GPU_Q, "GPU+Q"},
+    {SystemKind::GPU_PIM, "GPU+PIM"},
+    {SystemKind::PIMBA, "Pimba"},
+    {SystemKind::NEUPIMS, "NeuPIMs"},
+};
+
+inline std::string
+systemName(SystemKind kind)
+{
+    return std::string(nameOf(kSystemNames, kind));
+}
 
 /// How GPU and PIM phases of one step are scheduled against each other.
 ///
@@ -48,8 +61,16 @@ enum class ExecutionMode
     Overlapped, ///< two-sub-batch GPU<->PIM pipeline (Fig. 15)
 };
 
-/// Lower-case mode name ("blocked" / "overlapped") for tables.
-std::string executionModeName(ExecutionMode mode);
+inline constexpr Named<ExecutionMode> kExecutionModeNames[] = {
+    {ExecutionMode::Blocked, "blocked"},
+    {ExecutionMode::Overlapped, "overlapped"},
+};
+
+inline std::string
+executionModeName(ExecutionMode mode)
+{
+    return std::string(nameOf(kExecutionModeNames, mode));
+}
 
 /// Full system description.
 struct SystemConfig

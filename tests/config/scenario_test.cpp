@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,7 +45,7 @@ constexpr const char *kServingJson = R"({
 TEST(ScenarioRoundTrip, ServingMatchesHandConstructedRun)
 {
     Scenario sc = parseScenarioText(kServingJson);
-    ASSERT_EQ(sc.kind, ScenarioKind::Serving);
+    ASSERT_EQ(sc.kind(), ScenarioKind::Serving);
     const auto &ss = std::get<ServingScenario>(sc.spec);
     ServingReport via_scenario = runServingPoint(
         ss, SystemKind::PIMBA, SchedulerPolicy::Sarathi,
@@ -102,7 +104,7 @@ constexpr const char *kFleetJson = R"({
 TEST(ScenarioRoundTrip, FleetMatchesHandConstructedRun)
 {
     Scenario sc = parseScenarioText(kFleetJson);
-    ASSERT_EQ(sc.kind, ScenarioKind::Fleet);
+    ASSERT_EQ(sc.kind(), ScenarioKind::Fleet);
     const auto &fs = std::get<FleetScenario>(sc.spec);
     ASSERT_EQ(fs.cases.size(), 1u);
     StepCostStores stores(fs.model);
@@ -249,6 +251,77 @@ TEST(ScenarioSchema, UnknownEnumNamesListAlternatives)
     expectSchemaError(stepJson(R"("position": 1, "report": "power",)"),
                       "unknown report \"power\" (expected throughput, "
                       "latency, energy)");
+}
+
+/// Every value up to @p last has exactly one row in @p table, and its
+/// printed name looks it up again in lower and in upper case.
+template <class T, size_t N>
+void
+expectNamesRoundTrip(const Named<T> (&table)[N], T last)
+{
+    EXPECT_EQ(N, static_cast<size_t>(last) + 1) << nameList(table);
+    for (size_t i = 0; i <= static_cast<size_t>(last); ++i) {
+        const T value = static_cast<T>(i);
+        ASSERT_EQ(std::ranges::count(table, value, &Named<T>::value), 1)
+            << "value " << i << " of " << nameList(table);
+        std::string lower(nameOf(table, value)), upper = lower;
+        std::ranges::transform(lower, lower.begin(), [](char c) {
+            return static_cast<char>(std::tolower(c));
+        });
+        std::ranges::transform(upper, upper.begin(), [](char c) {
+            return static_cast<char>(std::toupper(c));
+        });
+        EXPECT_EQ(lookupName(table, lower), value) << lower;
+        EXPECT_EQ(lookupName(table, upper), value) << upper;
+    }
+}
+
+TEST(ScenarioSchema, EnumNamesRoundTripInAnyCase)
+{
+    expectNamesRoundTrip(kSystemNames, SystemKind::NEUPIMS);
+    expectNamesRoundTrip(kExecutionModeNames, ExecutionMode::Overlapped);
+    expectNamesRoundTrip(kSchedulerPolicyNames, SchedulerPolicy::Sarathi);
+    expectNamesRoundTrip(kRouterNames, RouterPolicy::CacheAffinity);
+    expectNamesRoundTrip(kFleetModeNames, FleetMode::Disaggregated);
+    expectNamesRoundTrip(kArrivalProcessNames, ArrivalProcess::Mmpp);
+    expectNamesRoundTrip(kLengthDistributionNames,
+                         LengthDistribution::Uniform);
+    expectNamesRoundTrip(kTimelineFormatNames, TimelineFormat::Json);
+    expectNamesRoundTrip(kStepReportNames, StepReport::Energy);
+    expectNamesRoundTrip(kScenarioKindNames, ScenarioKind::Planner);
+    EXPECT_EQ(lookupName(kRouterNames, "cache-affinit"), std::nullopt);
+    EXPECT_EQ(lookupName(kRouterNames, "cache-affinityy"), std::nullopt);
+
+    // The parser reads the same tables: upper-case names load, and each
+    // value has one spelling (the old aliases are unknown names).
+    Scenario sc = parseScenarioText(R"({
+      "kind": "FLEET", "model": "mamba2-2.7b", "routers": ["P2C"],
+      "fleet": {"mode": "Disaggregated", "prefillReplicas": 1,
+                "replicas": [{"system": "GPU+PIM", "count": 2}]},
+      "trace": {"arrivals": "MMPP", "lengths": "Uniform",
+                "inputLen": 64, "inputLenMax": 128, "numRequests": 4},
+      "observability": {"timelineFormat": "JSON"}
+    })");
+    ASSERT_EQ(sc.kind(), ScenarioKind::Fleet);
+    const auto &fs = std::get<FleetScenario>(sc.spec);
+    EXPECT_EQ(fs.routers, std::vector{RouterPolicy::PowerOfTwoChoices});
+    EXPECT_EQ(fs.cases[0].fleet.mode, FleetMode::Disaggregated);
+    EXPECT_EQ(fs.cases[0].fleet.replicas[0].kind, SystemKind::GPU_PIM);
+    EXPECT_EQ(fs.trace.arrivals, ArrivalProcess::Mmpp);
+    EXPECT_EQ(fs.trace.lengths, LengthDistribution::Uniform);
+    EXPECT_EQ(sc.obs.timelineFormat, TimelineFormat::Json);
+    auto planner = [](const std::string &system, const std::string &router) {
+        return R"({"kind": "planner", "model": "mamba2-2.7b", "systems": [")" +
+               system + R"("], "router": ")" + router +
+               R"(", "trace": {"numRequests": 4}})";
+    };
+    EXPECT_NO_THROW(parseScenarioText(planner("Gpu+Q", "Cache-Affinity")));
+    for (std::string alias : {"gpu_q", "gpu_pim"})
+        expectSchemaError(planner(alias, "rr"),
+                          "unknown system \"" + alias + "\"");
+    for (std::string alias : {"round-robin", "cache"})
+        expectSchemaError(planner("gpu", alias),
+                          "unknown router \"" + alias + "\"");
 }
 
 TEST(ScenarioSchema, LayerValidatorsRejectNonsense)
@@ -481,6 +554,25 @@ TEST(ScenarioSchema, StepReportAndSummaryFieldsAreValidated)
         stepJson(R"("position": 1, "report": "energy",
                     "summaries": [{"batch": 128}],)"),
         "no grid holds batch 128");
+    EXPECT_EQ(e.line(), 3);
+    // A summary compares two of the scenario's systems: a system the
+    // grid never ran, named or by default, has no cells to compare.
+    e = expectSchemaError(
+        stepJson(R"("position": 1,
+                    "summaries": [{"system": "neupims", "versus": "gpu"}],)"),
+        "summary \"system\" neupims is not one of this scenario's systems "
+        "(gpu, pimba)");
+    EXPECT_EQ(e.line(), 3);
+    expectSchemaError(
+        stepJson(R"("position": 1,
+                    "summaries": [{"versus": "gpu+q"}],)"),
+        "summary \"versus\" gpu+q is not one of this scenario's systems");
+    e = expectSchemaError(
+        R"({"kind": "step", "systems": ["gpu", "neupims"], "position": 1,
+            "grids": [{"models": ["retnet-2.7b"], "batches": [1]}],
+            "summaries": [{"versus": "gpu"}]})",
+        "summary \"system\" pimba (the default) is not one of this "
+        "scenario's systems (gpu, neupims)");
     EXPECT_EQ(e.line(), 3);
 
     Scenario sc = parseScenarioText(

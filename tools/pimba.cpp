@@ -133,7 +133,7 @@ runCommand(const std::string &command, int argc, char **argv)
             if (!fs)
                 throw ConfigError("--trace-file needs a fleet scenario; " +
                                   path + " is a " +
-                                  scenarioKindName(sc.kind) +
+                                  scenarioKindName(sc.kind()) +
                                   " scenario");
             fs->trace.file = traceFile;
             // The scenario's generation-side request count must not
@@ -156,13 +156,13 @@ runCommand(const std::string &command, int argc, char **argv)
         }
         if (streamMetrics)
             sc.obs.streamMetrics = true;
-        if (sc.obs.enabled() && sc.kind != ScenarioKind::Serving &&
-            sc.kind != ScenarioKind::Fleet) {
+        if (sc.obs.enabled() && sc.kind() != ScenarioKind::Serving &&
+            sc.kind() != ScenarioKind::Fleet) {
             fprintf(stderr,
                     "pimba %s: observability applies to serving and "
                     "fleet scenarios; %s is a %s scenario\n",
                     command.c_str(), path.c_str(),
-                    scenarioKindName(sc.kind).c_str());
+                    scenarioKindName(sc.kind()).c_str());
             return 1;
         }
         if (command == "validate") {
@@ -171,7 +171,7 @@ runCommand(const std::string &command, int argc, char **argv)
             // abort CI's --smoke run.
             loadScenarioFile(path, !smoke);
             printf("%s: ok (%s scenario \"%s\")\n", path.c_str(),
-                   scenarioKindName(sc.kind).c_str(), sc.name.c_str());
+                   scenarioKindName(sc.kind()).c_str(), sc.name.c_str());
             return 0;
         }
         ScenarioReport rep;
@@ -227,7 +227,7 @@ traceCommand(int argc, char **argv)
             fprintf(stderr,
                     "pimba trace: %s is a %s scenario, which has no "
                     "request trace\n",
-                    path.c_str(), scenarioKindName(sc.kind).c_str());
+                    path.c_str(), scenarioKindName(sc.kind()).c_str());
             return 1;
         }
         if (!tc->file.empty()) {
