@@ -31,6 +31,7 @@ struct Named
     std::string_view name; ///< as reports print it
 };
 
+/// Lower-case ASCII letters only: locale-free, and usable in constexpr.
 constexpr char
 asciiLower(char c)
 {
