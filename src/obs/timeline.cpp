@@ -34,13 +34,13 @@ TimelineSampler::registerTrack(const std::string &label)
     return static_cast<int>(labels.size()) - 1;
 }
 
-bool
-TimelineSampler::due(int track, Seconds now) const
+Seconds
+TimelineSampler::dueAt(int track) const
 {
     PIMBA_ASSERT(track >= 0 &&
                      static_cast<size_t>(track) < labels.size(),
                  "timeline sample on unregistered track ", track);
-    return now >= nextDue[static_cast<size_t>(track)];
+    return nextDue[static_cast<size_t>(track)];
 }
 
 void

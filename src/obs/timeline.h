@@ -48,14 +48,18 @@ class TimelineSampler
      *  rendered output; returns the dense track id to sample with. */
     int registerTrack(const std::string &label);
 
-    /** Whether sample() at @p now would record on @p track: callers
-     *  with costly probes check this first and skip them otherwise. */
-    bool due(int track, Seconds now) const;
+    /** Whether sample() at @p now would record on @p track. */
+    bool due(int track, Seconds now) const { return now >= dueAt(track); }
+
+    /** The earliest instant at which sample() records on @p track: an
+     *  engine's quiet run stops at the first iteration ending there. */
+    Seconds dueAt(int track) const;
 
     /** Offer one sample for @p track at simulated time @p now; it is
-     *  recorded when the track's cadence is due. Engines call this
-     *  once per iteration — the gate keeps the series at the
-     *  configured density regardless of iteration length. */
+     *  recorded when the track's cadence is due. Engines offer one
+     *  after every iteration they could sample at — the gate keeps
+     *  the series at the configured density regardless of iteration
+     *  length. */
     void sample(int track, Seconds now, uint64_t queueDepth,
                 uint64_t outstandingTokens, uint64_t running,
                 double blockUtil);

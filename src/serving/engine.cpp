@@ -8,6 +8,14 @@
 
 namespace pimba {
 
+namespace {
+
+/// The engine's counter tracks, in the order each write visits them.
+constexpr std::string_view kCounterNames[] = {
+    "queue depth", "outstanding tokens", "running", "block util"};
+
+} // namespace
+
 Tokens
 resolvedIterTokenBudget(const EngineConfig &cfg)
 {
@@ -75,7 +83,7 @@ void
 ServingEngine::attachObservers(const EngineObservers &o)
 {
     obs = o;
-    quietLeft = 0; // a tracer or timeline needs every iteration
+    counterLast.fill(std::numeric_limits<double>::quiet_NaN());
     if (obs.tracer) {
         obs.tracer->threadName(obs.pid, kTraceIterTid, "iterations");
         obs.tracer->threadName(obs.pid, kTraceGpuTid, "gpu");
@@ -131,6 +139,33 @@ ServingEngine::traceIteration(Seconds start, Seconds dur, int decodeBatch,
         tracePhaseSlices(cursor, substeps[k], name);
         cursor += substeps[k].seconds;
     }
+}
+
+std::array<double, 4>
+ServingEngine::counterValues() const
+{
+    return {static_cast<double>(load.queueDepth),
+            static_cast<double>(load.outstandingTokens),
+            static_cast<double>(running.size()), blocks->utilization()};
+}
+
+void
+ServingEngine::observeLoad()
+{
+    if (obs.tracer) {
+        const std::array<double, 4> values = counterValues();
+        for (size_t i = 0; i < values.size(); ++i) {
+            if (values[i] == counterLast[i])
+                continue;
+            obs.tracer->counter(obs.pid, clock, kCounterNames[i],
+                                values[i]);
+            counterLast[i] = values[i];
+        }
+    }
+    if (obs.timeline)
+        obs.timeline->sample(obs.timelineTrack, clock, load.queueDepth,
+                             load.outstandingTokens, running.size(),
+                             blocks->utilization());
 }
 
 void
@@ -302,8 +337,8 @@ ServingEngine::advanceTo(Seconds t)
     PIMBA_ASSERT(active, "advanceTo() outside a session");
     advancedTo = t;
     while (true) {
-        if (quietLeft > 0)
-            fastForward(t);
+        if (quietLeft > 0 && fastForward(t))
+            continue;
         revealArrivals();
         if (running.empty() && waiting.empty()) {
             // Idle: jump to the next arrival if it is due by t.
@@ -815,27 +850,9 @@ ServingEngine::iterate()
                       static_cast<std::ptrdiff_t>(i));
     }
 
-    // Load counters and the periodic timeline sample, on the
-    // post-retire state of this iteration: the live running sums.
-    const bool sampleDue =
-        obs.timeline && obs.timeline->due(obs.timelineTrack, clock);
-    if (obs.tracer || sampleDue) {
-        const uint64_t depth = load.queueDepth;
-        const uint64_t outstanding = load.outstandingTokens;
-        const double liveUtil = blocks->utilization();
-        if (obs.tracer) {
-            obs.tracer->counter(obs.pid, clock, "queue depth",
-                                static_cast<double>(depth));
-            obs.tracer->counter(obs.pid, clock, "outstanding tokens",
-                                static_cast<double>(outstanding));
-            obs.tracer->counter(obs.pid, clock, "running",
-                                static_cast<double>(running.size()));
-            obs.tracer->counter(obs.pid, clock, "block util", liveUtil);
-        }
-        if (sampleDue)
-            obs.timeline->sample(obs.timelineTrack, clock, depth,
-                                 outstanding, running.size(), liveUtil);
-    }
+    // Load counters and the timeline sample, on the post-retire state
+    // of this iteration.
+    observeLoad();
     armQuietRun();
     auditLedgers();
 }
@@ -844,7 +861,7 @@ void
 ServingEngine::armQuietRun()
 {
     quietLeft = 0;
-    if (obs.tracer || obs.timeline || !waiting.empty() || running.empty())
+    if (!waiting.empty() || running.empty())
         return;
     uint64_t left = std::numeric_limits<uint64_t>::max();
     uint64_t seqSum = 0;
@@ -867,19 +884,28 @@ ServingEngine::armQuietRun()
     quietMean = seqSum / running.size();
 }
 
-void
+bool
 ServingEngine::fastForward(Seconds t)
 {
-    // Each pass is the quiet iteration iterate() would run, with the
-    // same memo lookup and the same sums in the same order. Every
+    // Each loop pass is the quiet iteration iterate() would run, with
+    // the same memo lookup and the same sums in the same order. Every
     // resident gains one token, so the decode mean rises by exactly
     // one; blocks, and so the peaks, do not move. A fused iteration
     // with no prefill is its decode step (mixedPoint), so every policy
-    // takes the same memo entry.
+    // takes the same memo entry. Observers cut the run where iterate()
+    // would show them something new (file comment).
     const int batch = static_cast<int>(running.size());
     const double util = blocks->utilization();
+    const Seconds limit =
+        obs.timeline ? std::min(t, obs.timeline->dueAt(obs.timelineTrack))
+                     : t;
+    const uint64_t runLeft =
+        obs.tracer && counterValues() != counterLast
+            ? std::min<uint64_t>(quietLeft, 1)
+            : quietLeft;
+    const Seconds start = clock;
     uint64_t k = 0;
-    while (k < quietLeft && clock < t &&
+    while (k < runLeft && clock < limit &&
            (pendingArrivals.empty() ||
             pendingArrivals.front().req.arrival > clock)) {
         const StepCost c = costs->decodeStep(batch, quietMean + k);
@@ -889,6 +915,8 @@ ServingEngine::fastForward(Seconds t)
         utilSum += util;
         ++k;
     }
+    if (k == 0)
+        return false;
     for (RequestState &rs : running)
         rs.generated += k;
     report.iterations += k;
@@ -897,7 +925,17 @@ ServingEngine::fastForward(Seconds t)
     load.outstandingTokens -= k * static_cast<uint64_t>(batch);
     quietLeft -= k;
     quietMean += k;
+    if (obs.tracer)
+        obs.tracer->complete(
+            obs.pid, kTraceIterTid, start, clock - start,
+            cfg.policy == SchedulerPolicy::Sarathi ? "fused" : "decode",
+            "iteration",
+            {{"batch", static_cast<double>(batch)},
+             {"decode_batch", static_cast<double>(batch)},
+             {"iterations", static_cast<double>(k)}});
+    observeLoad();
     auditLedgers();
+    return true;
 }
 
 void

@@ -51,13 +51,25 @@
  *
  * Most iterations are quiet: every resident decodes and nothing is
  * queued, admitted, finished, evicted or allocated. An iteration that
- * leaves that state, with no tracer or timeline attached, arms a quiet
- * run that ends one iteration short of the first completion or block
- * growth. advanceTo() runs it as a loop of memo lookups and clock and
- * utilization sums in the normal path's floating-point order, so every
- * report and memo count is bit-identical. It also stops at the target
- * time and at a due arrival; begin(), a resident's cancel(), a revealed
- * arrival and attaching observers disarm it (docs/architecture.md).
+ * leaves that state arms a quiet run that ends one iteration short of
+ * the first completion or block growth. advanceTo() runs it as a loop
+ * of memo lookups and clock and utilization sums in the normal path's
+ * floating-point order, so every report and memo count is
+ * bit-identical. It also stops at the target time and at a due
+ * arrival; begin(), a resident's cancel() and a revealed arrival
+ * disarm it (docs/architecture.md).
+ *
+ * Observers see a quiet run pass by pass. A pass also stops at the
+ * first iteration ending at or after its timeline track's next due
+ * instant and records the sample iterate() would have recorded there.
+ * It draws one iterations-lane slice carrying its iteration count
+ * instead of one slice, and phase slices, per iteration. The four load
+ * counters are written only when their value changes, by iterate() and
+ * at the end of each pass; a pass whose counters changed since they
+ * were last written (a submit in between) stops after one iteration,
+ * so the step lands where iterate() would have drawn it. A timeline
+ * with interval 0 is due every iteration, so it keeps an engine on the
+ * per-iteration path: tests use that run as the reference.
  *
  * Two driving modes share the same iteration loop:
  *  - run() serves a whole trace to completion (single-replica studies);
@@ -75,6 +87,7 @@
 #ifndef PIMBA_SERVING_ENGINE_H
 #define PIMBA_SERVING_ENGINE_H
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -326,8 +339,9 @@ class ServingEngine
     /// observability sinks. Persists across begin()/finish() cycles so
     /// a fleet attaches once per replica. An attached tracer's fixed
     /// engine tracks (iterations, gpu, pim, sync) are named
-    /// immediately; the caller names the process (pid) itself, since
-    /// only it knows the run's label.
+    /// immediately, and each counter track's next sample is written
+    /// whatever its value; the caller names the process (pid) itself,
+    /// since only it knows the run's label.
     void attachObservers(const EngineObservers &o);
 
   private:
@@ -351,6 +365,12 @@ class ServingEngine
     /// the memo entries the costing copied into @c substeps.
     void traceIteration(Seconds start, Seconds dur, int decodeBatch,
                         uint64_t prefillTokens);
+    /// The values of the counter tracks (kCounterNames order) now.
+    std::array<double, 4> counterValues() const;
+    /// After an iteration or a quiet pass: write the counters whose
+    /// value changed since their last write, and offer the timeline
+    /// its sample.
+    void observeLoad();
 
     /// Set load.nextEvent from the queues and the clock.
     void publishNextEvent();
@@ -358,12 +378,14 @@ class ServingEngine
     void revealArrivals();
     /// One scheduler iteration (admission, planning, costing, retire).
     void iterate();
-    /// After an iteration: arm a quiet run if no observer is attached,
-    /// the queue is empty and every resident decodes; else disarm.
+    /// After an iteration: arm a quiet run if the queue is empty and
+    /// every resident decodes; else disarm.
     void armQuietRun();
-    /// Run armed quiet iterations until the clock reaches @p t, an
-    /// arrival is due or the horizon is reached.
-    void fastForward(Seconds t);
+    /// One pass of the armed quiet run: iterations until the clock
+    /// reaches @p t or the timeline's due instant, an arrival is due or
+    /// the horizon is reached (file comment). Returns whether it ran
+    /// any.
+    bool fastForward(Seconds t);
     /// Priority tier of @p classId (0 when untiered / out of range).
     int tierOf(uint32_t classId) const;
     /// A request's share of tierPressure(): tier + 1, or 0 untiered.
@@ -385,6 +407,9 @@ class ServingEngine
     EngineConfig cfg;
     Scheduler sched;
     EngineObservers obs;
+    /// Last value written to each counter track; NaN, which differs
+    /// from every value, until the first write.
+    std::array<double, 4> counterLast{};
 
     // ------------------------------------------------ session state
     LoadSignals load;

@@ -7,8 +7,9 @@
  * renderJson(), labels escaped into valid JSON), and the engine
  * integration — a traced run must emit the full request lifecycle and
  * phase lanes while leaving the simulated report bit-identical to an
- * untraced run (the zero-perturbation contract CI's trace-smoke job
- * re-checks on whole presets).
+ * untraced run and to the per-iteration reference (the zero-
+ * perturbation contract CI's trace-smoke job re-checks on whole
+ * presets).
  */
 
 #include <gtest/gtest.h>
@@ -504,11 +505,23 @@ TEST(TracerEngine, TracedRunEmitsLifecycleAndPhaseLanes)
     // Every request is admitted and produces a first token.
     EXPECT_EQ(countOf(json, "\"admitted\""), trace.size());
     EXPECT_EQ(countOf(json, "\"first token\""), trace.size());
-    // Iteration slices cover the run (cat "iteration", one per engine
-    // iteration); phase lanes are populated (the Pimba system does SSM
-    // state update on PIM, so both gpu and pim lanes carry slices).
-    EXPECT_EQ(countOf(json, "\"iteration\""),
-              static_cast<size_t>(rep.iterations));
+    // Iteration slices cover the run (cat "iteration": one per
+    // iteration, or one per quiet pass carrying its iteration count);
+    // phase lanes are populated (the Pimba system does SSM state update
+    // on PIM, so both gpu and pim lanes carry slices).
+    uint64_t iterations = 0, passes = 0;
+    const JsonValue doc = parseJson(json);
+    for (const JsonValue &e : doc.find("traceEvents")->items()) {
+        const JsonValue *cat = e.find("cat");
+        if (!cat || cat->asString() != "iteration")
+            continue;
+        const JsonValue *k = e.find("args")->find("iterations");
+        iterations += k ? static_cast<uint64_t>(k->asNumber()) : 1;
+        passes += k != nullptr;
+    }
+    EXPECT_EQ(iterations, rep.iterations);
+    EXPECT_GT(passes, 0u);
+    EXPECT_GT(rep.fastForwardedIterations, 0u);
     EXPECT_NE(json.find("\"name\":\"gpu\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"pim\""), std::string::npos);
     EXPECT_GE(countOf(json, "\"cat\":\"gpu\""), 1u);
@@ -517,10 +530,11 @@ TEST(TracerEngine, TracedRunEmitsLifecycleAndPhaseLanes)
 
 TEST(TracerEngine, TracingDoesNotPerturbTheReport)
 {
-    // The traced run takes the per-iteration path; the untraced one
-    // fast-forwards quiet runs. Both must be the same simulation, bit
-    // for bit. OPT's KV growth cuts quiet runs at block boundaries,
-    // Mamba-2's only at completions; Sarathi costs fused steps.
+    // The traced and the untraced run fast-forward quiet runs; an
+    // engine with a timeline due every iteration runs each one. All
+    // three must be the same simulation, bit for bit. OPT's KV growth
+    // cuts quiet runs at block boundaries, Mamba-2's only at
+    // completions; Sarathi costs fused steps.
     auto trace = generateTrace(tracedTrace());
     const std::pair<const char *, ModelConfig> models[] = {
         {"mamba2", mamba2_2p7b()}, {"opt", opt2p7b()}};
@@ -540,10 +554,22 @@ TEST(TracerEngine, TracingDoesNotPerturbTheReport)
             traced.attachObservers(eo);
             ServingReport b = traced.run(trace);
 
+            ServingEngine reference(sim, model, ec);
+            TimelineSampler everyIteration(Seconds(0.0));
+            EngineObservers perIteration;
+            perIteration.timeline = &everyIteration;
+            perIteration.timelineTrack =
+                everyIteration.registerTrack("reference");
+            reference.attachObservers(perIteration);
+            ServingReport c = reference.run(trace);
+
             EXPECT_GT(tracer.eventCount(), 0u);
             EXPECT_GT(a.fastForwardedIterations, 0u);
-            EXPECT_EQ(b.fastForwardedIterations, 0u);
-            expectBitEqual(a, b);
+            EXPECT_GT(b.fastForwardedIterations, 0u);
+            EXPECT_EQ(c.fastForwardedIterations, 0u);
+            EXPECT_EQ(everyIteration.rows().size(), c.iterations);
+            expectBitEqual(c, a);
+            expectBitEqual(c, b);
         }
     }
 }
