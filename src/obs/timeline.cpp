@@ -48,7 +48,7 @@ TimelineSampler::sample(int track, Seconds now, uint64_t queueDepth,
                         uint64_t outstandingTokens, uint64_t running,
                         double blockUtil)
 {
-    if (!due(track, now))
+    if (now < dueAt(track))
         return;
     record(track, now, queueDepth, outstandingTokens, running,
            blockUtil);

@@ -48,9 +48,6 @@ class TimelineSampler
      *  rendered output; returns the dense track id to sample with. */
     int registerTrack(const std::string &label);
 
-    /** Whether sample() at @p now would record on @p track. */
-    bool due(int track, Seconds now) const { return now >= dueAt(track); }
-
     /** The earliest instant at which sample() records on @p track: an
      *  engine's quiet run stops at the first iteration ending there. */
     Seconds dueAt(int track) const;

@@ -935,7 +935,9 @@ ServingEngine::fastForward(Seconds t)
              {"iterations", static_cast<double>(k)}});
     observeLoad();
     auditLedgers();
-    return true;
+    // An observer may have cut the run short: the caller runs the next
+    // pass. Without one, the loop stopped where the quiet run does.
+    return obs.tracer || obs.timeline;
 }
 
 void

@@ -384,7 +384,7 @@ class ServingEngine
     /// One pass of the armed quiet run: iterations until the clock
     /// reaches @p t or the timeline's due instant, an arrival is due or
     /// the horizon is reached (file comment). Returns whether it ran
-    /// any.
+    /// any with an observer attached, which may have cut it short.
     bool fastForward(Seconds t);
     /// Priority tier of @p classId (0 when untiered / out of range).
     int tierOf(uint32_t classId) const;
